@@ -25,7 +25,7 @@ from .grid import (
     save_scene,
 )
 from .gmm import EmTrace, GmmModel
-from .hmt import FlowTree, HmtModel, TreePosteriors, build_flow_tree, map_decode, transition
+from .hmt import FlowTree, HmtModel, TreePosteriors, build_flow_tree, map_decode
 from .metrics import ClassReport, RocCurve, class_report, gamma_index, roc_auc, salt_pepper_count
 
 __version__ = "0.1.0"
@@ -66,6 +66,5 @@ __all__ = [
     "sample_labels",
     "save_labels",
     "save_scene",
-    "transition",
     "weighted_mle",
 ]

@@ -47,7 +47,6 @@ class RunConfig:
     pi: float = 0.5
     neighborhood: int = 8
     max_iter: int = 100
-    threads: int = 1
     out: str = "."
 
 
@@ -69,7 +68,6 @@ def load_config(path: str) -> dict:
         "seed": int,
         "neighborhood": int,
         "max_iter": int,
-        "threads": int,
     }
     try:
         with open(path) as fh:
@@ -94,16 +92,18 @@ def load_config(path: str) -> dict:
     return values
 
 
-def _resolve_config(args: argparse.Namespace) -> RunConfig:
-    cfg = RunConfig()
-    if getattr(args, "config", None):
-        for key, val in load_config(args.config).items():
-            setattr(cfg, key, val)
+def _given_settings(args: argparse.Namespace) -> dict:
+    """Settings named in the config file or by a flag; flags win."""
+    given = load_config(args.config) if getattr(args, "config", None) else {}
     for key in _CONFIG_TYPES:
         flag = getattr(args, key, None)
         if flag is not None:
-            setattr(cfg, key, flag)
-    return cfg
+            given[key] = flag
+    return given
+
+
+def _resolve_config(args: argparse.Namespace) -> RunConfig:
+    return RunConfig(**_given_settings(args))
 
 
 # --- scene-spec files for synth ---
@@ -256,7 +256,7 @@ def _predict(model, scene: RasterScene, cfg: RunConfig) -> tuple[np.ndarray, np.
         feats = scene.feature_matrix(use_elevation=False)
         if feats.shape[1] != model.dim:
             raise DimError(f"model dimension {model.dim} != {feats.shape[1]} non-elevation channels")
-        tree = hmt.build_flow_tree(scene.elevation(), cfg.neighborhood)
+        tree = hmt.build_flow_tree(scene.elevation(), model.neighborhood)
         posteriors = hmt.e_step(model, tree, feats)
         classes = hmt.map_decode(model, tree, feats).reshape(scene.height, scene.width)
         scores = posteriors.marginal.reshape(scene.height, scene.width)
@@ -341,10 +341,15 @@ def cmd_train(args, parser) -> int:
 
 
 def cmd_predict(args, parser) -> int:
-    cfg = _resolve_config(args)
+    given = _given_settings(args)
+    cfg = RunConfig(**given)
     if cfg.scene is None:
         parser.error("--scene is required")
     model = _load_any_model(args.model)
+    asked = given.get("neighborhood")
+    if isinstance(model, hmt.HmtModel) and asked not in (None, model.neighborhood):
+        raise DataError(f"neighborhood {asked} was given, but {args.model} was trained "
+                        f"on the {model.neighborhood}-neighborhood flow forest")
     scene = load_scene(cfg.scene)
     classes, scores = _predict(model, scene, cfg)
     pred_path = _out_path(cfg.out, "pred.sgrid")
@@ -551,8 +556,6 @@ def _add_run_flags(sub: argparse.ArgumentParser, *, method: bool = True) -> None
     sub.add_argument("--pi", type=float, default=None, help="initial flood prior (default 0.5)")
     sub.add_argument("--neighborhood", type=int, choices=(4, 8), default=None)
     sub.add_argument("--max-iter", dest="max_iter", type=int, default=None)
-    sub.add_argument("--threads", type=int, default=None,
-                     help="worker cap; execution always follows the serial schedule")
     sub.add_argument("--out", default=None, help="output directory")
 
 

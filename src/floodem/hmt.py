@@ -10,15 +10,17 @@ above a dry parent):
 
 Parentless nodes carry the Bernoulli prior (pi0, pi1). Emissions are
 per-class Gaussians over the non-elevation feature channels; elevation enters
-only through the tree structure. Inference is exact: sum-product for
-marginal/pairwise posteriors and max-sum for the MAP labeling, both run level
-by level in the log domain with per-node max-shift normalization.
+only through the tree structure. Inference is exact: sum-product for the
+node marginals and max-sum for the MAP labeling, both run level by level in
+the log domain with per-node max-shift normalization. Because of the
+structural zero, every pairwise posterior P(y_n, y_parent | X) follows from
+the two node marginals, so the E-step stores nothing else.
 """
 
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -44,13 +46,17 @@ NEIGHBOR_OFFSETS = {
 
 @dataclass(eq=False)
 class FlowTree:
-    """Forest over pixels: parent links, their inverse, roots, and a child-first order."""
+    """Forest over pixels: parent links plus a depth schedule.
+
+    ``order`` lists the nodes deepest level first, and by parent within a
+    level, so every level's children of one parent form a contiguous run.
+    ``starts`` holds the offset of each level in ``order``; the last level is
+    the roots.
+    """
 
     parent: np.ndarray  # (N,) int64, -1 marks a root
-    children: list[np.ndarray]
-    roots: np.ndarray
-    topo_order: np.ndarray  # every node appears before its parent
-    _level_groups: list[np.ndarray] | None = field(default=None, repr=False)
+    order: np.ndarray
+    starts: np.ndarray
 
     @classmethod
     def from_parents(cls, parent: np.ndarray) -> "FlowTree":
@@ -58,72 +64,47 @@ class FlowTree:
         n = parent.size
         if np.any((parent < -1) | (parent >= n)) or np.any(parent == np.arange(n)):
             raise DataError("invalid parent index")
-        children: list[list[int]] = [[] for _ in range(n)]
-        for node, p in enumerate(parent):
-            if p >= 0:
-                children[p].append(node)
-        roots = np.flatnonzero(parent == -1)
-        depth = np.full(n, -1, dtype=np.int64)
-        stack = list(roots)
-        depth[roots] = 0
-        while stack:
-            node = stack.pop()
-            for ch in children[node]:
-                depth[ch] = depth[node] + 1
-                stack.append(ch)
-        if np.any(depth < 0):
+        # Pointer doubling: depth[i] counts the edges from i to jump[i], and
+        # jump[i] climbs 2^k links per round until it falls off a root. Depths
+        # are below N < 2^bit_length(N), so a node still jumping after that
+        # many rounds lies on a cycle.
+        depth = (parent >= 0).astype(np.int64)
+        jump = parent.copy()
+        for _ in range(n.bit_length() + 1):
+            live = np.flatnonzero(jump >= 0)
+            if live.size == 0:
+                break
+            up = jump[live]
+            depth[live] += depth[up]
+            jump[live] = jump[up]
+        else:
             raise DataError("parent links contain a cycle")
-        topo = np.lexsort((np.arange(n), -depth))
-        return cls(
-            parent=parent,
-            children=[np.array(ch, dtype=np.int64) for ch in children],
-            roots=roots,
-            topo_order=topo,
-        )
+        order = np.lexsort((parent, -depth))
+        starts = np.flatnonzero(np.r_[True, np.diff(depth[order]) != 0])
+        return cls(parent=parent, order=order, starts=starts)
 
     @property
     def n_nodes(self) -> int:
         return self.parent.size
 
-    def level_groups(self) -> list[np.ndarray]:
-        """Nodes bucketed by height above their deepest leaf; bucket k only
-        depends on buckets < k, so each bucket can be processed in one shot."""
-        if self._level_groups is None:
-            level = np.zeros(self.n_nodes, dtype=np.int64)
-            for node in self.topo_order:
-                p = self.parent[node]
-                if p >= 0 and level[p] <= level[node]:
-                    level[p] = level[node] + 1
-            order = np.lexsort((np.arange(self.n_nodes), level))
-            bounds = np.searchsorted(level[order], np.arange(1, level.max() + 1))
-            self._level_groups = np.split(order, bounds)
-        return self._level_groups
+    @property
+    def roots(self) -> np.ndarray:
+        return self.order[self.starts[-1]:]
 
-    def validate(self) -> None:
-        """Assert the structural invariants; used by tests."""
-        n = self.n_nodes
-        rebuilt: list[list[int]] = [[] for _ in range(n)]
-        for node, p in enumerate(self.parent):
-            if p >= 0:
-                rebuilt[p].append(node)
-        for node in range(n):
-            assert np.array_equal(np.sort(self.children[node]), np.array(rebuilt[node], dtype=np.int64))
-        assert np.array_equal(np.sort(self.roots), np.flatnonzero(self.parent == -1))
-        pos = np.empty(n, dtype=np.int64)
-        pos[self.topo_order] = np.arange(n)
-        assert np.array_equal(np.sort(self.topo_order), np.arange(n))
-        for node, p in enumerate(self.parent):
-            if p >= 0:
-                assert pos[node] < pos[p]
+    def level_groups(self) -> list[np.ndarray]:
+        """Nodes by depth, deepest level first; the last group is the roots."""
+        return np.split(self.order, self.starts[1:])
 
 
 @dataclass
 class HmtModel:
-    """Transition strength rho, root prior pi1, and per-class emission Gaussians."""
+    """Transition strength rho, root prior pi1, per-class emission Gaussians,
+    and the neighborhood of the flow forest they were fitted on."""
 
     rho: float
     pi1: float
     components: tuple[GaussianParams, GaussianParams]
+    neighborhood: int = 8  # of the flow forest the model was fitted on
 
     @property
     def pi0(self) -> float:
@@ -142,17 +123,25 @@ class HmtModel:
 
 @dataclass
 class TreePosteriors:
-    """Exact posteriors: per-node P(y=1 | X) and, for non-roots, P(y_n, y_parent | X)."""
+    """Exact per-node posteriors P(y=1 | X) over a forest with parent links ``parent``."""
 
     marginal: np.ndarray  # (N,)
-    pairwise: np.ndarray  # (N, 2, 2) indexed [node, y_node, y_parent]; NaN rows at roots
+    parent: np.ndarray  # (N,) int64, -1 marks a root
 
+    @property
+    def pairwise(self) -> np.ndarray:
+        """(N, 2, 2) P(y_n, y_parent | X) indexed [node, y_node, y_parent]; NaN at roots.
 
-def transition(rho: float, y_child: int, y_parent: int) -> float:
-    """One entry of the class transition table."""
-    if y_parent == 0:
-        return 1.0 if y_child == 0 else 0.0
-    return rho if y_child == 1 else 1.0 - rho
+        The structural zero makes the table a function of the two marginals:
+        P(1, 1) = m_n, P(0, 1) = m_p - m_n, P(0, 0) = 1 - m_p, P(1, 0) = 0.
+        """
+        nonroot = self.parent >= 0
+        m = np.where(nonroot, self.marginal, np.nan)
+        mp = np.where(nonroot, self.marginal[self.parent], np.nan)
+        zero = np.where(nonroot, 0.0, np.nan)
+        table = np.stack([1.0 - mp, mp - m, zero, m], axis=1).reshape(-1, 2, 2)
+        table.flags.writeable = False
+        return table
 
 
 def build_flow_tree(elevation: np.ndarray, neighborhood: int = 8) -> FlowTree:
@@ -199,6 +188,21 @@ def _log_emissions(model: HmtModel, features: np.ndarray) -> np.ndarray:
     )
 
 
+def _add_to_parents(acc: np.ndarray, parents: np.ndarray, values: np.ndarray) -> None:
+    """acc[p] += the sum of ``values`` over each run of equal ``parents`` (sorted)."""
+    runs = np.flatnonzero(np.r_[True, parents[1:] != parents[:-1]])
+    acc[parents[runs]] += np.add.reduceat(values, runs, axis=0)
+
+
+def _shift(values: np.ndarray, nodes: np.ndarray) -> float:
+    """Max-shift each node's row to 0; returns the total shift removed."""
+    shift = np.max(values[nodes], axis=1)
+    if not np.all(np.isfinite(shift)):
+        raise DataError("contradictory clamped evidence: a node has zero likelihood in both classes")
+    values[nodes] -= shift[:, None]
+    return float(shift.sum())
+
+
 def _upward(model: HmtModel, tree: FlowTree, log_em: np.ndarray):
     """Leaf-to-root pass.
 
@@ -211,52 +215,34 @@ def _upward(model: HmtModel, tree: FlowTree, log_em: np.ndarray):
     u = log_em.copy()
     msg = np.zeros((tree.n_nodes, 2))
     shift_total = 0.0
-    for nodes in tree.level_groups():
-        shift = np.max(u[nodes], axis=1)
-        if not np.all(np.isfinite(shift)):
-            raise DataError("contradictory clamped evidence: a node has zero likelihood in both classes")
-        u[nodes] -= shift[:, None]
-        shift_total += float(shift.sum())
-        nr = nodes[parent[nodes] >= 0]
-        if nr.size:
-            to0 = np.logaddexp(log_t[0, 0] + u[nr, 0], log_t[1, 0] + u[nr, 1])
-            to1 = np.logaddexp(log_t[0, 1] + u[nr, 0], log_t[1, 1] + u[nr, 1])
-            msg[nr, 0] = to0
-            msg[nr, 1] = to1
-            np.add.at(u[:, 0], parent[nr], to0)
-            np.add.at(u[:, 1], parent[nr], to1)
-    roots = tree.roots
+    *levels, roots = tree.level_groups()
+    for nodes in levels:
+        shift_total += _shift(u, nodes)
+        to_parent = np.logaddexp(log_t[0] + u[nodes, :1], log_t[1] + u[nodes, 1:])
+        msg[nodes] = to_parent
+        _add_to_parents(u, parent[nodes], to_parent)
+    shift_total += _shift(u, roots)
     root_z = np.logaddexp(_safe_log(model.pi0) + u[roots, 0], _safe_log(model.pi1) + u[roots, 1])
-    loglik = shift_total + float(root_z.sum())
-    return u, msg, loglik
+    return u, msg, shift_total + float(root_z.sum())
 
 
-def _downward(model: HmtModel, tree: FlowTree, u: np.ndarray, msg: np.ndarray):
-    """Root-to-leaf pass turning upward quantities into exact posteriors."""
-    n = tree.n_nodes
+def _downward(model: HmtModel, tree: FlowTree, u: np.ndarray, msg: np.ndarray) -> np.ndarray:
+    """Root-to-leaf pass: m_n = m_p * P(y_n=1 | y_p=1, X), which is all the
+    structural zero leaves to compute."""
     parent = tree.parent
-    log_t = model.log_transition()
-    log_marg = np.full((n, 2), -np.inf)
-    roots = tree.roots
-    lr = np.stack(
-        [_safe_log(model.pi0) + u[roots, 0], _safe_log(model.pi1) + u[roots, 1]], axis=1
-    )
-    log_marg[roots] = lr - np.logaddexp(lr[:, 0], lr[:, 1])[:, None]
-    pairwise = np.full((n, 2, 2), np.nan)
-    for nodes in reversed(tree.level_groups()):
-        nr = nodes[parent[nodes] >= 0]
-        if nr.size == 0:
-            continue
-        lp = log_marg[parent[nr]]  # (k, 2) over parent states
-        # A -inf parent marginal forces zero mass regardless of the (possibly
-        # -inf) message it would otherwise be divided by, so any nan produced
-        # under it is masked.
+    *levels, roots = tree.level_groups()
+    marginal = np.empty(tree.n_nodes)
+    lr0 = _safe_log(model.pi0) + u[roots, 0]
+    lr1 = _safe_log(model.pi1) + u[roots, 1]
+    marginal[roots] = np.exp(lr1 - np.logaddexp(lr0, lr1))
+    log_rho = _safe_log(model.rho)
+    for nodes in reversed(levels):
+        mp = marginal[parent[nodes]]
+        # Where m_p = 0 the message may be -inf and the ratio nan; mask it.
         with np.errstate(invalid="ignore"):
-            pair = lp[:, None, :] + log_t[None, :, :] + u[nr, :, None] - msg[nr, None, :]
-        pair = np.where(np.isneginf(lp[:, None, :]), -np.inf, pair)
-        pairwise[nr] = np.exp(pair)
-        log_marg[nr] = np.logaddexp(pair[:, :, 0], pair[:, :, 1])
-    return np.exp(log_marg[:, 1]), pairwise
+            step = np.exp(np.minimum(log_rho + u[nodes, 1] - msg[nodes, 1], 0.0))
+        marginal[nodes] = np.where(mp > 0.0, mp * step, 0.0)
+    return marginal
 
 
 def e_step(model: HmtModel, tree: FlowTree, features: np.ndarray) -> TreePosteriors:
@@ -265,8 +251,7 @@ def e_step(model: HmtModel, tree: FlowTree, features: np.ndarray) -> TreePosteri
     if log_em.shape[0] != tree.n_nodes:
         raise DimError(f"{log_em.shape[0]} feature rows for {tree.n_nodes} tree nodes")
     u, msg, _ = _upward(model, tree, log_em)
-    marginal, pairwise = _downward(model, tree, u, msg)
-    return TreePosteriors(marginal=marginal, pairwise=pairwise)
+    return TreePosteriors(marginal=_downward(model, tree, u, msg), parent=tree.parent)
 
 
 def m_step(
@@ -278,14 +263,14 @@ def m_step(
     """Closed-form parameter update from tree posteriors.
 
     rho is the expected-count MLE over non-root edges, sum E[y_parent * y_n] /
-    sum E[y_parent]; when no posterior mass sits on flooded parents the update
-    is undefined and the previous rho is kept (with a warning).
+    sum E[y_parent], which the structural zero turns into sum m_n / sum
+    m_parent(n); when no posterior mass sits on flooded parents the update is
+    undefined and the previous rho is kept (with a warning).
     """
     marg = posteriors.marginal
     nonroot = np.flatnonzero(tree.parent >= 0)
-    pw = posteriors.pairwise[nonroot]
-    num = float(pw[:, 1, 1].sum()) if nonroot.size else 0.0
-    den = float((pw[:, 0, 1] + pw[:, 1, 1]).sum()) if nonroot.size else 0.0
+    num = float(marg[nonroot].sum())
+    den = float(marg[tree.parent[nonroot]].sum())
     if den == 0.0:
         if prev_rho is None:
             raise DegenerateError("no posterior mass on flooded parents and no previous rho to keep")
@@ -295,13 +280,8 @@ def m_step(
         rho = min(num / den, 1.0)
         rho = max(rho, 1e-12)  # keep the (0, 1] contract when flood mass vanishes
     pi1 = float(marg[tree.roots].mean())
-    w1 = marg
-    w0 = 1.0 - marg
-    return HmtModel(
-        rho=rho,
-        pi1=pi1,
-        components=(weighted_mle(features, w0), weighted_mle(features, w1)),
-    )
+    components = (weighted_mle(features, 1.0 - marg), weighted_mle(features, marg))
+    return HmtModel(rho=rho, pi1=pi1, components=components)
 
 
 def expected_complete_loglik(
@@ -310,21 +290,25 @@ def expected_complete_loglik(
     """Posterior expectation of the complete-data log likelihood.
 
     Emission term over all nodes, prior term over roots, transition term over
-    non-root edges; zero-probability cells contribute zero even against a
-    -inf log factor.
+    non-root edges: m_n on flood/flood and m_p - m_n on dry/flood, the only
+    cells with a non-zero log factor. Zero-probability cells contribute zero
+    even against a -inf log factor.
     """
     log_em = _log_emissions(model, features)
     marg1 = posteriors.marginal
     total = float(((1.0 - marg1) * log_em[:, 0] + marg1 * log_em[:, 1]).sum())
     r1 = marg1[tree.roots]
+    nonroot = np.flatnonzero(tree.parent >= 0)
+    m, mp = marg1[nonroot], marg1[tree.parent[nonroot]]
+    terms = (
+        (1.0 - r1, _safe_log(model.pi0)),
+        (r1, _safe_log(model.pi1)),
+        (m, _safe_log(model.rho)),
+        (mp - m, _safe_log(1.0 - model.rho)),
+    )
     with np.errstate(invalid="ignore"):
-        for p, logpi in ((1.0 - r1, _safe_log(model.pi0)), (r1, _safe_log(model.pi1))):
-            total += float(np.where(p > 0.0, p * logpi, 0.0).sum())
-        nonroot = np.flatnonzero(tree.parent >= 0)
-        if nonroot.size:
-            pw = posteriors.pairwise[nonroot]
-            contrib = np.where(pw > 0.0, pw * model.log_transition()[None, :, :], 0.0)
-            total += float(contrib.sum())
+        for p, log_factor in terms:
+            total += float(np.where(p > 0.0, p * log_factor, 0.0).sum())
     return total
 
 
@@ -350,7 +334,7 @@ def em_fit(
     features = scene.feature_matrix(use_elevation=False)
     tree = build_flow_tree(elevation, neighborhood)
     components, _ = class_params_from_labels(scene, labels, use_elevation=False)
-    model = HmtModel(rho=rho_init, pi1=pi_init, components=components)
+    model = HmtModel(rho=rho_init, pi1=pi_init, components=components, neighborhood=neighborhood)
 
     clamp_idx = clamp_cls = None
     if clamp_labels:
@@ -389,13 +373,12 @@ def em_fit(
         if it == max_iter:
             break
 
-        marginal, pairwise = _downward(model, tree, u, msg)
-        posteriors = TreePosteriors(marginal=marginal, pairwise=pairwise)
+        posteriors = TreePosteriors(marginal=_downward(model, tree, u, msg), parent=tree.parent)
         try:
             new = m_step(posteriors, tree, features, prev_rho=model.rho)
         except DegenerateError as exc:
             raise DegenerateError(f"{exc} (iteration {it + 1})") from exc
-        prev, model = model, new
+        prev, model = model, replace(new, neighborhood=neighborhood)
 
     return model, trace
 
@@ -409,24 +392,22 @@ def map_decode(model: HmtModel, tree: FlowTree, features: np.ndarray) -> np.ndar
     log_t = model.log_transition()
     delta = log_em.copy()
     back = np.zeros((tree.n_nodes, 2), dtype=np.int8)
-    for nodes in tree.level_groups():
-        delta[nodes] -= np.max(delta[nodes], axis=1)[:, None]
-        nr = nodes[parent[nodes] >= 0]
-        if nr.size == 0:
-            continue
-        cand = log_t[None, :, :] + delta[nr, :, None]  # (k, y_child, y_parent)
-        back[nr] = (cand[:, 1, :] > cand[:, 0, :]).astype(np.int8)
-        np.add.at(delta[:, 0], parent[nr], cand[np.arange(nr.size), back[nr, 0], 0])
-        np.add.at(delta[:, 1], parent[nr], cand[np.arange(nr.size), back[nr, 1], 1])
+    *levels, roots = tree.level_groups()
+    for nodes in levels:
+        _shift(delta, nodes)
+        # best subtree value per parent state, with the child dry or flooded
+        dry = log_t[0] + delta[nodes, :1]
+        wet = log_t[1] + delta[nodes, 1:]
+        flood = wet > dry
+        back[nodes] = flood
+        _add_to_parents(delta, parent[nodes], np.where(flood, wet, dry))
+    _shift(delta, roots)
     classes = np.zeros(tree.n_nodes, dtype=np.uint8)
-    roots = tree.roots
     v0 = _safe_log(model.pi0) + delta[roots, 0]
     v1 = _safe_log(model.pi1) + delta[roots, 1]
-    classes[roots] = (v1 > v0).astype(np.uint8)
-    for nodes in reversed(tree.level_groups()):
-        nr = nodes[parent[nodes] >= 0]
-        if nr.size:
-            classes[nr] = back[nr, classes[parent[nr]]]
+    classes[roots] = v1 > v0
+    for nodes in reversed(levels):
+        classes[nodes] = back[nodes, classes[parent[nodes]]]
     return classes
 
 
@@ -440,24 +421,14 @@ def assignment_log_joint(
     log_pi = np.array([_safe_log(model.pi0), _safe_log(model.pi1)])
     total += float(log_pi[classes[tree.roots]].sum())
     nonroot = np.flatnonzero(tree.parent >= 0)
-    if nonroot.size:
-        log_t = model.log_transition()
-        total += float(log_t[classes[nonroot], classes[tree.parent[nonroot]]].sum())
+    log_t = model.log_transition()
+    total += float(log_t[classes[nonroot], classes[tree.parent[nonroot]]].sum())
     return total
 
 
-def write_tree(tree: FlowTree, path: str) -> None:
-    """Debug dump: one "node_index parent_index" line per node, -1 for roots."""
-    try:
-        with open(path, "w") as fh:
-            for node, p in enumerate(tree.parent):
-                fh.write(f"{node} {p}\n")
-    except OSError as exc:
-        raise IoError(f"cannot write tree to {path}: {exc}") from exc
-
-
 def save_model(model: HmtModel, path: str) -> None:
-    lines = [f"rho={model.rho:.17g}"] + _model_lines(model.pi1, model.components)
+    lines = [f"rho={model.rho:.17g}", f"neighborhood={model.neighborhood}"]
+    lines += _model_lines(model.pi1, model.components)
     try:
         with open(path, "w") as fh:
             fh.write("\n".join(lines) + "\n")
@@ -469,4 +440,8 @@ def load_model(path: str) -> HmtModel:
     kv = _parse_model_file(path)
     if "rho" not in kv:
         raise FormatError(f"{path}: missing rho; this is a mixture model file")
-    return HmtModel(rho=kv["rho"], pi1=kv["pi1"], components=_components_from_kv(kv, path))
+    neighborhood = kv.get("neighborhood", 8.0)  # files from before the key hold 8-neighbor models
+    if neighborhood not in (4.0, 8.0):
+        raise FormatError(f"{path}: neighborhood must be 4 or 8, got {neighborhood:g}")
+    components = _components_from_kv(kv, path)
+    return HmtModel(kv["rho"], kv["pi1"], components, neighborhood=int(neighborhood))

@@ -193,6 +193,35 @@ def test_predict_hmt_respects_monotone_flood(workdir, tmp_path):
             p = tree.parent[p]
 
 
+def test_predict_hmt_uses_the_saved_neighborhood(workdir, tmp_path, capsys):
+    run = tmp_path / "run"
+    scene_path = str(workdir / "scene.sgrid")
+    model_path = str(run / "model.txt")
+    cli.main(
+        [
+            "train", "--method", "hmt",
+            "--scene", scene_path,
+            "--labels", str(workdir / "labels.txt"),
+            "--neighborhood", "4",
+            "--out", str(run),
+        ]
+    )
+    predict = ["predict", "--model", model_path, "--scene", scene_path, "--out", str(run)]
+    assert cli.main(predict) == 0
+    pred = cli._load_grid(str(run / "pred.sgrid")).ravel()
+    scene = load_scene(scene_path)
+    model = hmt.load_model(model_path)
+    feats = scene.feature_matrix(use_elevation=False)
+    on_4 = hmt.map_decode(model, hmt.build_flow_tree(scene.elevation(), 4), feats)
+    on_8 = hmt.map_decode(model, hmt.build_flow_tree(scene.elevation(), 8), feats)
+    assert np.any(on_4 != on_8)  # the test can tell the two forests apart
+    np.testing.assert_array_equal(pred, on_4)
+    assert cli.main(predict + ["--neighborhood", "4"]) == 0
+    capsys.readouterr()
+    assert cli.main(predict + ["--neighborhood", "8"]) == 3
+    assert "neighborhood" in capsys.readouterr().err
+
+
 def _write_grids(tmp_path, pred, score, truth):
     scene = RasterScene(
         width=truth.shape[1], height=truth.shape[0], channels=1,

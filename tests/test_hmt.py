@@ -20,25 +20,37 @@ from floodem.hmt import (
     m_step,
     map_decode,
     save_model,
-    transition,
-    write_tree,
 )
 
 # --- tree construction ---
+
+
+def _assert_valid(tree):
+    """The depth schedule's invariants: ``order`` is a permutation, roots form
+    the last level, every parent sits one level up, and each level is sorted
+    by parent."""
+    n = tree.n_nodes
+    assert np.array_equal(np.sort(tree.order), np.arange(n))
+    level = np.empty(n, dtype=np.int64)
+    level[tree.order] = np.repeat(np.arange(tree.starts.size), np.diff(np.r_[tree.starts, n]))
+    nonroot = tree.parent >= 0
+    assert np.array_equal(tree.roots, np.flatnonzero(~nonroot))
+    assert np.all(level[tree.parent[nonroot]] == level[nonroot] + 1)
+    assert np.all(np.diff(level[tree.order] * (n + 1) + tree.parent[tree.order]) >= 0)
 
 
 def test_monotone_strip_builds_a_chain():
     tree = build_flow_tree(np.array([[1.0, 2.0, 3.0]]), neighborhood=4)
     np.testing.assert_array_equal(tree.parent, [-1, 0, 1])
     np.testing.assert_array_equal(tree.roots, [0])
-    tree.validate()
+    _assert_valid(tree)
 
 
 def test_constant_elevation_is_all_roots():
     tree = build_flow_tree(np.zeros((3, 4)))
     assert np.all(tree.parent == -1)
     assert tree.roots.size == 12
-    tree.validate()
+    _assert_valid(tree)
 
 
 def test_bowl_parents_match_hand_enumeration():
@@ -53,14 +65,14 @@ def test_bowl_parents_match_hand_enumeration():
     # worked out by hand: ties go to the smallest row-major index
     np.testing.assert_array_equal(tree.parent, [1, 4, 1, 4, -1, 4, 3, 4, 5])
     np.testing.assert_array_equal(tree.roots, [4])
-    tree.validate()
+    _assert_valid(tree)
 
 
 def test_parent_strictly_lower(rng):
     elev = rng.normal(size=(12, 9))
     for nb in (4, 8):
         tree = build_flow_tree(elev, neighborhood=nb)
-        tree.validate()
+        _assert_valid(tree)
         flat = elev.ravel()
         for node, p in enumerate(tree.parent):
             if p >= 0:
@@ -74,14 +86,134 @@ def test_from_parents_rejects_cycles():
         FlowTree.from_parents(np.array([0]))
 
 
+def test_from_parents_rejects_long_and_hanging_cycles():
+    with pytest.raises(DataError):
+        FlowTree.from_parents(np.array([1, 2, 3, 0]))  # a 4-cycle
+    with pytest.raises(DataError):
+        # a valid tree 0 <- 1, next to the cycle 2 -> 3 -> 4 -> 2 with 5 hanging off it
+        FlowTree.from_parents(np.array([-1, 0, 3, 4, 2, 2]))
+
+
+def _reference_parents(elev, neighborhood):
+    """Per-pixel scan: the lowest strictly-lower neighbor, ties to the smallest index."""
+    h, w = elev.shape
+    parent = np.full(h * w, -1, dtype=np.int64)
+    for r in range(h):
+        for c in range(w):
+            best = None
+            for dr in (-1, 0, 1):
+                for dc in (-1, 0, 1):
+                    if (dr, dc) == (0, 0) or (neighborhood == 4 and dr != 0 and dc != 0):
+                        continue
+                    rr, cc = r + dr, c + dc
+                    if 0 <= rr < h and 0 <= cc < w and elev[rr, cc] < elev[r, c]:
+                        key = (elev[rr, cc], rr * w + cc)
+                        best = key if best is None or key < best else best
+            if best is not None:
+                parent[r * w + c] = best[1]
+    return parent
+
+
+def _tiny_dems(rng, count, max_pixels):
+    """Small integer DEMs full of plateaus and exact ties, thin strips, and flat grids."""
+    shapes = [(1, max_pixels), (max_pixels, 1), (3, 4), (4, 3), (2, 5), (3, 3)]
+    for k in range(count):
+        h, w = shapes[k % len(shapes)]
+        if k % 7 == 6:
+            yield np.zeros((h, w))  # all flat: every pixel is a root
+        else:
+            yield rng.integers(0, 3, size=(h, w)).astype(float)
+
+
+def test_tiny_dem_parents_match_a_per_pixel_scan(rng):
+    for elev in _tiny_dems(rng, 60, oracle.MAX_NODES):
+        for nb in (4, 8):
+            tree = build_flow_tree(elev, neighborhood=nb)
+            _assert_valid(tree)
+            np.testing.assert_array_equal(tree.parent, _reference_parents(elev, nb))
+            flat = elev.ravel()
+            nonroot = tree.parent >= 0
+            assert np.all(flat[tree.parent[nonroot]] < flat[nonroot])
+            if np.all(flat == flat[0]):
+                np.testing.assert_array_equal(tree.roots, np.arange(flat.size))
+
+
+def _clamped_log_pdf(model, clamp_idx, clamp_cls):
+    """log_pdf with the clamped pixels' other class set to zero likelihood."""
+    from floodem.gaussian import log_pdf
+
+    def clamped(params, feats):
+        out = log_pdf(params, feats)
+        cls = 0 if params is model.components[0] else 1
+        out[clamp_idx[clamp_cls != cls]] = -np.inf
+        return out
+
+    return clamped
+
+
+def test_tiny_dem_inference_matches_enumeration(rng, monkeypatch):
+    from floodem import hmt
+
+    for k, elev in enumerate(_tiny_dems(rng, 42, 12)):
+        for nb in (4, 8):
+            tree = build_flow_tree(elev, neighborhood=nb)
+            model, _, feats = oracle.random_tree_instance(rng, tree.n_nodes)
+            clamp_idx = clamp_cls = np.zeros(0, dtype=np.int64)
+            if k % 2:
+                # clamp a few pixels to a flood map that respects the tree
+                # (low ground floods); rho < 1 keeps a dry child of a flooded
+                # parent possible
+                model.rho = min(model.rho, 0.95)
+                flood = elev.ravel() <= np.median(elev)
+                clamp_idx = rng.choice(tree.n_nodes, size=3, replace=False)
+                clamp_cls = flood[clamp_idx].astype(np.int64)
+            clamped = _clamped_log_pdf(model, clamp_idx, clamp_cls)
+            monkeypatch.setattr(hmt, "log_pdf", clamped)
+            monkeypatch.setattr(oracle, "log_pdf", clamped)
+            om, op, _, ov = oracle.enumerate_joint(model, tree, feats)
+            post = e_step(model, tree, feats)
+            np.testing.assert_allclose(post.marginal, om, atol=1e-9)
+            np.testing.assert_allclose(post.marginal[clamp_idx], clamp_cls, atol=1e-12)
+            nonroot = tree.parent >= 0
+            np.testing.assert_allclose(post.pairwise[nonroot], op[nonroot], atol=1e-9)
+            dec = map_decode(model, tree, feats)
+            assert assignment_log_joint(model, tree, feats, dec) == pytest.approx(ov, abs=1e-9)
+
+
+def test_deep_chain_stays_finite_and_monotone():
+    # a 1x4096 strictly rising ramp is one chain of 4,096 levels
+    n = 4096
+    tree = build_flow_tree(np.arange(float(n))[None, :], neighborhood=8)
+    assert len(tree.level_groups()) == n
+    rng = np.random.default_rng(5)
+    feats = rng.normal(size=(n, 1)) + np.where(np.arange(n) < n // 2, 2.0, 0.0)[:, None]
+    model = HmtModel(rho=0.999, pi1=0.5, components=(_gauss(0.0), _gauss(2.0)))
+    post = e_step(model, tree, feats)
+    assert np.all((post.marginal >= 0.0) & (post.marginal <= 1.0))
+    from floodem.hmt import _log_emissions, _upward
+
+    _, _, loglik = _upward(model, tree, _log_emissions(model, feats))
+    assert np.isfinite(loglik)
+    dec = map_decode(model, tree, feats)
+    nonroot = tree.parent >= 0
+    assert not np.any((dec[nonroot] == 1) & (dec[tree.parent[nonroot]] == 0))
+    assert 0 < dec.sum() < n
+
+
 # --- transition table ---
 
 
+def _table(rho):
+    g = GaussianParams(np.zeros(1), np.eye(1))
+    return np.exp(HmtModel(rho=rho, pi1=0.5, components=(g, g)).log_transition())
+
+
 def test_transition_table():
-    assert transition(0.99, 1, 1) == 0.99
-    assert transition(0.37, 1, 0) == 0.0
-    assert transition(0.42, 0, 0) == 1.0
-    assert transition(0.7, 0, 1) == pytest.approx(0.3)
+    # indexed [child, parent]
+    assert _table(0.99)[1, 1] == 0.99
+    assert _table(0.37)[1, 0] == 0.0
+    assert _table(0.42)[0, 0] == 1.0
+    assert _table(0.7)[0, 1] == pytest.approx(0.3)
 
 
 def test_transition_columns_stochastic():
@@ -118,6 +250,20 @@ def test_structural_zero_propagates_exactly():
     assert post.marginal[0] == 0.0
     assert post.marginal[1] == 0.0
     assert post.pairwise[1, 1, 0] == 0.0
+
+
+def test_hard_transition_with_a_clamped_dry_leaf_gives_exact_zeros():
+    # rho=1 forbids a dry child under a flooded parent, so a leaf clamped dry
+    # forces its chain dry; its flood-state message is -inf, and the downward
+    # pass must return exact zeros, not nan
+    from floodem.hmt import _downward, _log_emissions, _upward
+
+    model = HmtModel(rho=1.0, pi1=0.5, components=(_gauss(0.0), _gauss(1.0)))
+    tree = FlowTree.from_parents(np.array([-1, 0, 1]))
+    log_em = _log_emissions(model, np.ones((3, 1)))
+    log_em[2, 1] = -np.inf
+    u, msg, _ = _upward(model, tree, log_em)
+    np.testing.assert_array_equal(_downward(model, tree, u, msg), [0.0, 0.0, 0.0])
 
 
 def test_pairwise_tables_consistent(rng):
@@ -168,25 +314,14 @@ def test_sibling_relabeling_invariance(rng):
 # --- m_step ---
 
 
-def _hard_star_posteriors(n_children, k_flooded):
-    n = n_children + 1
-    marginal = np.zeros(n)
-    marginal[0] = 1.0
-    pairwise = np.full((n, 2, 2), np.nan)
-    for child in range(1, n):
-        flooded = child <= k_flooded
-        marginal[child] = 1.0 if flooded else 0.0
-        table = np.zeros((2, 2))
-        table[1 if flooded else 0, 1] = 1.0
-        pairwise[child] = table
-    return TreePosteriors(marginal=marginal, pairwise=pairwise)
-
-
 def test_m_step_rho_is_a_count_ratio(rng):
+    # a flooded root with k of its n children flooded: k flood/flood edges
+    # out of n edges under a flooded parent
     n_children, k = 5, 2
     tree = FlowTree.from_parents(np.array([-1] + [0] * n_children))
     feats = rng.normal(size=(n_children + 1, 2))
-    post = _hard_star_posteriors(n_children, k)
+    marginal = np.array([1.0] + [1.0] * k + [0.0] * (n_children - k))
+    post = TreePosteriors(marginal=marginal, parent=tree.parent)
     model = m_step(post, tree, feats)
     assert model.rho == pytest.approx(k / n_children, abs=1e-15)
     assert model.pi1 == 1.0  # single root, flooded
@@ -194,7 +329,7 @@ def test_m_step_rho_is_a_count_ratio(rng):
 
 def test_m_step_pi_is_average_root_marginal(rng):
     tree = FlowTree.from_parents(np.array([-1, -1, -1]))
-    post = TreePosteriors(marginal=np.array([0.3, 0.3, 0.3]), pairwise=np.full((3, 2, 2), np.nan))
+    post = TreePosteriors(marginal=np.array([0.3, 0.3, 0.3]), parent=tree.parent)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")  # no edges -> rho kept
         model = m_step(post, tree, rng.normal(size=(3, 2)), prev_rho=0.7)
@@ -203,14 +338,14 @@ def test_m_step_pi_is_average_root_marginal(rng):
 
 
 def test_m_step_requires_prev_rho_when_degenerate(rng):
-    tree = FlowTree.from_parents(np.array([-1, 0]))
-    pairwise = np.full((2, 2, 2), np.nan)
-    pairwise[1] = np.array([[1.0, 0.0], [0.0, 0.0]])  # all mass on dry/dry
-    post = TreePosteriors(marginal=np.array([0.0, 0.0]) + 0.1, pairwise=pairwise)
+    # the only edge hangs off a dry parent; the flood mass sits on a second root
+    tree = FlowTree.from_parents(np.array([-1, 0, -1]))
+    post = TreePosteriors(marginal=np.array([0.0, 0.0, 0.4]), parent=tree.parent)
+    np.testing.assert_array_equal(post.pairwise[1], [[1.0, 0.0], [0.0, 0.0]])  # all mass on dry/dry
     with pytest.raises(DegenerateError):
-        m_step(post, tree, rng.normal(size=(2, 1)))
+        m_step(post, tree, rng.normal(size=(3, 1)))
     with pytest.warns(UserWarning):
-        model = m_step(post, tree, rng.normal(size=(2, 1)), prev_rho=0.9)
+        model = m_step(post, tree, rng.normal(size=(3, 1)), prev_rho=0.9)
     assert model.rho == 0.9
 
 
@@ -312,7 +447,7 @@ def test_clamped_labels_pin_posteriors(small_scene):
     flat, cls = labels.flat_indices(scene.width, scene.height)
     log_em[flat, 1 - cls] = -np.inf
     u, msg, _ = _upward(model, tree, log_em)
-    marginal, _ = _downward(model, tree, u, msg)
+    marginal = _downward(model, tree, u, msg)
     np.testing.assert_allclose(marginal[flat], cls.astype(float), atol=1e-12)
 
 
@@ -378,13 +513,6 @@ def test_hard_transition_uniform_emissions_single_class_components(rng):
 # --- files ---
 
 
-def test_write_tree_format(tmp_path):
-    tree = FlowTree.from_parents(np.array([-1, 0, 0]))
-    path = tmp_path / "tree.txt"
-    write_tree(tree, str(path))
-    assert path.read_text() == "0 -1\n1 0\n2 0\n"
-
-
 def test_model_round_trip_with_rho(tmp_path, small_scene):
     scene, labels = small_scene
     model, _ = em_fit(scene, labels, max_iter=4)
@@ -395,6 +523,23 @@ def test_model_round_trip_with_rho(tmp_path, small_scene):
     for cls in (0, 1):
         np.testing.assert_array_equal(loaded.components[cls].mean, model.components[cls].mean)
         np.testing.assert_array_equal(loaded.components[cls].cov, model.components[cls].cov)
+
+
+def test_model_file_keeps_the_neighborhood(tmp_path, small_scene):
+    scene, labels = small_scene
+    model, _ = em_fit(scene, labels, max_iter=2, neighborhood=4)
+    assert model.neighborhood == 4
+    path = tmp_path / "m.txt"
+    save_model(model, str(path))
+    assert "neighborhood=4" in path.read_text().splitlines()
+    assert load_model(str(path)).neighborhood == 4
+    lines = path.read_text().splitlines()
+    # files written before the key existed hold 8-neighbor models
+    path.write_text("\n".join(line for line in lines if not line.startswith("neighborhood=")))
+    assert load_model(str(path)).neighborhood == 8
+    path.write_text("\n".join(lines).replace("neighborhood=4", "neighborhood=6"))
+    with pytest.raises(FormatError):
+        load_model(str(path))
 
 
 def test_load_model_requires_rho(tmp_path):
