@@ -11,7 +11,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -24,9 +24,11 @@ from .grid import (
     generate_scene,
     load_labels,
     load_scene,
+    read_key_values,
     sample_labels,
     save_labels,
     save_scene,
+    write_lines,
 )
 
 METHODS = ("gmm", "gmm-elev", "hmt")
@@ -50,52 +52,29 @@ class RunConfig:
     out: str = "."
 
 
-_CONFIG_TYPES = {f.name: f.type for f in fields(RunConfig)}
+# Every RunConfig field, with the cast its config-file value goes through.
+_CONFIG_CASTS = {
+    **dict.fromkeys(("method", "scene", "labels", "out"), str),
+    **dict.fromkeys(("ratio", "tol", "cutoff", "rho", "pi"), float),
+    **dict.fromkeys(("seed", "neighborhood", "max_iter"), int),
+}
 
 
 def load_config(path: str) -> dict:
-    """Parse a key=value config file; unknown keys and bad values carry line numbers."""
-    casts = {
-        "method": str,
-        "scene": str,
-        "labels": str,
-        "out": str,
-        "ratio": float,
-        "tol": float,
-        "cutoff": float,
-        "rho": float,
-        "pi": float,
-        "seed": int,
-        "neighborhood": int,
-        "max_iter": int,
-    }
-    try:
-        with open(path) as fh:
-            lines = fh.readlines()
-    except OSError as exc:
-        raise IoError(f"cannot read config {path}: {exc}") from exc
-    values: dict = {}
-    for lineno, raw in enumerate(lines, start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        if "=" not in line:
-            raise SpecError(f"{path}:{lineno}: expected key=value, got {raw.strip()!r}")
-        key, _, val = line.partition("=")
-        key = key.strip().replace("-", "_")
-        if key not in casts:
-            raise SpecError(f"{path}:{lineno}: unknown key {key!r}")
-        try:
-            values[key] = casts[key](val.strip())
-        except ValueError as exc:
-            raise SpecError(f"{path}:{lineno}: bad value for {key}: {val.strip()!r}") from exc
-    return values
+    """Parse a key=value config file; unknown keys and bad values carry line numbers.
+
+    A '-' in a key reads as '_', so "max-iter" names the same setting as the flag.
+    """
+    values = read_key_values(
+        path, "config", lambda key, val: _CONFIG_CASTS[key.replace("-", "_")](val), SpecError
+    )
+    return {key.replace("-", "_"): val for key, val in values.items()}
 
 
 def _given_settings(args: argparse.Namespace) -> dict:
     """Settings named in the config file or by a flag; flags win."""
     given = load_config(args.config) if getattr(args, "config", None) else {}
-    for key in _CONFIG_TYPES:
+    for key in _CONFIG_CASTS:
         flag = getattr(args, key, None)
         if flag is not None:
             given[key] = flag
@@ -108,7 +87,9 @@ def _resolve_config(args: argparse.Namespace) -> RunConfig:
 
 # --- scene-spec files for synth ---
 
-_SPEC_SCALARS = {
+_SPEC_VECTORS = ("mean0", "mean1", "obstacle_mean", "var0", "var1", "obstacle_var")
+# The cast of every spec-file key; vars may be one value or a diagonal list.
+_SPEC_CASTS = {
     "width": int,
     "height": int,
     "features": int,
@@ -119,60 +100,30 @@ _SPEC_SCALARS = {
     "noise_sigma": float,
     "labels_per_class": int,
     "seed": int,
+    "water_level": lambda val: None if val == "median" else float(val),
+    **dict.fromkeys(_SPEC_VECTORS, lambda val: [float(p) for p in val.split(",")]),
 }
-_SPEC_VECTORS = ("mean0", "mean1", "obstacle_mean", "var0", "var1", "obstacle_var")
+_SPEC_FIELDS = {"features": "n_features", "seed": "rng_seed"}  # the SceneSpec names that differ
 
 
 def parse_scene_spec(path: str) -> SceneSpec:
     """Build a SceneSpec from a key=value file; vars may be scalar or a diagonal list."""
-    try:
-        with open(path) as fh:
-            lines = fh.readlines()
-    except OSError as exc:
-        raise IoError(f"cannot read spec {path}: {exc}") from exc
-    raw: dict = {}
-    for lineno, text in enumerate(lines, start=1):
-        line = text.split("#", 1)[0].strip()
-        if not line:
-            continue
-        if "=" not in line:
-            raise SpecError(f"{path}:{lineno}: expected key=value, got {text.strip()!r}")
-        key, _, val = line.partition("=")
-        key, val = key.strip(), val.strip()
-        try:
-            if key in _SPEC_SCALARS:
-                raw[key] = _SPEC_SCALARS[key](val)
-            elif key in _SPEC_VECTORS:
-                raw[key] = [float(p) for p in val.split(",")]
-            elif key == "water_level":
-                raw[key] = None if val == "median" else float(val)
-            else:
-                raise SpecError(f"{path}:{lineno}: unknown key {key!r}")
-        except ValueError as exc:
-            raise SpecError(f"{path}:{lineno}: bad value for {key}: {val!r}") from exc
-
-    kwargs: dict = {}
-    for src, dst in (("width", "width"), ("height", "height"), ("features", "n_features"),
-                     ("ramp_height", "ramp_height"), ("bump_amplitude", "bump_amplitude"),
-                     ("bump_periods", "bump_periods"), ("obstacle_fraction", "obstacle_fraction"),
-                     ("noise_sigma", "noise_sigma"), ("labels_per_class", "labels_per_class"),
-                     ("seed", "rng_seed")):
-        if src in raw:
-            kwargs[dst] = raw[src]
-    if "water_level" in raw:
-        kwargs["water_level"] = raw["water_level"]
+    raw = read_key_values(path, "spec", lambda key, val: _SPEC_CASTS[key](val), SpecError)
+    kwargs = {_SPEC_FIELDS.get(k, k): v for k, v in raw.items() if k not in _SPEC_VECTORS}
     m = kwargs.get("n_features", 3)
-    if "mean0" in raw or "mean1" in raw:
-        if not ("mean0" in raw and "mean1" in raw):
-            raise SpecError(f"{path}: mean0 and mean1 must be given together")
-        kwargs["class_means"] = np.array([raw["mean0"], raw["mean1"]])
+
     def as_cov(entry):
-        diag = entry if len(entry) > 1 else entry * m
-        return np.diag(diag)
-    if "var0" in raw or "var1" in raw:
-        if not ("var0" in raw and "var1" in raw):
-            raise SpecError(f"{path}: var0 and var1 must be given together")
-        kwargs["class_covs"] = np.stack([as_cov(raw["var0"]), as_cov(raw["var1"])])
+        return np.diag(entry if len(entry) > 1 else entry * m)
+
+    for a, b, name, make in (("mean0", "mean1", "class_means", np.array),
+                             ("var0", "var1", "class_covs", as_cov)):
+        if (a in raw) != (b in raw):
+            raise SpecError(f"{path}: {a} and {b} must be given together")
+        if a in raw:
+            pair = [make(raw[a]), make(raw[b])]
+            if pair[0].shape != pair[1].shape:
+                raise SpecError(f"{path}: {a} and {b} differ in length")
+            kwargs[name] = np.stack(pair)
     if "obstacle_mean" in raw:
         kwargs["obstacle_mean"] = np.array(raw["obstacle_mean"])
     if "obstacle_var" in raw:
@@ -199,13 +150,21 @@ def _load_grid(path: str) -> np.ndarray:
 
 
 def _load_any_model(path: str):
-    try:
-        with open(path) as fh:
-            text = fh.read()
-    except OSError as exc:
-        raise IoError(f"cannot read model from {path}: {exc}") from exc
-    is_hmt = any(line.strip().startswith("rho=") for line in text.splitlines())
-    return hmt.load_model(path) if is_hmt else gmm.load_model(path)
+    """A tree model if the file has a rho key, else a mixture model."""
+    kv = gmm._parse_model_file(path)
+    return (hmt if "rho" in kv else gmm).model_from_kv(kv, path)
+
+
+def _load_run_scene(
+    path: str | None, parser: argparse.ArgumentParser, *, truth: bool = False
+) -> RasterScene:
+    """The scene at ``path``, which the verb requires; ``truth`` demands its truth grid."""
+    if path is None:
+        parser.error("--scene is required")
+    scene = load_scene(path)
+    if truth and scene.truth is None:
+        raise DataError(f"{path}: scene has no truth grid")
+    return scene
 
 
 def _resolve_labels(scene: RasterScene, cfg: RunConfig, parser: argparse.ArgumentParser) -> LabelSet:
@@ -217,12 +176,11 @@ def _resolve_labels(scene: RasterScene, cfg: RunConfig, parser: argparse.Argumen
 
 
 def _train(method: str, scene: RasterScene, labels: LabelSet, cfg: RunConfig):
-    if method == "gmm":
-        return gmm.em_fit(scene, labels, use_elevation=False, max_iter=cfg.max_iter, tol=cfg.tol)
-    if method == "gmm-elev":
-        if scene.elevation_channel is None:
+    if method in ("gmm", "gmm-elev"):
+        use_elev = method == "gmm-elev"
+        if use_elev and scene.elevation_channel is None:
             raise DataError("gmm-elev needs a scene with an elevation channel")
-        return gmm.em_fit(scene, labels, use_elevation=True, max_iter=cfg.max_iter, tol=cfg.tol)
+        return gmm.em_fit(scene, labels, use_elevation=use_elev, max_iter=cfg.max_iter, tol=cfg.tol)
     if method == "hmt":
         return hmt.em_fit(
             scene,
@@ -251,11 +209,7 @@ def _gmm_use_elevation(model: gmm.GmmModel, scene: RasterScene) -> bool:
 def _predict(model, scene: RasterScene, cfg: RunConfig) -> tuple[np.ndarray, np.ndarray]:
     """(class grid, flood-score grid) for either model family."""
     if isinstance(model, hmt.HmtModel):
-        if scene.elevation_channel is None:
-            raise DataError("tree model prediction needs a scene with an elevation channel")
         feats = scene.feature_matrix(use_elevation=False)
-        if feats.shape[1] != model.dim:
-            raise DimError(f"model dimension {model.dim} != {feats.shape[1]} non-elevation channels")
         tree = hmt.build_flow_tree(scene.elevation(), model.neighborhood)
         posteriors = hmt.e_step(model, tree, feats)
         classes = hmt.map_decode(model, tree, feats).reshape(scene.height, scene.width)
@@ -268,7 +222,6 @@ def _predict(model, scene: RasterScene, cfg: RunConfig) -> tuple[np.ndarray, np.
 
 
 def _evaluate(
-    name: str,
     pred: np.ndarray,
     scores: np.ndarray,
     truth: np.ndarray,
@@ -283,19 +236,10 @@ def _evaluate(
 
 
 def _write_report_csv(path: str, class_rows, auc_rows, noise_rows) -> None:
-    try:
-        with open(path, "w") as fh:
-            fh.write("method,class,precision,recall,f1\n")
-            for row in class_rows:
-                fh.write(",".join(row) + "\n")
-            fh.write("method,auc\n")
-            for method, auc in auc_rows:
-                fh.write(f"{method},{auc:.6f}\n")
-            fh.write("method,salt_pepper_count\n")
-            for method, count in noise_rows:
-                fh.write(f"{method},{count}\n")
-    except OSError as exc:
-        raise IoError(f"cannot write report to {path}: {exc}") from exc
+    lines = ["method,class,precision,recall,f1"] + [",".join(row) for row in class_rows]
+    lines += ["method,auc"] + [f"{method},{auc:.6f}" for method, auc in auc_rows]
+    lines += ["method,salt_pepper_count"] + [f"{method},{count}" for method, count in noise_rows]
+    write_lines(path, "report", lines)
 
 
 def _out_path(cfg_out: str, name: str) -> str:
@@ -324,9 +268,7 @@ def cmd_synth(args, parser) -> int:
 
 def cmd_train(args, parser) -> int:
     cfg = _resolve_config(args)
-    if cfg.scene is None:
-        parser.error("--scene is required")
-    scene = load_scene(cfg.scene)
+    scene = _load_run_scene(cfg.scene, parser)
     labels = _resolve_labels(scene, cfg, parser)
     model, trace = _train(cfg.method, scene, labels, cfg)
     model_path = _out_path(cfg.out, "model.txt")
@@ -335,6 +277,10 @@ def cmd_train(args, parser) -> int:
     trace.to_csv(trace_path)
     last = trace.rows[-1]
     print(f"{cfg.method}: {last.iteration} EM iterations, final loglik {last.loglik:.4f}")
+    if trace.stop_reason == "max_iter":
+        print(f"warning: EM stopped at the {cfg.max_iter}-iteration cap before converging; "
+              f"final max relative change {last.max_rel_change:.3g} (tol {cfg.tol:g})",
+              file=sys.stderr)
     print(f"model -> {model_path}")
     print(f"trace -> {trace_path}")
     return 0
@@ -343,14 +289,12 @@ def cmd_train(args, parser) -> int:
 def cmd_predict(args, parser) -> int:
     given = _given_settings(args)
     cfg = RunConfig(**given)
-    if cfg.scene is None:
-        parser.error("--scene is required")
+    scene = _load_run_scene(cfg.scene, parser)
     model = _load_any_model(args.model)
     asked = given.get("neighborhood")
     if isinstance(model, hmt.HmtModel) and asked not in (None, model.neighborhood):
         raise DataError(f"neighborhood {asked} was given, but {args.model} was trained "
                         f"on the {model.neighborhood}-neighborhood flow forest")
-    scene = load_scene(cfg.scene)
     classes, scores = _predict(model, scene, cfg)
     pred_path = _out_path(cfg.out, "pred.sgrid")
     score_path = _out_path(cfg.out, "score.sgrid")
@@ -366,13 +310,11 @@ def cmd_eval(args, parser) -> int:
     cfg = _resolve_config(args)
     pred = (_load_grid(args.pred) >= 0.5).astype(np.uint8)
     scores = _load_grid(args.score)
-    truth_scene = load_scene(args.truth)
-    if truth_scene.truth is None:
-        raise DataError(f"{args.truth}: scene has no truth grid")
+    truth_scene = _load_run_scene(args.truth, parser, truth=True)
     mask = None
     if args.mask:
         mask = _load_grid(args.mask) != 0
-    report, curve, noise = _evaluate(args.name, pred, scores, truth_scene.truth, mask, cfg.neighborhood)
+    report, curve, noise = _evaluate(pred, scores, truth_scene.truth, mask, cfg.neighborhood)
     _write_report_csv(
         _out_path(cfg.out, "report.csv"),
         metrics.report_rows(args.name, report),
@@ -386,11 +328,7 @@ def cmd_eval(args, parser) -> int:
 
 def cmd_compare(args, parser) -> int:
     cfg = _resolve_config(args)
-    if cfg.scene is None:
-        parser.error("--scene is required")
-    scene = load_scene(cfg.scene)
-    if scene.truth is None:
-        raise DataError(f"{cfg.scene}: scene has no truth grid")
+    scene = _load_run_scene(cfg.scene, parser, truth=True)
     labels = _resolve_labels(scene, cfg, parser)
     class_rows, auc_rows, noise_rows = [], [], []
     failures = []
@@ -405,7 +343,7 @@ def cmd_compare(args, parser) -> int:
             _save_grid(classes.astype(float), _out_path(cfg.out, f"pred_{method}.sgrid"))
             _save_grid(scores, _out_path(cfg.out, f"score_{method}.sgrid"))
             report, curve, noise = _evaluate(
-                method, classes, scores, scene.truth, None, cfg.neighborhood
+                classes, scores, scene.truth, None, cfg.neighborhood
             )
             class_rows += metrics.report_rows(method, report)
             auc_rows.append((method, curve.auc))
@@ -423,13 +361,12 @@ def cmd_compare(args, parser) -> int:
 
 def cmd_sweep_labels(args, parser) -> int:
     cfg = _resolve_config(args)
-    if cfg.scene is None:
-        parser.error("--scene is required")
-    scene = load_scene(cfg.scene)
-    if scene.truth is None:
-        raise DataError(f"{cfg.scene}: scene has no truth grid")
-    ratios = [float(r) for r in args.ratios.split(",")]
-    seeds = [int(s) for s in args.seeds.split(",")]
+    scene = _load_run_scene(cfg.scene, parser, truth=True)
+    try:
+        ratios = [float(r) for r in args.ratios.split(",")]
+        seeds = [int(s) for s in args.seeds.split(",")]
+    except ValueError as exc:
+        parser.error(f"--ratios and --seeds take comma-separated numbers: {exc}")
     out_path = _out_path(cfg.out, "sweep.csv")
     try:
         fh = open(out_path, "w")
@@ -473,32 +410,27 @@ def run_verify(n_trees: int = 100, seed: int = 0, out=None) -> bool:
         all_ok = all_ok and ok
         print(f"{'ok  ' if ok else 'FAIL'} {name} ({detail})", file=out)
 
-    worst = 0.0
+    worst = worst_map = 0.0
+    ties = 0
+    exact = True
     for model, tree, feats in instances:
-        om, op, _, _ = oracle.enumerate_joint(model, tree, feats)
+        om, op, oa, ov = oracle.enumerate_joint(model, tree, feats)
         post = hmt.e_step(model, tree, feats)
         worst = max(worst, float(np.max(np.abs(post.marginal - om))))
         nonroot = np.flatnonzero(tree.parent >= 0)
         if nonroot.size:
             worst = max(worst, float(np.max(np.abs(post.pairwise[nonroot] - op[nonroot]))))
-    emit(worst <= 1e-9, "tree posteriors match enumeration", f"{n_trees} trees, max err {worst:.3g}")
-
-    worst = 0.0
-    ties = 0
-    exact = True
-    for model, tree, feats in instances:
-        _, _, oa, ov = oracle.enumerate_joint(model, tree, feats)
         dec = hmt.map_decode(model, tree, feats)
         dv = hmt.assignment_log_joint(model, tree, feats, dec)
-        worst = max(worst, abs(dv - ov))
+        worst_map = max(worst_map, abs(dv - ov))
         if not np.array_equal(dec, oa):
             ties += 1
-            if abs(dv - ov) > 1e-9:
-                exact = False
+            exact = exact and abs(dv - ov) <= 1e-9
+    emit(worst <= 1e-9, "tree posteriors match enumeration", f"{n_trees} trees, max err {worst:.3g}")
     emit(
-        worst <= 1e-9 and exact,
+        worst_map <= 1e-9 and exact,
         "MAP decoding attains the enumeration maximum",
-        f"{n_trees} trees, max value err {worst:.3g}, {ties} tie-equivalent assignments",
+        f"{n_trees} trees, max value err {worst_map:.3g}, {ties} tie-equivalent assignments",
     )
 
     worst_gap = 0.0

@@ -12,9 +12,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DegenerateError, FormatError, InitError, IoError
+from .errors import DegenerateError, FormatError, InitError, IoError, SpecError
 from .gaussian import GaussianParams, log_pdf, weighted_mle
-from .grid import LabelSet, RasterScene
+from .grid import LabelSet, RasterScene, read_key_values, write_lines
 
 
 @dataclass
@@ -50,6 +50,7 @@ class EmTrace:
 
     rows: list[TraceRow] = field(default_factory=list)
     has_rho: bool = False
+    stop_reason: str | None = None  # "tol" (converged) or "max_iter" (stopped at the cap)
 
     def logliks(self) -> list[float]:
         return [row.loglik for row in self.rows]
@@ -58,32 +59,14 @@ class EmTrace:
         if not self.rows:
             raise IoError("empty trace")
         dim = self.rows[0].mu[0].size
-        cols = ["iter"]
-        if self.has_rho:
-            cols.append("rho")
-        cols.append("pi1")
-        for c in (0, 1):
-            cols += [f"mu{c}.{k}" for k in range(dim)]
-        for c in (0, 1):
-            cols += [f"sig{c}.{k}" for k in range(dim)]
-        cols += ["loglik", "maxrel"]
-        try:
-            with open(path, "w") as fh:
-                fh.write(",".join(cols) + "\n")
-                for row in self.rows:
-                    vals: list[str] = [str(row.iteration)]
-                    if self.has_rho:
-                        vals.append(f"{row.rho:.17g}")
-                    vals.append(f"{row.pi1:.17g}")
-                    for c in (0, 1):
-                        vals += [f"{v:.17g}" for v in row.mu[c]]
-                    for c in (0, 1):
-                        vals += [f"{v:.17g}" for v in row.sigma_diag[c]]
-                    vals.append(f"{row.loglik:.17g}")
-                    vals.append(f"{row.max_rel_change:.17g}")
-                    fh.write(",".join(vals) + "\n")
-        except OSError as exc:
-            raise IoError(f"cannot write trace to {path}: {exc}") from exc
+        cols = ["iter"] + ["rho"] * self.has_rho + ["pi1"]
+        cols += [f"{p}{c}.{k}" for p in ("mu", "sig") for c in (0, 1) for k in range(dim)]
+        lines = [",".join(cols + ["loglik", "maxrel"])]
+        for row in self.rows:
+            vals = [row.rho] * self.has_rho + [row.pi1, *row.mu[0], *row.mu[1]]
+            vals += [*row.sigma_diag[0], *row.sigma_diag[1], row.loglik, row.max_rel_change]
+            lines.append(",".join([str(row.iteration)] + [f"{v:.17g}" for v in vals]))
+        write_lines(path, "trace", lines)
 
 
 def _safe_log(p: float) -> float:
@@ -124,10 +107,11 @@ def posterior(model: GmmModel, x: np.ndarray) -> np.ndarray | float:
     return float(out) if np.ndim(out) == 0 else out
 
 
-def _max_rel_change(old: GmmModel, new: GmmModel, old_rho: float | None = None, new_rho: float | None = None) -> float:
+def _max_rel_change(old, new) -> float:
+    """Largest relative change of any parameter, rho included when the model has one."""
     pairs = [(np.atleast_1d(old.pi1), np.atleast_1d(new.pi1))]
-    if old_rho is not None:
-        pairs.append((np.atleast_1d(old_rho), np.atleast_1d(new_rho)))
+    if hasattr(old, "rho"):
+        pairs.append((np.atleast_1d(old.rho), np.atleast_1d(new.rho)))
     for c in (0, 1):
         pairs.append((old.components[c].mean, new.components[c].mean))
         pairs.append((old.components[c].cov.ravel(), new.components[c].cov.ravel()))
@@ -135,6 +119,50 @@ def _max_rel_change(old: GmmModel, new: GmmModel, old_rho: float | None = None, 
     for a, b in pairs:
         worst = max(worst, float(np.max(np.abs(b - a) / (np.abs(a) + 1e-12))))
     return worst
+
+
+def run_em(model, e_step, m_step, *, max_iter: int, tol: float, callback=None):
+    """The EM loop shared by both model families; returns (final model, EmTrace).
+
+    ``e_step(model) -> (loglik, stats)`` scores the current model and
+    ``m_step(model, stats) -> model`` updates it. Row k of the trace holds
+    the model after k updates. EM stops once an update moves every parameter
+    by less than ``tol`` (relative), or after ``max_iter`` updates.
+    ``callback(iteration, model)``, when given, fires for every traced model.
+    """
+    if max_iter < 0:
+        raise SpecError(f"max_iter must be non-negative, got {max_iter}")
+    has_rho = hasattr(model, "rho")
+    trace = EmTrace(has_rho=has_rho)
+    prev = None
+    for it in range(max_iter + 1):
+        loglik, stats = e_step(model)
+        maxrel = _max_rel_change(prev, model) if prev is not None else float("nan")
+        trace.rows.append(
+            TraceRow(
+                iteration=it,
+                pi1=model.pi1,
+                mu=tuple(g.mean.copy() for g in model.components),
+                sigma_diag=tuple(np.diag(g.cov).copy() for g in model.components),
+                loglik=loglik,
+                max_rel_change=maxrel,
+                rho=model.rho if has_rho else None,
+            )
+        )
+        if callback is not None:
+            callback(it, model)
+        if prev is not None and maxrel < tol:
+            trace.stop_reason = "tol"
+            break
+        if it == max_iter:
+            trace.stop_reason = "max_iter"
+            break
+        try:
+            new = m_step(model, stats)
+        except DegenerateError as exc:
+            raise DegenerateError(f"{exc} (iteration {it + 1})") from exc
+        prev, model = model, new
+    return model, trace
 
 
 def em_fit(
@@ -158,57 +186,33 @@ def em_fit(
     indicator1 = np.zeros(n)
     indicator1[flat_l] = cls_l
 
-    model = init_from_labels(scene, labels, use_elevation)
-    trace = EmTrace()
-    prev: GmmModel | None = None
-
-    for it in range(max_iter + 1):
+    def e_step(model: GmmModel):
         lp0, lp1 = _joint_logs(model, feats)
-        loglik = float(np.logaddexp(lp0[unlabeled], lp1[unlabeled]).sum())
+        lse = np.logaddexp(lp0[unlabeled], lp1[unlabeled])
+        loglik = float(lse.sum())
         loglik += float(lp0[flat_l[cls_l == 0]].sum()) + float(lp1[flat_l[cls_l == 1]].sum())
-        maxrel = _max_rel_change(prev, model) if prev is not None else float("nan")
-        trace.rows.append(
-            TraceRow(
-                iteration=it,
-                pi1=model.pi1,
-                mu=(model.components[0].mean.copy(), model.components[1].mean.copy()),
-                sigma_diag=(
-                    np.diag(model.components[0].cov).copy(),
-                    np.diag(model.components[1].cov).copy(),
-                ),
-                loglik=loglik,
-                max_rel_change=maxrel,
-            )
-        )
-        if callback is not None:
-            callback(it, model)
-        if prev is not None and maxrel < tol:
-            break
-        if it == max_iter:
-            break
+        return loglik, (lp1, lse)
 
+    def m_step(model: GmmModel, stats) -> GmmModel:
+        lp1, lse = stats
         w1 = indicator1.copy()
-        w1[unlabeled] = np.exp(lp1[unlabeled] - np.logaddexp(lp0[unlabeled], lp1[unlabeled]))
+        w1[unlabeled] = np.exp(lp1[unlabeled] - lse)
         w0 = 1.0 - w1
         s1 = float(w1.sum())
         s0 = float(w0.sum())
         if s0 == 0.0 or s1 == 0.0:
-            raise DegenerateError(f"class weight collapsed to zero at iteration {it + 1}")
-        new = GmmModel(
-            pi1=s1 / n,
-            components=(weighted_mle(feats, w0), weighted_mle(feats, w1)),
-        )
-        prev, model = model, new
+            raise DegenerateError("class weight collapsed to zero")
+        return GmmModel(pi1=s1 / n, components=(weighted_mle(feats, w0), weighted_mle(feats, w1)))
 
-    return model, trace
+    model = init_from_labels(scene, labels, use_elevation)
+    return run_em(model, e_step, m_step, max_iter=max_iter, tol=tol, callback=callback)
 
 
 def infer(
     model: GmmModel, scene: RasterScene, use_elevation: bool, cutoff: float = 0.5
 ) -> np.ndarray:
     """Per-pixel class grid: 1 wherever the flood posterior reaches the cutoff."""
-    post = posterior(model, scene.feature_matrix(use_elevation))
-    return (post >= cutoff).astype(np.uint8).reshape(scene.height, scene.width)
+    return (score_grid(model, scene, use_elevation) >= cutoff).astype(np.uint8)
 
 
 def score_grid(model: GmmModel, scene: RasterScene, use_elevation: bool) -> np.ndarray:
@@ -220,46 +224,34 @@ def score_grid(model: GmmModel, scene: RasterScene, use_elevation: bool) -> np.n
 # --- model file format: one key=value per line, 17-significant-digit floats ---
 
 
-def _model_lines(pi1: float, components: tuple[GaussianParams, GaussianParams]) -> list[str]:
-    lines = [f"pi1={pi1:.17g}"]
+def _write_model(path: str, lines: list[str], model) -> None:
+    """Write ``lines``, then the prior and emission keys of ``model``."""
+    lines = lines + [f"pi1={model.pi1:.17g}"]
     for c in (0, 1):
-        g = components[c]
+        g = model.components[c]
         for k, v in enumerate(g.mean):
             lines.append(f"mean.{c}.{k}={v:.17g}")
         for i in range(g.dim):
             for j in range(g.dim):
                 lines.append(f"cov.{c}.{i}.{j}={g.cov[i, j]:.17g}")
-    return lines
+    write_lines(path, "model", lines)
 
 
 def _parse_model_file(path: str) -> dict[str, float]:
-    try:
-        with open(path) as fh:
-            lines = fh.readlines()
-    except OSError as exc:
-        raise IoError(f"cannot read model from {path}: {exc}") from exc
-    kv: dict[str, float] = {}
-    for lineno, raw in enumerate(lines, start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        if "=" not in line:
-            raise FormatError(f"{path}:{lineno}: expected key=value, got {raw.strip()!r}")
-        key, _, val = line.partition("=")
-        try:
-            kv[key.strip()] = float(val)
-        except ValueError as exc:
-            raise FormatError(f"{path}:{lineno}: bad float {val.strip()!r}") from exc
+    kv = read_key_values(path, "model", lambda key, val: float(val), FormatError)
     if "pi1" not in kv:
         raise FormatError(f"{path}: missing pi1")
     return kv
 
 
 def _components_from_kv(kv: dict[str, float], path: str) -> tuple[GaussianParams, GaussianParams]:
-    dims = [k for k in kv if k.startswith("mean.0.")]
+    dims = [k[len("mean.0."):] for k in kv if k.startswith("mean.0.")]
     if not dims:
         raise FormatError(f"{path}: no mean.0.* keys")
-    m = 1 + max(int(k.rsplit(".", 1)[1]) for k in dims)
+    for d in dims:
+        if not d.isdigit():
+            raise FormatError(f"{path}: bad model key 'mean.0.{d}'")
+    m = 1 + max(int(d) for d in dims)
     comps = []
     for c in (0, 1):
         try:
@@ -272,15 +264,15 @@ def _components_from_kv(kv: dict[str, float], path: str) -> tuple[GaussianParams
 
 
 def save_model(model: GmmModel, path: str) -> None:
-    try:
-        with open(path, "w") as fh:
-            fh.write("\n".join(_model_lines(model.pi1, model.components)) + "\n")
-    except OSError as exc:
-        raise IoError(f"cannot write model to {path}: {exc}") from exc
+    _write_model(path, [], model)
 
 
-def load_model(path: str) -> GmmModel:
-    kv = _parse_model_file(path)
+def model_from_kv(kv: dict[str, float], path: str) -> GmmModel:
+    """A mixture model from the parsed keys of a model file."""
     if "rho" in kv:
         raise FormatError(f"{path}: has a rho key; this is a tree model file")
     return GmmModel(pi1=kv["pi1"], components=_components_from_kv(kv, path))
+
+
+def load_model(path: str) -> GmmModel:
+    return model_from_kv(_parse_model_file(path), path)

@@ -9,6 +9,9 @@ Scene file layout (little-endian):
     [row-major u8 truth grid]               if flag bit1
 
 Label files are plain text, one "row,col,class" per line, '#' comments allowed.
+Every text input (labels, configs, scene specs, models) goes through
+``read_lines``, the key=value ones through ``read_key_values``; text outputs
+go through ``write_lines``.
 """
 
 from __future__ import annotations
@@ -25,6 +28,74 @@ MAGIC = b"SSGRID1\x00"
 _FLAG_ELEVATION = 0x01
 _FLAG_TRUTH = 0x02
 _HEADER = struct.Struct("<IIIB")
+
+# Grid neighbours as (row, col) offsets in row-major order.
+NEIGHBOR_OFFSETS = {
+    4: ((-1, 0), (0, -1), (0, 1), (1, 0)),
+    8: ((-1, -1), (-1, 0), (-1, 1), (0, -1), (0, 1), (1, -1), (1, 0), (1, 1)),
+}
+
+
+def _span(d: int, n: int) -> tuple[slice, slice]:
+    """(dst, src) slices of a length-n axis pairing index i with index i + d."""
+    return slice(max(-d, 0), n + min(-d, 0)), slice(max(d, 0), n + min(d, 0))
+
+
+def neighbor_slices(shape: tuple[int, int], neighborhood: int) -> list[tuple[tuple, tuple]]:
+    """One (dst, src) index pair per neighbour offset, in ``NEIGHBOR_OFFSETS`` order.
+
+    For a grid ``a`` of ``shape``, ``a[src]`` holds the neighbour at that
+    offset of every pixel in ``a[dst]``; pixels whose neighbour would fall
+    off the grid are in neither.
+    """
+    if neighborhood not in NEIGHBOR_OFFSETS:
+        raise DataError(f"neighborhood must be 4 or 8, got {neighborhood}")
+    h, w = shape
+    return [tuple(zip(_span(dr, h), _span(dc, w))) for dr, dc in NEIGHBOR_OFFSETS[neighborhood]]
+
+
+def read_lines(path: str, what: str):
+    """Yield (line number, text) for each line of a text file that is not
+    blank once its '#' comment is stripped."""
+    try:
+        with open(path) as fh:
+            lines = fh.readlines()
+    except OSError as exc:
+        raise IoError(f"cannot read {what} from {path}: {exc}") from exc
+    for lineno, raw in enumerate(lines, start=1):
+        text = raw.split("#", 1)[0].strip()
+        if text:
+            yield lineno, text
+
+
+def write_lines(path: str, what: str, lines) -> None:
+    """Write each of ``lines`` to a text file, followed by a newline."""
+    try:
+        with open(path, "w") as fh:
+            fh.writelines(line + "\n" for line in lines)
+    except OSError as exc:
+        raise IoError(f"cannot write {what} to {path}: {exc}") from exc
+
+
+def read_key_values(path: str, what: str, cast, error: type[Exception]) -> dict:
+    """Parse key=value lines into {key: cast(key, value)}, keys and values stripped.
+
+    A line without '=', or a ``cast`` that raises KeyError (unknown key) or
+    ValueError (bad value), raises ``error`` naming ``path:lineno``.
+    """
+    values = {}
+    for lineno, text in read_lines(path, what):
+        key, eq, val = text.partition("=")
+        key, val = key.strip(), val.strip()
+        if not eq:
+            raise error(f"{path}:{lineno}: expected key=value, got {text!r}")
+        try:
+            values[key] = cast(key, val)
+        except KeyError:
+            raise error(f"{path}:{lineno}: unknown key {key!r}") from None
+        except ValueError as exc:
+            raise error(f"{path}:{lineno}: bad value for {key}: {val!r}") from exc
+    return values
 
 
 @dataclass
@@ -381,31 +452,17 @@ def load_scene(path: str) -> RasterScene:
 
 
 def save_labels(labels: LabelSet, path: str) -> None:
-    try:
-        with open(path, "w") as fh:
-            for r, c, y in labels.entries:
-                fh.write(f"{r},{c},{y}\n")
-    except OSError as exc:
-        raise IoError(f"cannot write labels to {path}: {exc}") from exc
+    write_lines(path, "labels", (f"{r},{c},{y}" for r, c, y in labels.entries))
 
 
 def load_labels(path: str) -> LabelSet:
-    try:
-        with open(path) as fh:
-            lines = fh.readlines()
-    except OSError as exc:
-        raise IoError(f"cannot read labels from {path}: {exc}") from exc
     entries = []
-    for lineno, raw in enumerate(lines, start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        parts = line.split(",")
+    for lineno, text in read_lines(path, "labels"):
+        parts = text.split(",")
         if len(parts) != 3:
-            raise FormatError(f"{path}:{lineno}: expected 'row,col,class', got {raw.strip()!r}")
+            raise FormatError(f"{path}:{lineno}: expected 'row,col,class', got {text!r}")
         try:
-            r, c, y = (int(p) for p in parts)
+            entries.append(tuple(int(p) for p in parts))
         except ValueError as exc:
-            raise FormatError(f"{path}:{lineno}: non-integer field in {raw.strip()!r}") from exc
-        entries.append((r, c, y))
+            raise FormatError(f"{path}:{lineno}: non-integer field in {text!r}") from exc
     return LabelSet(entries)

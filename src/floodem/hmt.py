@@ -24,24 +24,18 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import DataError, DegenerateError, DimError, FormatError, IoError
+from .errors import DataError, DegenerateError, DimError, FormatError
 from .gaussian import GaussianParams, log_pdf, weighted_mle
-from .grid import LabelSet, RasterScene
+from .grid import LabelSet, RasterScene, neighbor_slices
 from .gmm import (
     EmTrace,
-    TraceRow,
     _components_from_kv,
-    _max_rel_change,
-    _model_lines,
     _parse_model_file,
     _safe_log,
+    _write_model,
     class_params_from_labels,
+    run_em,
 )
-
-NEIGHBOR_OFFSETS = {
-    4: ((-1, 0), (0, -1), (0, 1), (1, 0)),
-    8: ((-1, -1), (-1, 0), (-1, 1), (0, -1), (0, 1), (1, -1), (1, 0), (1, 1)),
-}
 
 
 @dataclass(eq=False)
@@ -155,8 +149,6 @@ def build_flow_tree(elevation: np.ndarray, neighborhood: int = 8) -> FlowTree:
         raise DataError("elevation must be a 2-D grid")
     if not np.all(np.isfinite(elev)):
         raise DataError("elevation contains non-finite values")
-    if neighborhood not in NEIGHBOR_OFFSETS:
-        raise DataError(f"neighborhood must be 4 or 8, got {neighborhood}")
     h, w = elev.shape
     flat_index = np.arange(h * w, dtype=np.int64).reshape(h, w)
     best_elev = np.full((h, w), np.inf)
@@ -164,25 +156,20 @@ def build_flow_tree(elevation: np.ndarray, neighborhood: int = 8) -> FlowTree:
     # Offsets are scanned in row-major order, and only a strictly smaller
     # elevation replaces the incumbent, so equal-elevation ties keep the
     # smallest flat index automatically.
-    for dr, dc in NEIGHBOR_OFFSETS[neighborhood]:
-        nb_elev = np.full((h, w), np.inf)
-        nb_idx = np.full((h, w), -1, dtype=np.int64)
-        src_r = slice(max(dr, 0), h + min(dr, 0))
-        dst_r = slice(max(-dr, 0), h + min(-dr, 0))
-        src_c = slice(max(dc, 0), w + min(dc, 0))
-        dst_c = slice(max(-dc, 0), w + min(-dc, 0))
-        nb_elev[dst_r, dst_c] = elev[src_r, src_c]
-        nb_idx[dst_r, dst_c] = flat_index[src_r, src_c]
-        lower = (nb_elev < elev) & (nb_elev < best_elev)
-        best_elev[lower] = nb_elev[lower]
-        best_idx[lower] = nb_idx[lower]
+    for dst, src in neighbor_slices(elev.shape, neighborhood):
+        nb_elev, best = elev[src], best_elev[dst]
+        lower = (nb_elev < elev[dst]) & (nb_elev < best)
+        best[lower] = nb_elev[lower]
+        best_idx[dst][lower] = flat_index[src][lower]
     return FlowTree.from_parents(best_idx.ravel())
 
 
-def _log_emissions(model: HmtModel, features: np.ndarray) -> np.ndarray:
+def _log_emissions(model: HmtModel, tree: FlowTree, features: np.ndarray) -> np.ndarray:
     feats = np.asarray(features, dtype=float)
     if feats.ndim != 2 or feats.shape[1] != model.dim:
         raise DimError(f"features shape {feats.shape} does not match emission dimension {model.dim}")
+    if feats.shape[0] != tree.n_nodes:
+        raise DimError(f"{feats.shape[0]} feature rows for {tree.n_nodes} tree nodes")
     return np.stack(
         [log_pdf(model.components[0], feats), log_pdf(model.components[1], feats)], axis=1
     )
@@ -247,9 +234,7 @@ def _downward(model: HmtModel, tree: FlowTree, u: np.ndarray, msg: np.ndarray) -
 
 def e_step(model: HmtModel, tree: FlowTree, features: np.ndarray) -> TreePosteriors:
     """Exact sum-product posteriors under the current parameters."""
-    log_em = _log_emissions(model, features)
-    if log_em.shape[0] != tree.n_nodes:
-        raise DimError(f"{log_em.shape[0]} feature rows for {tree.n_nodes} tree nodes")
+    log_em = _log_emissions(model, tree, features)
     u, msg, _ = _upward(model, tree, log_em)
     return TreePosteriors(marginal=_downward(model, tree, u, msg), parent=tree.parent)
 
@@ -294,7 +279,7 @@ def expected_complete_loglik(
     cells with a non-zero log factor. Zero-probability cells contribute zero
     even against a -inf log factor.
     """
-    log_em = _log_emissions(model, features)
+    log_em = _log_emissions(model, tree, features)
     marg1 = posteriors.marginal
     total = float(((1.0 - marg1) * log_em[:, 0] + marg1 * log_em[:, 1]).sum())
     r1 = marg1[tree.roots]
@@ -340,54 +325,25 @@ def em_fit(
     if clamp_labels:
         clamp_idx, clamp_cls = labels.flat_indices(scene.width, scene.height)
 
-    trace = EmTrace(has_rho=True)
-    prev: HmtModel | None = None
-    for it in range(max_iter + 1):
-        log_em = _log_emissions(model, features)
+    def expect(model: HmtModel):
+        log_em = _log_emissions(model, tree, features)
         if clamp_idx is not None:
             log_em[clamp_idx, 1 - clamp_cls] = -np.inf
         u, msg, loglik = _upward(model, tree, log_em)
-        maxrel = (
-            _max_rel_change(prev, model, old_rho=prev.rho, new_rho=model.rho)
-            if prev is not None
-            else float("nan")
-        )
-        trace.rows.append(
-            TraceRow(
-                iteration=it,
-                pi1=model.pi1,
-                mu=(model.components[0].mean.copy(), model.components[1].mean.copy()),
-                sigma_diag=(
-                    np.diag(model.components[0].cov).copy(),
-                    np.diag(model.components[1].cov).copy(),
-                ),
-                loglik=loglik,
-                max_rel_change=maxrel,
-                rho=model.rho,
-            )
-        )
-        if callback is not None:
-            callback(it, model)
-        if prev is not None and maxrel < tol:
-            break
-        if it == max_iter:
-            break
+        return loglik, (u, msg)
 
-        posteriors = TreePosteriors(marginal=_downward(model, tree, u, msg), parent=tree.parent)
-        try:
-            new = m_step(posteriors, tree, features, prev_rho=model.rho)
-        except DegenerateError as exc:
-            raise DegenerateError(f"{exc} (iteration {it + 1})") from exc
-        prev, model = model, replace(new, neighborhood=neighborhood)
+    def maximize(model: HmtModel, stats) -> HmtModel:
+        # The downward pass runs only here, when an update follows.
+        posteriors = TreePosteriors(marginal=_downward(model, tree, *stats), parent=tree.parent)
+        new = m_step(posteriors, tree, features, prev_rho=model.rho)
+        return replace(new, neighborhood=neighborhood)
 
-    return model, trace
+    return run_em(model, expect, maximize, max_iter=max_iter, tol=tol, callback=callback)
 
 
 def map_decode(model: HmtModel, tree: FlowTree, features: np.ndarray) -> np.ndarray:
     """Exact MAP labeling by max-sum with back-pointers; ties break toward dry."""
-    log_em = _log_emissions(model, features)
-    if log_em.shape[0] != tree.n_nodes:
-        raise DimError(f"{log_em.shape[0]} feature rows for {tree.n_nodes} tree nodes")
+    log_em = _log_emissions(model, tree, features)
     parent = tree.parent
     log_t = model.log_transition()
     delta = log_em.copy()
@@ -416,7 +372,7 @@ def assignment_log_joint(
 ) -> float:
     """Log joint probability of one full class assignment."""
     classes = np.asarray(classes, dtype=np.int64).reshape(-1)
-    log_em = _log_emissions(model, features)
+    log_em = _log_emissions(model, tree, features)
     total = float(log_em[np.arange(tree.n_nodes), classes].sum())
     log_pi = np.array([_safe_log(model.pi0), _safe_log(model.pi1)])
     total += float(log_pi[classes[tree.roots]].sum())
@@ -427,17 +383,11 @@ def assignment_log_joint(
 
 
 def save_model(model: HmtModel, path: str) -> None:
-    lines = [f"rho={model.rho:.17g}", f"neighborhood={model.neighborhood}"]
-    lines += _model_lines(model.pi1, model.components)
-    try:
-        with open(path, "w") as fh:
-            fh.write("\n".join(lines) + "\n")
-    except OSError as exc:
-        raise IoError(f"cannot write model to {path}: {exc}") from exc
+    _write_model(path, [f"rho={model.rho:.17g}", f"neighborhood={model.neighborhood}"], model)
 
 
-def load_model(path: str) -> HmtModel:
-    kv = _parse_model_file(path)
+def model_from_kv(kv: dict[str, float], path: str) -> HmtModel:
+    """A tree model from the parsed keys of a model file."""
     if "rho" not in kv:
         raise FormatError(f"{path}: missing rho; this is a mixture model file")
     neighborhood = kv.get("neighborhood", 8.0)  # files from before the key hold 8-neighbor models
@@ -445,3 +395,7 @@ def load_model(path: str) -> HmtModel:
         raise FormatError(f"{path}: neighborhood must be 4 or 8, got {neighborhood:g}")
     components = _components_from_kv(kv, path)
     return HmtModel(kv["rho"], kv["pi1"], components, neighborhood=int(neighborhood))
+
+
+def load_model(path: str) -> HmtModel:
+    return model_from_kv(_parse_model_file(path), path)

@@ -8,15 +8,12 @@ count.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain
 
 import numpy as np
 
-from .errors import DataError, EmptyError, IoError
-
-_OFFSETS = {
-    4: ((-1, 0), (0, -1), (0, 1), (1, 0)),
-    8: ((-1, -1), (-1, 0), (-1, 1), (0, -1), (0, 1), (1, -1), (1, 0), (1, 1)),
-}
+from .errors import DataError, EmptyError
+from .grid import neighbor_slices, write_lines
 
 
 @dataclass
@@ -108,6 +105,18 @@ def roc_auc(
     return RocCurve(points=points, auc=auc)
 
 
+def _neighbor_sum(values: np.ndarray, neighborhood: int) -> np.ndarray:
+    """Per pixel, the sum of ``values`` over its in-grid neighbours."""
+    total = np.zeros(values.shape, dtype=np.int64)
+    for dst, src in neighbor_slices(values.shape, neighborhood):
+        total[dst] += values[src]
+    return total
+
+
+def _signs(pred: np.ndarray) -> np.ndarray:
+    return np.where(np.asarray(pred).astype(bool), 1, -1).astype(np.int64)
+
+
 def gamma_index(pred: np.ndarray, pixel: tuple[int, int], neighborhood: int = 8) -> float:
     """Local agreement statistic in [-1, 1].
 
@@ -120,35 +129,20 @@ def gamma_index(pred: np.ndarray, pixel: tuple[int, int], neighborhood: int = 8)
     r, c = pixel
     if not (0 <= r < h and 0 <= c < w):
         raise DataError(f"pixel ({r},{c}) outside {h}x{w} grid")
-    if neighborhood not in _OFFSETS:
-        raise DataError(f"neighborhood must be 4 or 8, got {neighborhood}")
-    own = 1 if pred[r, c] else -1
-    num = 0
-    count = 0
-    for dr, dc in _OFFSETS[neighborhood]:
-        rr, cc = r + dr, c + dc
-        if 0 <= rr < h and 0 <= cc < w:
-            num += own * (1 if pred[rr, cc] else -1)
-            count += 1
-    return num / count if count else 0.0
+    # Only the 3x3 window around the pixel matters.
+    r0, c0 = max(r - 1, 0), max(c - 1, 0)
+    sign = _signs(pred[r0:r + 2, c0:c + 2])
+    total = _neighbor_sum(sign, neighborhood)
+    count = _neighbor_sum(np.ones_like(sign), neighborhood)
+    i, j = r - r0, c - c0
+    return int(sign[i, j] * total[i, j]) / int(count[i, j]) if count[i, j] else 0.0
 
 
 def salt_pepper_count(pred: np.ndarray, neighborhood: int = 8) -> int:
     """Number of pixels whose local Gamma index is strictly negative."""
-    pred = np.asarray(pred)
-    if neighborhood not in _OFFSETS:
-        raise DataError(f"neighborhood must be 4 or 8, got {neighborhood}")
-    sign = np.where(pred.astype(bool), 1, -1).astype(np.int64)
-    h, w = sign.shape
-    neighbor_sum = np.zeros((h, w), dtype=np.int64)
-    for dr, dc in _OFFSETS[neighborhood]:
-        src_r = slice(max(dr, 0), h + min(dr, 0))
-        dst_r = slice(max(-dr, 0), h + min(-dr, 0))
-        src_c = slice(max(dc, 0), w + min(dc, 0))
-        dst_c = slice(max(-dc, 0), w + min(-dc, 0))
-        neighbor_sum[dst_r, dst_c] += sign[src_r, src_c]
+    sign = _signs(pred)
     # Gamma's sign is the sign of own * neighbor_sum; the denominator is positive.
-    return int(np.sum(sign * neighbor_sum < 0))
+    return int(np.sum(sign * _neighbor_sum(sign, neighborhood) < 0))
 
 
 def report_rows(method: str, report: ClassReport) -> list[tuple[str, str, str, str, str]]:
@@ -168,10 +162,8 @@ def report_rows(method: str, report: ClassReport) -> list[tuple[str, str, str, s
 
 def write_roc_csv(curve: RocCurve, path: str) -> None:
     """Two-column fpr,tpr CSV for external plotting."""
-    try:
-        with open(path, "w") as fh:
-            fh.write("fpr,tpr\n")
-            for fpr, tpr in curve.points:
-                fh.write(f"{fpr:.17g},{tpr:.17g}\n")
-    except OSError as exc:
-        raise IoError(f"cannot write ROC points to {path}: {exc}") from exc
+    # Streamed, not listed: a curve has one row per distinct score. Columns
+    # as Python floats format faster than numpy scalars, to the same text.
+    fpr, tpr = curve.points.T
+    rows = (f"{f:.17g},{t:.17g}" for f, t in zip(map(float, fpr), map(float, tpr)))
+    write_lines(path, "ROC points", chain(["fpr,tpr"], rows))

@@ -1,9 +1,11 @@
 import io
+from dataclasses import fields
 
 import numpy as np
 import pytest
 
 from floodem import cli, hmt
+from floodem.errors import SpecError
 from floodem.grid import RasterScene, load_scene, save_scene
 
 pytestmark = pytest.mark.filterwarnings("ignore::UserWarning")
@@ -462,3 +464,97 @@ def test_exit_codes(workdir, tmp_path):
     with pytest.raises(SystemExit) as exc:
         cli.main(["train", "--method", "gmm", "--scene", str(workdir / "scene.sgrid")])
     assert exc.value.code == 2
+
+
+def _train_and_predict(workdir, run, method, *extra):
+    train = ["train", "--method", method, "--scene", str(workdir / "scene.sgrid"),
+             "--labels", str(workdir / "labels.txt"), "--out", str(run), *extra]
+    assert cli.main(train) == 0
+    predict = ["predict", "--model", str(run / "model.txt"),
+               "--scene", str(workdir / "scene.sgrid"), "--out", str(run)]
+    return cli.main(predict)
+
+
+def test_predict_reads_a_tree_model_with_spaced_keys(workdir, tmp_path, capsys):
+    run = tmp_path / "run"
+    assert _train_and_predict(workdir, run, "hmt") == 0
+    before = (run / "pred.sgrid").read_bytes()
+    model_file = run / "model.txt"
+    model_file.write_text(model_file.read_text().replace("=", " = "))
+    assert hmt.load_model(str(model_file)).rho > 0.0  # the tree reader accepts spaces
+    predict = ["predict", "--model", str(model_file),
+               "--scene", str(workdir / "scene.sgrid"), "--out", str(run)]
+    assert cli.main(predict) == 0, capsys.readouterr().err
+    assert (run / "pred.sgrid").read_bytes() == before
+
+
+def test_predict_rejects_a_malformed_model_key(workdir, tmp_path, capsys):
+    run = tmp_path / "run"
+    assert _train_and_predict(workdir, run, "gmm") == 0
+    model_file = run / "model.txt"
+    model_file.write_text(model_file.read_text() + "mean.0.x=1\n")
+    capsys.readouterr()
+    predict = ["predict", "--model", str(model_file),
+               "--scene", str(workdir / "scene.sgrid"), "--out", str(run)]
+    assert cli.main(predict) == 3
+    assert "mean.0.x" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("flag, value", [("--ratios", "0.01,x"), ("--seeds", "1,two")])
+def test_sweep_labels_rejects_a_bad_list_as_usage_error(workdir, tmp_path, flag, value):
+    argv = {"--ratios": "0.05", "--seeds": "1", flag: value}
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["sweep-labels", "--scene", str(workdir / "scene.sgrid"),
+                  "--ratios", argv["--ratios"], "--seeds", argv["--seeds"],
+                  "--out", str(tmp_path)])
+    assert exc.value.code == 2
+
+
+@pytest.mark.parametrize("verb", ["train", "sweep-labels"])
+def test_negative_max_iter_is_a_data_error(workdir, tmp_path, capsys, verb):
+    argv = [verb, "--scene", str(workdir / "scene.sgrid"), "--max-iter", "-1",
+            "--out", str(tmp_path)]
+    if verb == "train":
+        argv += ["--method", "gmm", "--labels", str(workdir / "labels.txt")]
+    else:
+        argv += ["--ratios", "0.05", "--seeds", "1"]
+    assert cli.main(argv) == 3
+    assert "max_iter" in capsys.readouterr().err
+
+
+def test_train_warns_when_em_stops_at_the_cap(workdir, tmp_path, capsys):
+    run = ["train", "--method", "gmm", "--scene", str(workdir / "scene.sgrid"),
+           "--labels", str(workdir / "labels.txt"), "--out", str(tmp_path)]
+    assert cli.main(run + ["--max-iter", "2", "--tol", "0"]) == 0
+    err = capsys.readouterr().err
+    assert "2-iteration cap" in err and "max relative change" in err
+    assert cli.main(run + ["--tol", "1"]) == 0  # every update is below a tolerance of 1
+    assert "cap" not in capsys.readouterr().err
+
+
+def test_spec_pairs_must_agree_in_length(tmp_path):
+    for text in ("mean0=1,2,3\nmean1=1,2\n", "var0=1,2\nvar1=1\n", "mean0=1,2,3\n"):
+        spec = tmp_path / "spec.txt"
+        spec.write_text("width=16\nheight=16\n" + text)
+        with pytest.raises(SpecError):
+            cli.parse_scene_spec(str(spec))
+
+
+def test_every_run_setting_has_a_config_cast():
+    assert set(cli._CONFIG_CASTS) == {f.name for f in fields(cli.RunConfig)}
+
+
+def test_predict_tree_model_on_an_unfit_scene_is_a_data_error(workdir, tmp_path, capsys):
+    run = tmp_path / "run"
+    assert _train_and_predict(workdir, run, "hmt") == 0
+    scene = load_scene(str(workdir / "scene.sgrid"))
+    no_elevation = RasterScene(scene.width, scene.height, scene.channels, scene.data)
+    one_channel_less = RasterScene(scene.width, scene.height, scene.channels - 1, scene.data[1:],
+                                   elevation_channel=scene.elevation_channel - 1)
+    for bad in (no_elevation, one_channel_less):
+        save_scene(bad, str(tmp_path / "bad.sgrid"))
+        capsys.readouterr()
+        predict = ["predict", "--model", str(run / "model.txt"),
+                   "--scene", str(tmp_path / "bad.sgrid"), "--out", str(run)]
+        assert cli.main(predict) == 3
+        assert "error:" in capsys.readouterr().err

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from floodem import oracle
-from floodem.errors import DimError, FormatError, InitError
+from floodem.errors import DegenerateError, DimError, FormatError, InitError, SpecError
 from floodem.gaussian import GaussianParams
 from floodem.gmm import (
     GmmModel,
@@ -14,6 +14,7 @@ from floodem.gmm import (
     init_from_labels,
     load_model,
     posterior,
+    run_em,
     save_model,
 )
 from floodem.grid import LabelSet, RasterScene, SceneSpec, generate_scene, sample_labels
@@ -216,4 +217,45 @@ def test_load_model_rejects_tree_files(tmp_path):
     path = tmp_path / "m.txt"
     path.write_text("rho=0.5\npi1=0.5\nmean.0.0=0\nmean.1.0=1\ncov.0.0.0=1\ncov.1.0.0=1\n")
     with pytest.raises(FormatError):
+        load_model(str(path))
+
+
+# --- the shared EM driver ---
+
+
+def test_em_stop_reason_names_tol_or_cap(small_scene):
+    scene, labels = small_scene
+    _, trace = em_fit(scene, labels, use_elevation=False, max_iter=3, tol=0.0)
+    assert trace.stop_reason == "max_iter" and len(trace.rows) == 4
+    _, trace = em_fit(scene, labels, use_elevation=False, max_iter=100, tol=1.0)
+    assert trace.stop_reason == "tol" and trace.rows[-1].max_rel_change < 1.0
+    _, trace = em_fit(scene, labels, use_elevation=False, max_iter=0)
+    assert trace.stop_reason == "max_iter" and len(trace.rows) == 1
+
+
+def test_em_rejects_negative_max_iter(small_scene):
+    scene, labels = small_scene
+    with pytest.raises(SpecError):
+        em_fit(scene, labels, use_elevation=False, max_iter=-1)
+
+
+def test_run_em_numbers_the_failing_update():
+    model = _sym_model()
+    calls = []
+
+    def m_step(m, stats):
+        calls.append(stats)
+        if len(calls) == 2:
+            raise DegenerateError("collapsed")
+        return GmmModel(pi1=m.pi1 / 2, components=m.components)
+
+    with pytest.raises(DegenerateError, match=r"collapsed \(iteration 2\)"):
+        run_em(model, lambda m: (0.0, "stats"), m_step, max_iter=5, tol=0.0)
+    assert calls == ["stats", "stats"]
+
+
+def test_malformed_mean_key_is_a_format_error(tmp_path):
+    path = tmp_path / "m.txt"
+    path.write_text("pi1=0.5\nmean.0.0=0\nmean.0.x=1\nmean.1.0=1\ncov.0.0.0=1\ncov.1.0.0=1\n")
+    with pytest.raises(FormatError, match="mean.0.x"):
         load_model(str(path))

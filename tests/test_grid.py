@@ -1,18 +1,21 @@
+import re
 import struct
 
 import numpy as np
 import pytest
 
 from floodem import gmm, metrics
-from floodem.errors import DataError, FormatError, SpecError
+from floodem.errors import DataError, FormatError, IoError, SpecError
 from floodem.grid import (
     MAGIC,
+    NEIGHBOR_OFFSETS,
     LabelSet,
     RasterScene,
     SceneSpec,
     generate_scene,
     load_labels,
     load_scene,
+    neighbor_slices,
     sample_labels,
     save_labels,
     save_scene,
@@ -251,3 +254,74 @@ def test_label_file_comments_and_errors(tmp_path):
     path.write_text("0,1,x\n")
     with pytest.raises(FormatError):
         load_labels(str(path))
+
+
+# --- the shared text reader ---
+
+
+def _read_config(path):
+    from floodem.cli import load_config
+
+    return load_config(path)
+
+
+def _read_spec(path):
+    from floodem.cli import parse_scene_spec
+
+    return parse_scene_spec(path)
+
+
+@pytest.mark.parametrize(
+    "reader, good, bad, error",
+    [
+        (_read_config, "tol=1e-3", "max_iter=ten", SpecError),
+        (_read_config, "tol=1e-3", "no_such_key=1", SpecError),
+        (_read_spec, "width=8", "height=tall", SpecError),
+        (_read_spec, "width=8", "no_such_key=1", SpecError),
+        (gmm.load_model, "pi1=0.5", "mean.0.0=zero", FormatError),
+        (gmm.load_model, "pi1=0.5", "just words", FormatError),
+        (load_labels, "0,1,1", "0,1", FormatError),
+        (load_labels, "0,1,1", "0,1,x", FormatError),
+    ],
+)
+def test_text_readers_name_the_bad_line(tmp_path, reader, good, bad, error):
+    path = tmp_path / "input.txt"
+    path.write_text(f"{good}\n{bad}  # trailing comment\n")
+    with pytest.raises(error, match=re.escape(f"{path}:2:")):
+        reader(str(path))
+    # comment and blank lines still count
+    path.write_text(f"# header\n\n{good}\n{bad}\n")
+    with pytest.raises(error, match=re.escape(f"{path}:4:")):
+        reader(str(path))
+
+
+@pytest.mark.parametrize("reader", [_read_config, _read_spec, gmm.load_model, load_labels])
+def test_text_readers_report_a_missing_file(tmp_path, reader):
+    with pytest.raises(IoError):
+        reader(str(tmp_path / "missing.txt"))
+
+
+# --- the shared neighbour helper ---
+
+
+@pytest.mark.parametrize("shape", [(1, 1), (1, 5), (4, 1), (3, 4)])
+@pytest.mark.parametrize("neighborhood", [4, 8])
+def test_neighbor_slices_pair_each_pixel_with_its_neighbours(shape, neighborhood):
+    h, w = shape
+    index = np.arange(h * w).reshape(shape)
+    pairs = set()
+    for (dr, dc), (dst, src) in zip(NEIGHBOR_OFFSETS[neighborhood], neighbor_slices(shape, neighborhood)):
+        assert index[dst].shape == index[src].shape
+        np.testing.assert_array_equal(index[src] - index[dst], dr * w + dc)
+        pairs |= set(zip(index[dst].ravel(), index[src].ravel()))
+    expected = {
+        (r * w + c, (r + dr) * w + c + dc)
+        for r in range(h) for c in range(w) for dr, dc in NEIGHBOR_OFFSETS[neighborhood]
+        if 0 <= r + dr < h and 0 <= c + dc < w
+    }
+    assert pairs == expected
+
+
+def test_neighbor_slices_reject_other_neighborhoods():
+    with pytest.raises(DataError):
+        neighbor_slices((3, 3), 6)

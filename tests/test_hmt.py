@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from floodem import oracle
-from floodem.errors import DataError, DegenerateError, FormatError, InitError
+from floodem.errors import DataError, DegenerateError, FormatError, InitError, SpecError
 from floodem.gaussian import GaussianParams, regularize
 from floodem.grid import LabelSet, RasterScene, SceneSpec, generate_scene
 from floodem.hmt import (
@@ -192,7 +192,7 @@ def test_deep_chain_stays_finite_and_monotone():
     assert np.all((post.marginal >= 0.0) & (post.marginal <= 1.0))
     from floodem.hmt import _log_emissions, _upward
 
-    _, _, loglik = _upward(model, tree, _log_emissions(model, feats))
+    _, _, loglik = _upward(model, tree, _log_emissions(model, tree, feats))
     assert np.isfinite(loglik)
     dec = map_decode(model, tree, feats)
     nonroot = tree.parent >= 0
@@ -260,7 +260,7 @@ def test_hard_transition_with_a_clamped_dry_leaf_gives_exact_zeros():
 
     model = HmtModel(rho=1.0, pi1=0.5, components=(_gauss(0.0), _gauss(1.0)))
     tree = FlowTree.from_parents(np.array([-1, 0, 1]))
-    log_em = _log_emissions(model, np.ones((3, 1)))
+    log_em = _log_emissions(model, tree, np.ones((3, 1)))
     log_em[2, 1] = -np.inf
     u, msg, _ = _upward(model, tree, log_em)
     np.testing.assert_array_equal(_downward(model, tree, u, msg), [0.0, 0.0, 0.0])
@@ -436,6 +436,16 @@ def test_em_fit_trace_first_row_is_initialization(small_scene):
     assert np.isnan(trace.rows[0].max_rel_change)
 
 
+def test_em_fit_shares_the_driver_stop_rules(small_scene):
+    scene, labels = small_scene
+    _, trace = em_fit(scene, labels, max_iter=2, tol=0.0)
+    assert trace.stop_reason == "max_iter" and len(trace.rows) == 3
+    _, trace = em_fit(scene, labels, tol=1.0)
+    assert trace.stop_reason == "tol" and trace.rows[-1].max_rel_change < 1.0
+    with pytest.raises(SpecError):
+        em_fit(scene, labels, max_iter=-1)
+
+
 def test_clamped_labels_pin_posteriors(small_scene):
     scene, labels = small_scene
     model, _ = em_fit(scene, labels, clamp_labels=True, max_iter=5)
@@ -443,7 +453,7 @@ def test_clamped_labels_pin_posteriors(small_scene):
 
     feats = scene.feature_matrix(use_elevation=False)
     tree = build_flow_tree(scene.elevation())
-    log_em = _log_emissions(model, feats)
+    log_em = _log_emissions(model, tree, feats)
     flat, cls = labels.flat_indices(scene.width, scene.height)
     log_em[flat, 1 - cls] = -np.inf
     u, msg, _ = _upward(model, tree, log_em)
