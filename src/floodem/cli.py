@@ -175,14 +175,16 @@ def _resolve_labels(scene: RasterScene, cfg: RunConfig, parser: argparse.Argumen
     parser.error("either --labels or --ratio is required")
 
 
-def _train(method: str, scene: RasterScene, labels: LabelSet, cfg: RunConfig):
+def _train(method: str, scene: RasterScene, labels: LabelSet, cfg: RunConfig, run: str = ""):
+    """(model, trace) of ``method``; warns on stderr, naming the method and ``run``,
+    when EM stops at the iteration cap rather than at ``tol``."""
     if method in ("gmm", "gmm-elev"):
         use_elev = method == "gmm-elev"
         if use_elev and scene.elevation_channel is None:
             raise DataError("gmm-elev needs a scene with an elevation channel")
-        return gmm.em_fit(scene, labels, use_elevation=use_elev, max_iter=cfg.max_iter, tol=cfg.tol)
-    if method == "hmt":
-        return hmt.em_fit(
+        fit = gmm.em_fit(scene, labels, use_elevation=use_elev, max_iter=cfg.max_iter, tol=cfg.tol)
+    elif method == "hmt":
+        fit = hmt.em_fit(
             scene,
             labels,
             max_iter=cfg.max_iter,
@@ -191,7 +193,14 @@ def _train(method: str, scene: RasterScene, labels: LabelSet, cfg: RunConfig):
             pi_init=cfg.pi,
             neighborhood=cfg.neighborhood,
         )
-    raise SpecError(f"unknown method {method!r}")
+    else:
+        raise SpecError(f"unknown method {method!r}")
+    trace = fit[1]
+    if trace.stop_reason == "max_iter":
+        print(f"warning: {method}{run}: EM stopped at the {cfg.max_iter}-iteration cap before "
+              f"converging; final max relative change {trace.rows[-1].max_rel_change:.3g} "
+              f"(tol {cfg.tol:g})", file=sys.stderr)
+    return fit
 
 
 def _gmm_use_elevation(model: gmm.GmmModel, scene: RasterScene) -> bool:
@@ -243,7 +252,10 @@ def _write_report_csv(path: str, class_rows, auc_rows, noise_rows) -> None:
 
 
 def _out_path(cfg_out: str, name: str) -> str:
-    os.makedirs(cfg_out, exist_ok=True)
+    try:
+        os.makedirs(cfg_out, exist_ok=True)
+    except OSError as exc:
+        raise IoError(f"cannot create output directory {cfg_out}: {exc}") from exc
     return os.path.join(cfg_out, name)
 
 
@@ -270,17 +282,13 @@ def cmd_train(args, parser) -> int:
     cfg = _resolve_config(args)
     scene = _load_run_scene(cfg.scene, parser)
     labels = _resolve_labels(scene, cfg, parser)
-    model, trace = _train(cfg.method, scene, labels, cfg)
     model_path = _out_path(cfg.out, "model.txt")
     trace_path = _out_path(cfg.out, "trace.csv")
+    model, trace = _train(cfg.method, scene, labels, cfg)
     (hmt if isinstance(model, hmt.HmtModel) else gmm).save_model(model, model_path)
     trace.to_csv(trace_path)
     last = trace.rows[-1]
     print(f"{cfg.method}: {last.iteration} EM iterations, final loglik {last.loglik:.4f}")
-    if trace.stop_reason == "max_iter":
-        print(f"warning: EM stopped at the {cfg.max_iter}-iteration cap before converging; "
-              f"final max relative change {last.max_rel_change:.3g} (tol {cfg.tol:g})",
-              file=sys.stderr)
     print(f"model -> {model_path}")
     print(f"trace -> {trace_path}")
     return 0
@@ -295,9 +303,9 @@ def cmd_predict(args, parser) -> int:
     if isinstance(model, hmt.HmtModel) and asked not in (None, model.neighborhood):
         raise DataError(f"neighborhood {asked} was given, but {args.model} was trained "
                         f"on the {model.neighborhood}-neighborhood flow forest")
-    classes, scores = _predict(model, scene, cfg)
     pred_path = _out_path(cfg.out, "pred.sgrid")
     score_path = _out_path(cfg.out, "score.sgrid")
+    classes, scores = _predict(model, scene, cfg)
     _save_grid(classes.astype(float), pred_path)
     _save_grid(scores, score_path)
     print(f"predicted flood fraction: {float(classes.mean()):.4f}")
@@ -330,6 +338,7 @@ def cmd_compare(args, parser) -> int:
     cfg = _resolve_config(args)
     scene = _load_run_scene(cfg.scene, parser, truth=True)
     labels = _resolve_labels(scene, cfg, parser)
+    report_path = _out_path(cfg.out, "compare.csv")
     class_rows, auc_rows, noise_rows = [], [], []
     failures = []
     for method in METHODS:
@@ -354,8 +363,8 @@ def cmd_compare(args, parser) -> int:
         except FloodemError as exc:
             failures.append(method)
             print(f"{method}: FAILED ({exc})", file=sys.stderr)
-    _write_report_csv(_out_path(cfg.out, "compare.csv"), class_rows, auc_rows, noise_rows)
-    print(f"report -> {_out_path(cfg.out, 'compare.csv')}")
+    _write_report_csv(report_path, class_rows, auc_rows, noise_rows)
+    print(f"report -> {report_path}")
     return 1 if failures else 0
 
 
@@ -384,7 +393,7 @@ def cmd_sweep_labels(args, parser) -> int:
                     continue
                 for method in METHODS:
                     try:
-                        model, _ = _train(method, scene, labels, cfg)
+                        model, _ = _train(method, scene, labels, cfg, f" at ratio {ratio:g}, seed {seed}")
                         classes, _ = _predict(model, scene, cfg)
                         avg_f = metrics.class_report(classes, scene.truth).avg_f
                         fh.write(f"{method},{ratio:g},{seed},{avg_f:.6f},\n")
@@ -474,21 +483,27 @@ def cmd_verify(args, parser) -> int:
 # --- parser ---
 
 
-def _add_run_flags(sub: argparse.ArgumentParser, *, method: bool = True) -> None:
-    if method:
-        sub.add_argument("--method", choices=METHODS, default=None)
-    sub.add_argument("--config", default=None, help="key=value config file")
-    sub.add_argument("--scene", default=None)
-    sub.add_argument("--labels", default=None, help="label file (row,col,class lines)")
-    sub.add_argument("--ratio", type=float, default=None, help="labeled fraction to sample")
-    sub.add_argument("--seed", type=int, default=None, help="label sampling seed")
-    sub.add_argument("--tol", type=float, default=None, help="convergence threshold (default 1e-5)")
-    sub.add_argument("--cutoff", type=float, default=None, help="class cutoff (default 0.5)")
-    sub.add_argument("--rho", type=float, default=None, help="initial transition strength (default 0.99)")
-    sub.add_argument("--pi", type=float, default=None, help="initial flood prior (default 0.5)")
-    sub.add_argument("--neighborhood", type=int, choices=(4, 8), default=None)
-    sub.add_argument("--max-iter", dest="max_iter", type=int, default=None)
-    sub.add_argument("--out", default=None, help="output directory")
+# Each verb registers the flags of only the RunConfig settings it reads.
+_FLAG_HELP = {
+    "labels": "label file (row,col,class lines)",
+    "ratio": "labeled fraction to sample",
+    "seed": "label sampling seed",
+    "tol": "convergence threshold (default 1e-5)",
+    "cutoff": "class cutoff (default 0.5)",
+    "rho": "initial transition strength (default 0.99)",
+    "pi": "initial flood prior (default 0.5)",
+    "out": "output directory",
+}
+_FLAG_CHOICES = {"method": METHODS, "neighborhood": (4, 8)}
+_LABEL_KEYS = ("labels", "ratio", "seed")
+_FIT_KEYS = ("tol", "rho", "pi", "neighborhood", "max_iter")
+
+
+def _add_run_flags(sub: argparse.ArgumentParser, keys: tuple[str, ...]) -> None:
+    sub.add_argument("--config", default=None, help="key=value config file; any run setting")
+    for key in keys:
+        sub.add_argument("--" + key.replace("_", "-"), dest=key, type=_CONFIG_CASTS[key],
+                         choices=_FLAG_CHOICES.get(key), help=_FLAG_HELP.get(key))
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -503,12 +518,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_synth)
 
     p = subs.add_parser("train", help="fit a model and dump its trace")
-    _add_run_flags(p)
+    _add_run_flags(p, ("method", "scene", *_LABEL_KEYS, *_FIT_KEYS, "out"))
     p.set_defaults(func=cmd_train)
 
     p = subs.add_parser("predict", help="write class and score grids for a scene")
     p.add_argument("--model", required=True)
-    _add_run_flags(p, method=False)
+    _add_run_flags(p, ("scene", "cutoff", "neighborhood", "out"))
     p.set_defaults(func=cmd_predict)
 
     p = subs.add_parser("eval", help="score a prediction against truth")
@@ -517,17 +532,19 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--truth", required=True, help="scene file carrying the truth grid")
     p.add_argument("--mask", default=None, help="single-channel grid; nonzero = evaluate")
     p.add_argument("--name", default="pred", help="method name for report rows")
-    _add_run_flags(p, method=False)
+    _add_run_flags(p, ("neighborhood", "out"))
     p.set_defaults(func=cmd_eval)
 
     p = subs.add_parser("compare", help="train and evaluate all three methods side by side")
-    _add_run_flags(p, method=False)
+    _add_run_flags(p, ("scene", *_LABEL_KEYS, *_FIT_KEYS, "cutoff", "out"))
     p.set_defaults(func=cmd_compare)
 
-    p = subs.add_parser("sweep-labels", help="avg F across label ratios and seeds")
+    # No abbreviations: --ratio and --seed, which this verb does not take, would
+    # otherwise silently stand for --ratios and --seeds.
+    p = subs.add_parser("sweep-labels", help="avg F across label ratios and seeds", allow_abbrev=False)
     p.add_argument("--ratios", required=True, help="comma-separated label ratios")
     p.add_argument("--seeds", required=True, help="comma-separated sampling seeds")
-    _add_run_flags(p, method=False)
+    _add_run_flags(p, ("scene", *_FIT_KEYS, "cutoff", "out"))
     p.set_defaults(func=cmd_sweep_labels)
 
     p = subs.add_parser("verify", help="run the oracle-equivalence suite")

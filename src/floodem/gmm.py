@@ -1,9 +1,9 @@
-"""Semi-supervised Gaussian-mixture EM with hard indicators on labeled pixels.
+"""Semi-supervised Gaussian-mixture EM with labeled pixels as clamped evidence.
 
-Unlabeled pixels enter the M-step weighted by their class posterior; labeled
-pixels keep 0/1 indicator weights in every iteration. Class identity is
-pinned by the labeled initialization, so no post-hoc component swapping is
-ever needed.
+Every pixel enters the M-step weighted by its class posterior. A labeled
+pixel's other class is clamped to zero likelihood, so its posterior is
+exactly 0 or 1 in every iteration. Class identity is pinned by the labeled
+initialization, so no post-hoc component swapping is ever needed.
 """
 
 from __future__ import annotations
@@ -94,16 +94,18 @@ def init_from_labels(scene: RasterScene, labels: LabelSet, use_elevation: bool) 
     return GmmModel(pi1=pi1, components=comps)
 
 
-def _joint_logs(model: GmmModel, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    lp0 = log_pdf(model.components[0], x) + _safe_log(model.pi0)
-    lp1 = log_pdf(model.components[1], x) + _safe_log(model.pi1)
-    return lp0, lp1
+def _joint_logs(model: GmmModel, x: np.ndarray) -> np.ndarray:
+    """log P(x, y=c) in column c: (2,) for one vector, (n, 2) for a batch."""
+    return np.stack(
+        [log_pdf(g, x) + _safe_log(p) for g, p in zip(model.components, (model.pi0, model.pi1))],
+        axis=-1,
+    )
 
 
 def posterior(model: GmmModel, x: np.ndarray) -> np.ndarray | float:
     """P(y = 1 | x) via log-sum-exp; accepts a single vector or a (n, m) batch."""
-    lp0, lp1 = _joint_logs(model, x)
-    out = np.exp(lp1 - np.logaddexp(lp0, lp1))
+    lp = _joint_logs(model, x)
+    out = np.exp(lp[..., 1] - np.logaddexp(lp[..., 0], lp[..., 1]))
     return float(out) if np.ndim(out) == 0 else out
 
 
@@ -181,22 +183,17 @@ def em_fit(
     """
     feats = scene.feature_matrix(use_elevation)
     n = feats.shape[0]
-    flat_l, cls_l = labels.flat_indices(scene.width, scene.height)
-    unlabeled = np.setdiff1d(np.arange(n), flat_l)
-    indicator1 = np.zeros(n)
-    indicator1[flat_l] = cls_l
+    flat, cls = labels.flat_indices(scene.width, scene.height)
 
     def e_step(model: GmmModel):
-        lp0, lp1 = _joint_logs(model, feats)
-        lse = np.logaddexp(lp0[unlabeled], lp1[unlabeled])
-        loglik = float(lse.sum())
-        loglik += float(lp0[flat_l[cls_l == 0]].sum()) + float(lp1[flat_l[cls_l == 1]].sum())
-        return loglik, (lp1, lse)
+        lp = _joint_logs(model, feats)
+        lp[flat, 1 - cls] = -np.inf
+        lse = np.logaddexp(lp[:, 0], lp[:, 1])
+        return float(lse.sum()), (lp[:, 1], lse)
 
     def m_step(model: GmmModel, stats) -> GmmModel:
         lp1, lse = stats
-        w1 = indicator1.copy()
-        w1[unlabeled] = np.exp(lp1[unlabeled] - lse)
+        w1 = np.exp(lp1 - lse)
         w0 = 1.0 - w1
         s1 = float(w1.sum())
         s0 = float(w0.sum())

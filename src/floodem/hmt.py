@@ -11,7 +11,8 @@ above a dry parent):
 Parentless nodes carry the Bernoulli prior (pi0, pi1). Emissions are
 per-class Gaussians over the non-elevation feature channels; elevation enters
 only through the tree structure. Inference is exact: sum-product for the
-node marginals and max-sum for the MAP labeling, both run level by level in
+node marginals and max-sum for the MAP labeling are one upward sweep that
+differs only in how it combines a child's two states, run level by level in
 the log domain with per-node max-shift normalization. Because of the
 structural zero, every pairwise posterior P(y_n, y_parent | X) follows from
 the two node marginals, so the E-step stores nothing else.
@@ -175,12 +176,6 @@ def _log_emissions(model: HmtModel, tree: FlowTree, features: np.ndarray) -> np.
     )
 
 
-def _add_to_parents(acc: np.ndarray, parents: np.ndarray, values: np.ndarray) -> None:
-    """acc[p] += the sum of ``values`` over each run of equal ``parents`` (sorted)."""
-    runs = np.flatnonzero(np.r_[True, parents[1:] != parents[:-1]])
-    acc[parents[runs]] += np.add.reduceat(values, runs, axis=0)
-
-
 def _shift(values: np.ndarray, nodes: np.ndarray) -> float:
     """Max-shift each node's row to 0; returns the total shift removed."""
     shift = np.max(values[nodes], axis=1)
@@ -190,53 +185,54 @@ def _shift(values: np.ndarray, nodes: np.ndarray) -> float:
     return float(shift.sum())
 
 
-def _upward(model: HmtModel, tree: FlowTree, log_em: np.ndarray):
-    """Leaf-to-root pass.
+def _upward(model: HmtModel, tree: FlowTree, log_em: np.ndarray, combine=np.logaddexp):
+    """Leaf-to-root pass of sum-product, or of max-sum when ``combine`` is np.maximum.
 
-    Returns (u, msg, loglik) where u[n] is the max-shifted log likelihood of
-    the subtree under n given y_n, msg[n, y_p] the log message n sends its
-    parent, and loglik the total log evidence (all shifts telescoped back in).
+    Returns (u, value) where u[n] is the max-shifted log score of the subtree
+    under n given y_n, and value is the log evidence (the MAP log joint under
+    max-sum) with all shifts telescoped back in. u[n] is final once n's level
+    is done, so the message n sends its parent can be rebuilt from u alone.
     """
-    parent = tree.parent
     log_t = model.log_transition()
     u = log_em.copy()
-    msg = np.zeros((tree.n_nodes, 2))
     shift_total = 0.0
     *levels, roots = tree.level_groups()
     for nodes in levels:
         shift_total += _shift(u, nodes)
-        to_parent = np.logaddexp(log_t[0] + u[nodes, :1], log_t[1] + u[nodes, 1:])
-        msg[nodes] = to_parent
-        _add_to_parents(u, parent[nodes], to_parent)
+        to_parent = combine(log_t[0] + u[nodes, :1], log_t[1] + u[nodes, 1:])
+        # A level lists its nodes by parent: sum each run of siblings into their parent.
+        parents = tree.parent[nodes]
+        runs = np.flatnonzero(np.r_[True, parents[1:] != parents[:-1]])
+        u[parents[runs]] += np.add.reduceat(to_parent, runs, axis=0)
     shift_total += _shift(u, roots)
-    root_z = np.logaddexp(_safe_log(model.pi0) + u[roots, 0], _safe_log(model.pi1) + u[roots, 1])
-    return u, msg, shift_total + float(root_z.sum())
+    root_z = combine(_safe_log(model.pi0) + u[roots, 0], _safe_log(model.pi1) + u[roots, 1])
+    return u, shift_total + float(root_z.sum())
 
 
-def _downward(model: HmtModel, tree: FlowTree, u: np.ndarray, msg: np.ndarray) -> np.ndarray:
+def _downward(model: HmtModel, tree: FlowTree, u: np.ndarray) -> np.ndarray:
     """Root-to-leaf pass: m_n = m_p * P(y_n=1 | y_p=1, X), which is all the
     structural zero leaves to compute."""
-    parent = tree.parent
     *levels, roots = tree.level_groups()
     marginal = np.empty(tree.n_nodes)
     lr0 = _safe_log(model.pi0) + u[roots, 0]
     lr1 = _safe_log(model.pi1) + u[roots, 1]
     marginal[roots] = np.exp(lr1 - np.logaddexp(lr0, lr1))
-    log_rho = _safe_log(model.rho)
+    log_t = model.log_transition()
     for nodes in reversed(levels):
-        mp = marginal[parent[nodes]]
+        mp = marginal[tree.parent[nodes]]
+        # The message n sent its flooded parent, as _upward computed it.
+        to_wet = np.logaddexp(log_t[0, 1] + u[nodes, 0], log_t[1, 1] + u[nodes, 1])
         # Where m_p = 0 the message may be -inf and the ratio nan; mask it.
         with np.errstate(invalid="ignore"):
-            step = np.exp(np.minimum(log_rho + u[nodes, 1] - msg[nodes, 1], 0.0))
+            step = np.exp(np.minimum(log_t[1, 1] + u[nodes, 1] - to_wet, 0.0))
         marginal[nodes] = np.where(mp > 0.0, mp * step, 0.0)
     return marginal
 
 
 def e_step(model: HmtModel, tree: FlowTree, features: np.ndarray) -> TreePosteriors:
     """Exact sum-product posteriors under the current parameters."""
-    log_em = _log_emissions(model, tree, features)
-    u, msg, _ = _upward(model, tree, log_em)
-    return TreePosteriors(marginal=_downward(model, tree, u, msg), parent=tree.parent)
+    u, _ = _upward(model, tree, _log_emissions(model, tree, features))
+    return TreePosteriors(marginal=_downward(model, tree, u), parent=tree.parent)
 
 
 def m_step(
@@ -321,20 +317,19 @@ def em_fit(
     components, _ = class_params_from_labels(scene, labels, use_elevation=False)
     model = HmtModel(rho=rho_init, pi1=pi_init, components=components, neighborhood=neighborhood)
 
-    clamp_idx = clamp_cls = None
-    if clamp_labels:
-        clamp_idx, clamp_cls = labels.flat_indices(scene.width, scene.height)
+    flat, cls = labels.flat_indices(scene.width, scene.height)
+    if not clamp_labels:
+        flat, cls = flat[:0], cls[:0]  # clamp nothing
 
     def expect(model: HmtModel):
         log_em = _log_emissions(model, tree, features)
-        if clamp_idx is not None:
-            log_em[clamp_idx, 1 - clamp_cls] = -np.inf
-        u, msg, loglik = _upward(model, tree, log_em)
-        return loglik, (u, msg)
+        log_em[flat, 1 - cls] = -np.inf
+        u, loglik = _upward(model, tree, log_em)
+        return loglik, u
 
     def maximize(model: HmtModel, stats) -> HmtModel:
         # The downward pass runs only here, when an update follows.
-        posteriors = TreePosteriors(marginal=_downward(model, tree, *stats), parent=tree.parent)
+        posteriors = TreePosteriors(marginal=_downward(model, tree, stats), parent=tree.parent)
         new = m_step(posteriors, tree, features, prev_rho=model.rho)
         return replace(new, neighborhood=neighborhood)
 
@@ -342,28 +337,16 @@ def em_fit(
 
 
 def map_decode(model: HmtModel, tree: FlowTree, features: np.ndarray) -> np.ndarray:
-    """Exact MAP labeling by max-sum with back-pointers; ties break toward dry."""
-    log_em = _log_emissions(model, tree, features)
-    parent = tree.parent
+    """Exact MAP labeling: the max-sum upward pass, then a backtrack that gives
+    each node its best class under its parent's; ties break toward dry."""
+    u, _ = _upward(model, tree, _log_emissions(model, tree, features), np.maximum)
     log_t = model.log_transition()
-    delta = log_em.copy()
-    back = np.zeros((tree.n_nodes, 2), dtype=np.int8)
     *levels, roots = tree.level_groups()
-    for nodes in levels:
-        _shift(delta, nodes)
-        # best subtree value per parent state, with the child dry or flooded
-        dry = log_t[0] + delta[nodes, :1]
-        wet = log_t[1] + delta[nodes, 1:]
-        flood = wet > dry
-        back[nodes] = flood
-        _add_to_parents(delta, parent[nodes], np.where(flood, wet, dry))
-    _shift(delta, roots)
     classes = np.zeros(tree.n_nodes, dtype=np.uint8)
-    v0 = _safe_log(model.pi0) + delta[roots, 0]
-    v1 = _safe_log(model.pi1) + delta[roots, 1]
-    classes[roots] = v1 > v0
+    classes[roots] = _safe_log(model.pi1) + u[roots, 1] > _safe_log(model.pi0) + u[roots, 0]
     for nodes in reversed(levels):
-        classes[nodes] = back[nodes, classes[parent[nodes]]]
+        y_p = classes[tree.parent[nodes]]
+        classes[nodes] = log_t[1, y_p] + u[nodes, 1] > log_t[0, y_p] + u[nodes, 0]
     return classes
 
 

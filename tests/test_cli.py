@@ -558,3 +558,73 @@ def test_predict_tree_model_on_an_unfit_scene_is_a_data_error(workdir, tmp_path,
                    "--scene", str(tmp_path / "bad.sgrid"), "--out", str(run)]
         assert cli.main(predict) == 3
         assert "error:" in capsys.readouterr().err
+
+
+def test_train_into_an_unusable_out_fails_before_em(workdir, tmp_path, capsys):
+    blocker = tmp_path / "afile"
+    blocker.write_text("not a directory\n")
+    capsys.readouterr()
+    rc = cli.main(["train", "--method", "gmm", "--scene", str(workdir / "scene.sgrid"),
+                   "--labels", str(workdir / "labels.txt"), "--out", str(blocker / "sub")])
+    assert rc == 3
+    out, err = capsys.readouterr()
+    assert "error: cannot create output directory" in err
+    assert "EM iterations" not in out  # the output path failed before any training
+
+
+def test_compare_warns_once_per_method_at_the_cap(workdir, tmp_path, capsys):
+    capsys.readouterr()
+    rc = cli.main(["compare", "--scene", str(workdir / "scene.sgrid"),
+                   "--labels", str(workdir / "labels.txt"), "--out", str(tmp_path),
+                   "--max-iter", "2", "--tol", "0"])
+    assert rc == 0
+    err = capsys.readouterr().err
+    assert err.count("2-iteration cap") == 3
+    for method in cli.METHODS:
+        assert f"warning: {method}: EM stopped" in err
+
+
+def test_sweep_labels_warns_at_the_cap_naming_the_run(workdir, tmp_path, capsys):
+    capsys.readouterr()
+    rc = cli.main(["sweep-labels", "--scene", str(workdir / "scene.sgrid"),
+                   "--ratios", "0.05", "--seeds", "1,2", "--out", str(tmp_path),
+                   "--max-iter", "2", "--tol", "0"])
+    assert rc == 0
+    err = capsys.readouterr().err
+    assert err.count("2-iteration cap") == 2 * len(cli.METHODS)
+    for method in cli.METHODS:
+        for seed in (1, 2):
+            assert f"warning: {method} at ratio 0.05, seed {seed}: EM stopped" in err
+
+
+@pytest.mark.parametrize(
+    "verb, flag",
+    [("eval", "--max-iter"), ("eval", "--scene"), ("predict", "--rho"), ("train", "--cutoff"),
+     ("sweep-labels", "--labels"), ("sweep-labels", "--seed"), ("sweep-labels", "--ratio")],
+)
+def test_verbs_reject_flags_they_do_not_read(tmp_path, verb, flag):
+    # every other argument is valid, so only the extra flag can be a usage error
+    missing = str(tmp_path / "missing")
+    required = {
+        "eval": ["--pred", missing, "--score", missing, "--truth", missing],
+        "predict": ["--model", missing, "--scene", missing],
+        "train": ["--scene", missing, "--ratio", "0.05"],
+        "sweep-labels": ["--scene", missing, "--ratios", "0.05", "--seeds", "1"],
+    }
+    assert cli.main([verb, *required[verb]]) == 3  # the missing file is a data error
+    with pytest.raises(SystemExit) as exc:
+        cli.main([verb, *required[verb], flag, "1"])
+    assert exc.value.code == 2
+
+
+def test_a_config_file_may_name_settings_the_verb_does_not_read(tmp_path, rng):
+    truth = rng.integers(0, 2, size=(6, 6)).astype(np.uint8)
+    truth[0, 0], truth[0, 1] = 0, 1
+    _write_grids(tmp_path, truth, truth.astype(float), truth)
+    cfgfile = tmp_path / "run.cfg"
+    cfgfile.write_text("method=hmt\nmax_iter=1\nrho=0.5\ncutoff=0.3\nneighborhood=4\n")
+    rc = cli.main(["eval", "--pred", str(tmp_path / "pred.sgrid"),
+                   "--score", str(tmp_path / "score.sgrid"),
+                   "--truth", str(tmp_path / "truth.sgrid"),
+                   "--config", str(cfgfile), "--out", str(tmp_path)])
+    assert rc == 0

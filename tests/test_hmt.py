@@ -192,7 +192,7 @@ def test_deep_chain_stays_finite_and_monotone():
     assert np.all((post.marginal >= 0.0) & (post.marginal <= 1.0))
     from floodem.hmt import _log_emissions, _upward
 
-    _, _, loglik = _upward(model, tree, _log_emissions(model, tree, feats))
+    _, loglik = _upward(model, tree, _log_emissions(model, tree, feats))
     assert np.isfinite(loglik)
     dec = map_decode(model, tree, feats)
     nonroot = tree.parent >= 0
@@ -262,8 +262,8 @@ def test_hard_transition_with_a_clamped_dry_leaf_gives_exact_zeros():
     tree = FlowTree.from_parents(np.array([-1, 0, 1]))
     log_em = _log_emissions(model, tree, np.ones((3, 1)))
     log_em[2, 1] = -np.inf
-    u, msg, _ = _upward(model, tree, log_em)
-    np.testing.assert_array_equal(_downward(model, tree, u, msg), [0.0, 0.0, 0.0])
+    u, _ = _upward(model, tree, log_em)
+    np.testing.assert_array_equal(_downward(model, tree, u), [0.0, 0.0, 0.0])
 
 
 def test_pairwise_tables_consistent(rng):
@@ -456,8 +456,8 @@ def test_clamped_labels_pin_posteriors(small_scene):
     log_em = _log_emissions(model, tree, feats)
     flat, cls = labels.flat_indices(scene.width, scene.height)
     log_em[flat, 1 - cls] = -np.inf
-    u, msg, _ = _upward(model, tree, log_em)
-    marginal = _downward(model, tree, u, msg)
+    u, _ = _upward(model, tree, log_em)
+    marginal = _downward(model, tree, u)
     np.testing.assert_allclose(marginal[flat], cls.astype(float), atol=1e-12)
 
 
@@ -490,6 +490,8 @@ def test_chain_with_dry_root_decodes_all_dry():
 
 
 def test_decode_matches_enumeration(rng):
+    from floodem.hmt import _log_emissions, _upward
+
     for trial in range(30):
         n = int(rng.integers(2, 13))
         model, tree, feats = oracle.random_tree_instance(rng, n)
@@ -497,6 +499,24 @@ def test_decode_matches_enumeration(rng):
         dec = map_decode(model, tree, feats)
         value = assignment_log_joint(model, tree, feats, dec)
         assert value == pytest.approx(ov, abs=1e-9)
+        # the max-sum upward pass alone already yields the MAP log joint
+        _, map_value = _upward(model, tree, _log_emissions(model, tree, feats), np.maximum)
+        assert map_value == pytest.approx(ov, abs=1e-9)
+
+
+def test_decode_ties_go_to_dry():
+    # x=1 sits midway between unit-variance means 0 and 2, so both classes
+    # emit it with exactly equal density; with pi1 = rho = 0.5 every
+    # singleton root and every leaf under a flooded parent is an exact tie
+    model = HmtModel(rho=0.5, pi1=0.5, components=(_gauss(0.0), _gauss(2.0)))
+    elev = np.zeros((4, 6))
+    elev[:, 3:] = 1.0 + np.arange(3.0)  # a plateau of roots, the first two columns childless
+    tree = build_flow_tree(elev)
+    assert set(np.flatnonzero(tree.parent < 0)) - set(tree.parent.tolist())  # childless roots
+    np.testing.assert_array_equal(map_decode(model, tree, np.ones((24, 1))), np.zeros(24))
+    # a root that clearly floods, over a tied leaf
+    chain = FlowTree.from_parents(np.array([-1, 0]))
+    np.testing.assert_array_equal(map_decode(model, chain, np.array([[10.0], [1.0]])), [1, 0])
 
 
 def test_decoded_maps_respect_monotone_flood(rng):
