@@ -16,6 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import gmm, hmt, metrics, oracle
+from .gaussian import Lifted, log_pdf, weighted_mle
 from .errors import DataError, DimError, FloodemError, InitError, IoError, SpecError
 from .grid import (
     LabelSet,
@@ -403,6 +404,21 @@ def cmd_sweep_labels(args, parser) -> int:
     return 0
 
 
+def _lift_error(points: np.ndarray, weights: np.ndarray) -> float:
+    """Worst disagreement between the lifted and the raw-point Gaussian paths:
+    the weighted fit's mean in units of |mean| + sd and its covariance in units
+    of sd_i * sd_j, and the fit's log densities in units of 1 + |log density|."""
+    lift = Lifted(points)
+    ref, fit = weighted_mle(points, weights), weighted_mle(lift, weights)
+    sd = np.sqrt(np.diag(ref.cov))
+    ref_lp = log_pdf(ref, points)
+    return max(
+        float(np.max(np.abs(fit.mean - ref.mean) / (np.abs(ref.mean) + sd))),
+        float(np.max(np.abs(fit.cov - ref.cov) / np.outer(sd, sd))),
+        float(np.max(np.abs(log_pdf(ref, lift) - ref_lp) / (1.0 + np.abs(ref_lp)))),
+    )
+
+
 def run_verify(n_trees: int = 100, seed: int = 0, out=None) -> bool:
     """Oracle-equivalence suite; returns True iff every check passes."""
     out = out or sys.stdout
@@ -458,6 +474,22 @@ def run_verify(n_trees: int = 100, seed: int = 0, out=None) -> bool:
         worst_gap <= 1e-9,
         "transition update maximizes the expected complete log likelihood",
         f"max improvement found by grid search {worst_gap:.3g}",
+    )
+
+    worst_lift = 0.0
+    n_fits = 40
+    for k in range(n_fits):
+        # Correlated channels with offsets up to 1e6 and scales from 1e-3 to 1e3.
+        m = 1 + k % 4
+        mix = rng.normal(size=(m, m)) + 2.0 * np.eye(m)
+        scales = 10.0 ** rng.uniform(-3.0, 3.0, size=m)
+        offsets = 10.0 ** rng.uniform(0.0, 6.0, size=m) * rng.choice([-1.0, 1.0], size=m)
+        pts = (rng.normal(size=(200, m)) @ mix) * scales + offsets
+        worst_lift = max(worst_lift, _lift_error(pts, rng.uniform(size=200) ** 4))
+    emit(
+        worst_lift <= 1e-9,
+        "lifted Gaussian fits and densities match the Cholesky path",
+        f"{n_fits} fits, max rel err {worst_lift:.3g}",
     )
 
     spec = SceneSpec(width=16, height=16, obstacle_fraction=0.2, labels_per_class=8, rng_seed=seed)

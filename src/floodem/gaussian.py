@@ -3,6 +3,12 @@
 Everything runs through a Cholesky factor in log space: feature values in the
 target rasters are large enough that raw densities underflow, and posterior
 collapse during EM can leave near-singular covariance estimates.
+
+EM evaluates and refits the same Gaussians over the same points in every
+iteration, so it first lifts the points once (`Lifted`) to
+Phi = [1, z, z_i z_j for i <= j], z = x - (mean of the points). A log
+density is linear in Phi, and a weighted fit needs only w @ Phi, so on a
+lifted input both `log_pdf` and `weighted_mle` are one matrix-vector product.
 """
 
 from __future__ import annotations
@@ -45,6 +51,31 @@ def regularize(cov: np.ndarray, epsilon: float) -> np.ndarray:
             return candidate
 
 
+class Lifted:
+    """An (n, m) point set lifted once to its Gaussian sufficient statistics.
+
+    ``phi`` is (n, K) with K = 1 + m + m(m+1)/2: a column of ones, the
+    centred points z = x - ``center``, then z_i * z_j for i <= j in row-major
+    order. Centring on the points' mean keeps the raw second moments close
+    to the covariances they stand for.
+    """
+
+    def __init__(self, points: np.ndarray) -> None:
+        pts = np.asarray(points, dtype=float)
+        if pts.ndim != 2 or pts.shape[0] == 0:
+            raise DimError(f"cannot lift points of shape {pts.shape}; need a non-empty (n, m) array")
+        n, m = pts.shape
+        self.shape = (n, m)
+        self.center = pts.mean(axis=0)
+        self.pairs = np.triu_indices(m)
+        self.phi = np.empty((n, 1 + m + self.pairs[0].size))
+        self.phi[:, 0] = 1.0
+        z = self.phi[:, 1 : 1 + m]
+        np.subtract(pts, self.center, out=z)
+        for k, (i, j) in enumerate(zip(*self.pairs), start=1 + m):
+            np.multiply(z[:, i], z[:, j], out=self.phi[:, k])
+
+
 @dataclass
 class GaussianParams:
     """Mean vector and positive-definite covariance of one class's feature distribution.
@@ -84,8 +115,23 @@ class GaussianParams:
         return self.mean.size
 
 
-def log_pdf(g: GaussianParams, x: np.ndarray) -> np.ndarray | float:
-    """Log density ln N(x; mean, cov), for a single vector or a (n, m) batch."""
+def _theta(g: GaussianParams, lifted: Lifted) -> np.ndarray:
+    """Coefficients of ln N(x; mean, cov) on the lifted coordinates, so the
+    log density is ``lifted.phi @ theta``."""
+    d = g.mean - lifted.center
+    prec = g._chol_inv.T @ g._chol_inv
+    prec_d = prec @ d
+    # z_i z_j appears once for i < j, so its coefficient carries both P_ij and P_ji.
+    quad = -0.5 * (2.0 - np.eye(g.dim)) * prec
+    return np.concatenate([[g._log_norm - 0.5 * float(d @ prec_d)], prec_d, quad[lifted.pairs]])
+
+
+def log_pdf(g: GaussianParams, x: np.ndarray | Lifted) -> np.ndarray | float:
+    """Log density ln N(x; mean, cov), for a single vector, a (n, m) batch or a `Lifted` batch."""
+    if isinstance(x, Lifted):
+        if x.shape[1] != g.dim:
+            raise DimError(f"point dimension {x.shape} does not match Gaussian dimension {g.dim}")
+        return x.phi @ _theta(g, x)
     x = np.asarray(x, dtype=float)
     single = x.ndim == 1
     pts = np.atleast_2d(x)
@@ -97,19 +143,22 @@ def log_pdf(g: GaussianParams, x: np.ndarray) -> np.ndarray | float:
     return float(out[0]) if single else out
 
 
-def weighted_mle(points: np.ndarray, weights: np.ndarray) -> GaussianParams:
+def weighted_mle(points: np.ndarray | Lifted, weights: np.ndarray) -> GaussianParams:
     """Weighted maximum-likelihood Gaussian fit.
 
     Mean is the weighted average; covariance is the weighted outer-product
     average around that mean, then jittered through `regularize` so the
-    result always factorizes.
+    result always factorizes. On a `Lifted` input both come from w @ phi.
     """
-    try:
-        pts = np.asarray(points, dtype=float)
-    except ValueError as exc:
-        raise DimError("points do not share a common dimension") from exc
-    if pts.ndim != 2:
-        pts = np.atleast_2d(pts.reshape(len(pts), -1))
+    if isinstance(points, Lifted):
+        pts = points
+    else:
+        try:
+            pts = np.asarray(points, dtype=float)
+        except ValueError as exc:
+            raise DimError("points do not share a common dimension") from exc
+        if pts.ndim != 2:
+            pts = np.atleast_2d(pts.reshape(len(pts), -1))
     w = np.asarray(weights, dtype=float).reshape(-1)
     if w.shape[0] != pts.shape[0]:
         raise DimError(f"{pts.shape[0]} points but {w.shape[0]} weights")
@@ -118,9 +167,19 @@ def weighted_mle(points: np.ndarray, weights: np.ndarray) -> GaussianParams:
     total = float(w.sum())
     if not total > 0.0:
         raise DegenerateError("total weight is zero")
-    mean = (w @ pts) / total
-    centered = pts - mean
-    cov = (centered * w[:, None]).T @ centered / total
-    cov = (cov + cov.T) / 2.0
+    if isinstance(pts, Lifted):
+        m = pts.shape[1]
+        moments = (w @ pts.phi) / total
+        offset = moments[1 : 1 + m]
+        mean = pts.center + offset
+        cov = np.empty((m, m))
+        cov[pts.pairs] = moments[1 + m :]
+        cov.T[pts.pairs] = moments[1 + m :]
+        cov -= np.outer(offset, offset)
+    else:
+        mean = (w @ pts) / total
+        centered = pts - mean
+        cov = (centered * w[:, None]).T @ centered / total
+        cov = (cov + cov.T) / 2.0
     cov = regularize(cov, _base_epsilon(cov))
     return GaussianParams(mean, cov)

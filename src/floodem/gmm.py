@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DegenerateError, FormatError, InitError, IoError, SpecError
-from .gaussian import GaussianParams, log_pdf, weighted_mle
+from .gaussian import GaussianParams, Lifted, log_pdf, weighted_mle
 from .grid import LabelSet, RasterScene, read_key_values, write_lines
 
 
@@ -181,7 +181,7 @@ def em_fit(
     ``callback(iteration, model)``, when given, fires for the initial model
     (iteration 0) and after every M-step.
     """
-    feats = scene.feature_matrix(use_elevation)
+    feats = Lifted(scene.feature_matrix(use_elevation))
     n = feats.shape[0]
     flat, cls = labels.flat_indices(scene.width, scene.height)
 

@@ -26,7 +26,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import DataError, DegenerateError, DimError, FormatError
-from .gaussian import GaussianParams, log_pdf, weighted_mle
+from .gaussian import GaussianParams, Lifted, log_pdf, weighted_mle
 from .grid import LabelSet, RasterScene, neighbor_slices
 from .gmm import (
     EmTrace,
@@ -165,15 +165,13 @@ def build_flow_tree(elevation: np.ndarray, neighborhood: int = 8) -> FlowTree:
     return FlowTree.from_parents(best_idx.ravel())
 
 
-def _log_emissions(model: HmtModel, tree: FlowTree, features: np.ndarray) -> np.ndarray:
-    feats = np.asarray(features, dtype=float)
-    if feats.ndim != 2 or feats.shape[1] != model.dim:
-        raise DimError(f"features shape {feats.shape} does not match emission dimension {model.dim}")
-    if feats.shape[0] != tree.n_nodes:
-        raise DimError(f"{feats.shape[0]} feature rows for {tree.n_nodes} tree nodes")
-    return np.stack(
-        [log_pdf(model.components[0], feats), log_pdf(model.components[1], feats)], axis=1
-    )
+def _log_emissions(model: HmtModel, tree: FlowTree, features: np.ndarray | Lifted) -> np.ndarray:
+    shape = np.shape(features)
+    if len(shape) != 2 or shape[1] != model.dim:
+        raise DimError(f"features shape {shape} does not match emission dimension {model.dim}")
+    if shape[0] != tree.n_nodes:
+        raise DimError(f"{shape[0]} feature rows for {tree.n_nodes} tree nodes")
+    return np.stack([log_pdf(g, features) for g in model.components], axis=1)
 
 
 def _shift(values: np.ndarray, nodes: np.ndarray) -> float:
@@ -238,7 +236,7 @@ def e_step(model: HmtModel, tree: FlowTree, features: np.ndarray) -> TreePosteri
 def m_step(
     posteriors: TreePosteriors,
     tree: FlowTree,
-    features: np.ndarray,
+    features: np.ndarray | Lifted,
     prev_rho: float | None = None,
 ) -> HmtModel:
     """Closed-form parameter update from tree posteriors.
@@ -266,7 +264,7 @@ def m_step(
 
 
 def expected_complete_loglik(
-    posteriors: TreePosteriors, model: HmtModel, tree: FlowTree, features: np.ndarray
+    posteriors: TreePosteriors, model: HmtModel, tree: FlowTree, features: np.ndarray | Lifted
 ) -> float:
     """Posterior expectation of the complete-data log likelihood.
 
@@ -312,7 +310,7 @@ def em_fit(
     message passing. ``callback(iteration, model)`` mirrors the GMM hook.
     """
     elevation = scene.elevation()
-    features = scene.feature_matrix(use_elevation=False)
+    features = Lifted(scene.feature_matrix(use_elevation=False))
     tree = build_flow_tree(elevation, neighborhood)
     components, _ = class_params_from_labels(scene, labels, use_elevation=False)
     model = HmtModel(rho=rho_init, pi1=pi_init, components=components, neighborhood=neighborhood)

@@ -4,7 +4,7 @@ from dataclasses import fields
 import numpy as np
 import pytest
 
-from floodem import cli, hmt
+from floodem import cli, gaussian, hmt
 from floodem.errors import SpecError
 from floodem.grid import RasterScene, load_scene, save_scene
 
@@ -415,7 +415,7 @@ def test_sweep_labels_handles_tiny_ratios(workdir, tmp_path):
 def test_verify_passes_on_fresh_build(capsys):
     assert cli.run_verify(n_trees=20, seed=3) is True
     out = capsys.readouterr().out
-    assert out.count("ok  ") == 4
+    assert out.count("ok  ") == 5
 
 
 def test_verify_catches_corrupted_transition_update(monkeypatch):
@@ -430,6 +430,19 @@ def test_verify_catches_corrupted_transition_update(monkeypatch):
     sink = io.StringIO()
     assert cli.run_verify(n_trees=10, seed=0, out=sink) is False
     assert "FAIL transition update" in sink.getvalue()
+
+
+def test_verify_catches_a_corrupted_lift(monkeypatch):
+    real = gaussian.Lifted.__init__
+
+    def corrupted(self, points):
+        real(self, points)
+        self.phi[:, -1] *= 1.0 + 1e-6
+
+    monkeypatch.setattr(gaussian.Lifted, "__init__", corrupted)
+    sink = io.StringIO()
+    assert cli.run_verify(n_trees=10, seed=0, out=sink) is False
+    assert "FAIL lifted Gaussian" in sink.getvalue()
 
 
 def test_config_file_with_flag_override(workdir, tmp_path):

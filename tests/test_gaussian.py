@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from floodem.errors import DataError, DegenerateError, DimError
-from floodem.gaussian import GaussianParams, log_pdf, regularize, weighted_mle
+from floodem.gaussian import GaussianParams, Lifted, log_pdf, regularize, weighted_mle
 
 
 def test_log_pdf_standard_normal_at_mode():
@@ -130,3 +130,66 @@ def test_gaussian_params_symmetrizes_and_repairs():
     np.testing.assert_array_equal(g.cov, g.cov.T)
     singular = GaussianParams(np.zeros(2), np.array([[1.0, 1.0], [1.0, 1.0]]))
     np.linalg.cholesky(singular.cov)
+
+
+def _scaled_points(rng, n, m, offset, scale):
+    """Correlated points whose channels differ in scale by up to 100x."""
+    mix = rng.normal(size=(m, m)) + 2.0 * np.eye(m)
+    scales = scale * 10.0 ** rng.uniform(-1.0, 1.0, size=m)
+    return (rng.normal(size=(n, m)) @ mix) * scales + offset * rng.uniform(-1.0, 1.0, size=m)
+
+
+def test_lifted_columns_are_ones_centred_points_and_pair_products():
+    pts = np.array([[1.0, 2.0], [3.0, 6.0], [5.0, 7.0]])
+    lift = Lifted(pts)
+    z = pts - [3.0, 5.0]
+    expected = np.column_stack([np.ones(3), z, z[:, 0] ** 2, z[:, 0] * z[:, 1], z[:, 1] ** 2])
+    assert lift.shape == (3, 2)
+    np.testing.assert_array_equal(lift.center, [3.0, 5.0])
+    np.testing.assert_array_equal(lift.phi, expected)
+
+
+@pytest.mark.parametrize("m", [1, 2, 3, 4])
+def test_lifted_path_matches_raw_points(m):
+    rng = np.random.default_rng(100 + m)
+    for offset in (0.0, 1e3, 1e6):
+        for scale in (1e-3, 1.0, 1e3):
+            pts = _scaled_points(rng, 300, m, offset, scale)
+            w = rng.uniform(size=300) ** 4  # soft weights concentrated like EM responsibilities
+            lift = Lifted(pts)
+            raw, lifted = weighted_mle(pts, w), weighted_mle(lift, w)
+            sd = np.sqrt(np.diag(raw.cov))
+            assert np.max(np.abs(lifted.mean - raw.mean) / (np.abs(raw.mean) + sd)) <= 1e-12
+            assert np.max(np.abs(lifted.cov - raw.cov) / np.outer(sd, sd)) <= 1e-10
+            for g in (raw, weighted_mle(pts, rng.uniform(size=300))):
+                ref = log_pdf(g, pts)
+                assert np.max(np.abs(log_pdf(g, lift) - ref) / (1.0 + np.abs(ref))) <= 1e-10
+
+
+@pytest.mark.parametrize("value", [0.1, 3.0, 1e6 + 0.1])
+def test_lifted_constant_channel_gets_the_same_jitter(rng, value):
+    pts = np.column_stack([rng.normal(size=(40, 2)), np.full(40, value)])
+    w = rng.uniform(size=40)
+    raw, lifted = weighted_mle(pts, w), weighted_mle(Lifted(pts), w)
+    jitter = 1e-9 * np.trace(np.cov(pts[:, :2].T, aweights=w, bias=True)) / 3.0
+    # The raw path's variance keeps the square of its mean's rounding error
+    # (about 1e-20 at 1e6), so only the lifted one is the jitter to the last bits.
+    assert lifted.cov[2, 2] == pytest.approx(jitter, rel=1e-12, abs=0.0)
+    assert raw.cov[2, 2] == pytest.approx(jitter, rel=1e-9, abs=0.0)
+    sd = np.sqrt(np.diag(raw.cov))
+    assert np.max(np.abs(lifted.cov - raw.cov) / np.outer(sd, sd)) <= 1e-9
+    assert lifted.mean[2] == pytest.approx(value, rel=1e-15, abs=0.0)
+
+
+def test_lifted_path_keeps_every_input_check():
+    lift = Lifted(np.array([[1.0], [2.0]]))
+    with pytest.raises(DimError):
+        weighted_mle(lift, np.array([1.0]))
+    with pytest.raises(DataError):
+        weighted_mle(lift, np.array([1.0, -1.0]))
+    with pytest.raises(DegenerateError):
+        weighted_mle(lift, np.array([0.0, 0.0]))
+    with pytest.raises(DimError):
+        log_pdf(GaussianParams(np.zeros(2), np.eye(2)), lift)
+    with pytest.raises(DimError):
+        Lifted(np.zeros((0, 2)))

@@ -461,6 +461,22 @@ def test_clamped_labels_pin_posteriors(small_scene):
     np.testing.assert_allclose(marginal[flat], cls.astype(float), atol=1e-12)
 
 
+def test_contradictory_clamped_labels_are_a_data_error(small_scene):
+    scene, labels = small_scene
+    tree = build_flow_tree(scene.elevation())
+    child = int(np.flatnonzero(tree.parent >= 0)[0])
+    parent = int(tree.parent[child])
+    # A flood label under a dry-labeled parent: both of the parent's classes
+    # have zero likelihood once the child's evidence reaches it.
+    pair = {divmod(child, scene.width): 1, divmod(parent, scene.width): 0}
+    entries = [(r, c, y) for r, c, y in labels.entries if (r, c) not in pair]
+    entries += [(r, c, y) for (r, c), y in pair.items()]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DataError, match="contradictory clamped evidence"):
+            em_fit(scene, LabelSet(entries), clamp_labels=True, max_iter=3)
+
+
 # --- map_decode ---
 
 
