@@ -152,7 +152,7 @@ def _load_grid(path: str) -> np.ndarray:
 
 def _load_any_model(path: str):
     """A tree model if the file has a rho key, else a mixture model."""
-    kv = gmm._parse_model_file(path)
+    kv = hmt._parse_model_file(path)
     return (hmt if "rho" in kv else gmm).model_from_kv(kv, path)
 
 
@@ -424,9 +424,9 @@ def run_verify(n_trees: int = 100, seed: int = 0, out=None) -> bool:
     out = out or sys.stdout
     rng = np.random.default_rng(seed)
     instances = []
-    for _ in range(n_trees):
+    for k in range(n_trees):
         n = int(rng.integers(2, 13))
-        instances.append(oracle.random_tree_instance(rng, n))
+        instances.append(oracle.random_tree_instance(rng, n, all_roots=k % 10 == 9))
 
     all_ok = True
 
@@ -461,10 +461,10 @@ def run_verify(n_trees: int = 100, seed: int = 0, out=None) -> bool:
     worst_gap = 0.0
     grid_rho = np.linspace(0.01, 0.999, 25)
     for model, tree, feats in instances[: min(25, n_trees)]:
-        if not np.any(tree.parent >= 0):
+        if not tree.has_edges:
             continue
         post = hmt.e_step(model, tree, feats)
-        new = hmt.m_step(post, tree, feats, prev_rho=model.rho)
+        new = hmt.m_step(post, feats, model)
         q_hat = hmt.expected_complete_loglik(post, new, tree, feats)
         for r in grid_rho:
             trial = hmt.HmtModel(rho=float(r), pi1=new.pi1, components=new.components)

@@ -98,19 +98,25 @@ def gmm_loglik(model, scene, labels, use_elevation: bool) -> float:
     return total
 
 
-def random_tree_instance(rng: np.random.Generator, n_nodes: int, feature_dim: int | None = None):
+def random_tree_instance(
+    rng: np.random.Generator, n_nodes: int, feature_dim: int | None = None, all_roots: bool = False
+):
     """Random small forest + model + features for oracle-equivalence checks.
 
-    Keeps rho in [0.5, 1] (including the exact structural-zero endpoint with
-    small probability) and draws Gaussian emissions per class.
+    Node ids are shuffled, so a parent's id may follow its child's;
+    ``all_roots`` makes the forest edgeless. Keeps rho in [0.5, 1] (including
+    the exact structural-zero endpoint with small probability) and draws
+    Gaussian emissions per class.
     """
     from .hmt import FlowTree, HmtModel  # type reuse only; no algorithm sharing
 
     parent = np.full(n_nodes, -1, dtype=np.int64)
     for node in range(1, n_nodes):
-        if rng.random() < 0.15:
+        if all_roots or rng.random() < 0.15:
             continue  # extra root: exercise forests, not just single trees
         parent[node] = rng.integers(0, node)
+    label = rng.permutation(n_nodes)
+    parent[label] = np.where(parent >= 0, label[parent], -1)
     tree = FlowTree.from_parents(parent)
 
     dim = feature_dim if feature_dim is not None else int(rng.integers(1, 4))

@@ -1,4 +1,5 @@
 import io
+import warnings
 from dataclasses import fields
 
 import numpy as np
@@ -117,6 +118,27 @@ def test_train_hmt_trace_starts_at_reference_defaults(workdir, tmp_path):
     first = lines[1].split(",")
     assert float(first[1]) == 0.99
     assert float(first[2]) == 0.5
+
+
+@pytest.mark.parametrize("method", ["gmm", "gmm-elev"])
+def test_mixture_fits_write_no_rho(workdir, tmp_path, method):
+    # the mixture is EM on the edgeless forest: no edge, so no rho anywhere
+    out = tmp_path / "run"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rc = cli.main(
+            [
+                "train", "--method", method,
+                "--scene", str(workdir / "scene.sgrid"),
+                "--labels", str(workdir / "labels.txt"),
+                "--out", str(out),
+            ]
+        )
+    assert rc == 0
+    keys = [line.split("=")[0] for line in (out / "model.txt").read_text().splitlines()]
+    assert "pi1" in keys and "rho" not in keys
+    header = (out / "trace.csv").read_text().splitlines()[0].split(",")
+    assert header[:2] == ["iter", "pi1"] and "rho" not in header
 
 
 def test_train_gmm_trace_is_monotone(workdir, tmp_path):
@@ -421,8 +443,10 @@ def test_verify_passes_on_fresh_build(capsys):
 def test_verify_catches_corrupted_transition_update(monkeypatch):
     real = hmt.m_step
 
-    def corrupted(posteriors, tree, features, prev_rho=None):
-        model = real(posteriors, tree, features, prev_rho=prev_rho)
+    def corrupted(posteriors, features, model):
+        model = real(posteriors, features, model)
+        if not isinstance(model, hmt.HmtModel):
+            return model  # the mixture's update has no rho to bend
         bent = min(max(model.rho * 0.6, 1e-6), 1.0)
         return hmt.HmtModel(rho=bent, pi1=model.pi1, components=model.components)
 

@@ -13,17 +13,25 @@ from floodem.gmm import (
     infer,
     init_from_labels,
     load_model,
-    posterior,
-    run_em,
     save_model,
+    score_grid,
 )
 from floodem.grid import LabelSet, RasterScene, SceneSpec, generate_scene, sample_labels
+from floodem.hmt import run_em
 
 
 def _line_scene(values, truth=None):
-    values = np.asarray(values, dtype=float)
+    """A 1 x n scene from n values, or from n points of m channels."""
+    chans = np.asarray(values, dtype=float).reshape(len(values), -1).T
     t = None if truth is None else np.asarray([truth], dtype=np.uint8)
-    return RasterScene(width=values.size, height=1, channels=1, data=values[None, None, :], truth=t)
+    return RasterScene(
+        width=chans.shape[1], height=1, channels=chans.shape[0], data=chans[:, None, :], truth=t
+    )
+
+
+def _posterior(model, values):
+    """Flood posteriors of the pixels of a line scene, through the mixture's E-step."""
+    return score_grid(model, _line_scene(values), use_elevation=False)[0]
 
 
 def test_init_from_labels_two_point_means():
@@ -60,12 +68,12 @@ def _sym_model():
 
 
 def test_posterior_symmetry_point():
-    assert posterior(_sym_model(), np.array([0.0])) == pytest.approx(0.5, abs=1e-12)
+    assert _posterior(_sym_model(), [0.0])[0] == pytest.approx(0.5, abs=1e-12)
 
 
 def test_posterior_degenerate_prior():
     model = GmmModel(pi1=1.0, components=_sym_model().components)
-    assert posterior(model, np.array([3.3])) == 1.0
+    assert _posterior(model, [3.3])[0] == 1.0
 
 
 def test_posterior_matches_direct_evaluation():
@@ -78,7 +86,7 @@ def test_posterior_matches_direct_evaluation():
         ),
     )
     expected = 1.0 / (1.0 + math.exp(4.0))
-    assert posterior(model, np.array([1.0])) == pytest.approx(expected, abs=1e-12)
+    assert _posterior(model, [1.0])[0] == pytest.approx(expected, abs=1e-12)
 
 
 def test_posterior_complement_sums_to_one(rng):
@@ -90,13 +98,13 @@ def test_posterior_complement_sums_to_one(rng):
         ),
     )
     swapped = GmmModel(pi1=0.7, components=(model.components[1], model.components[0]))
-    for x in rng.normal(size=(20, 2)) * 3.0:
-        assert posterior(model, x) + posterior(swapped, x) == pytest.approx(1.0, abs=1e-12)
+    x = rng.normal(size=(20, 2)) * 3.0
+    np.testing.assert_allclose(_posterior(model, x) + _posterior(swapped, x), 1.0, atol=1e-12)
 
 
 def test_posterior_dim_mismatch():
     with pytest.raises(DimError):
-        posterior(_sym_model(), np.zeros(2))
+        _posterior(_sym_model(), np.zeros((1, 2)))
 
 
 def test_em_default_hyperparameters():

@@ -1,11 +1,15 @@
+import dataclasses
 import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from floodem import oracle
-from floodem.errors import DataError, DegenerateError, FormatError, InitError, SpecError
+from floodem.errors import DataError, FloodemError, FormatError, InitError, SpecError
 from floodem.gaussian import GaussianParams, regularize
+from floodem.gmm import GmmModel
 from floodem.grid import LabelSet, RasterScene, SceneSpec, generate_scene
 from floodem.hmt import (
     FlowTree,
@@ -192,7 +196,7 @@ def test_deep_chain_stays_finite_and_monotone():
     assert np.all((post.marginal >= 0.0) & (post.marginal <= 1.0))
     from floodem.hmt import _log_emissions, _upward
 
-    _, loglik = _upward(model, tree, _log_emissions(model, tree, feats))
+    loglik = _upward(model, tree, _log_emissions(model, tree, feats, tree.order))
     assert np.isfinite(loglik)
     dec = map_decode(model, tree, feats)
     nonroot = tree.parent >= 0
@@ -261,8 +265,9 @@ def test_hard_transition_with_a_clamped_dry_leaf_gives_exact_zeros():
     model = HmtModel(rho=1.0, pi1=0.5, components=(_gauss(0.0), _gauss(1.0)))
     tree = FlowTree.from_parents(np.array([-1, 0, 1]))
     log_em = _log_emissions(model, tree, np.ones((3, 1)))
-    log_em[2, 1] = -np.inf
-    u, _ = _upward(model, tree, log_em)
+    log_em[1, 2] = -np.inf
+    u = log_em[:, tree.order]
+    _upward(model, tree, u)
     np.testing.assert_array_equal(_downward(model, tree, u), [0.0, 0.0, 0.0])
 
 
@@ -322,7 +327,8 @@ def test_m_step_rho_is_a_count_ratio(rng):
     feats = rng.normal(size=(n_children + 1, 2))
     marginal = np.array([1.0] + [1.0] * k + [0.0] * (n_children - k))
     post = TreePosteriors(marginal=marginal, parent=tree.parent)
-    model = m_step(post, tree, feats)
+    g = GaussianParams(np.zeros(2), np.eye(2))
+    model = m_step(post, feats, HmtModel(rho=0.5, pi1=0.5, components=(g, g)))
     assert model.rho == pytest.approx(k / n_children, abs=1e-15)
     assert model.pi1 == 1.0  # single root, flooded
 
@@ -330,9 +336,10 @@ def test_m_step_rho_is_a_count_ratio(rng):
 def test_m_step_pi_is_average_root_marginal(rng):
     tree = FlowTree.from_parents(np.array([-1, -1, -1]))
     post = TreePosteriors(marginal=np.array([0.3, 0.3, 0.3]), parent=tree.parent)
+    g = GaussianParams(np.zeros(2), np.eye(2))
     with warnings.catch_warnings():
-        warnings.simplefilter("ignore")  # no edges -> rho kept
-        model = m_step(post, tree, rng.normal(size=(3, 2)), prev_rho=0.7)
+        warnings.simplefilter("error")  # no edges: rho is left alone, without a warning
+        model = m_step(post, rng.normal(size=(3, 2)), HmtModel(rho=0.7, pi1=0.5, components=(g, g)))
     assert model.pi1 == pytest.approx(0.3, abs=1e-15)
     assert model.rho == 0.7
 
@@ -342,17 +349,16 @@ def test_m_step_requires_prev_rho_when_degenerate(rng):
     tree = FlowTree.from_parents(np.array([-1, 0, -1]))
     post = TreePosteriors(marginal=np.array([0.0, 0.0, 0.4]), parent=tree.parent)
     np.testing.assert_array_equal(post.pairwise[1], [[1.0, 0.0], [0.0, 0.0]])  # all mass on dry/dry
-    with pytest.raises(DegenerateError):
-        m_step(post, tree, rng.normal(size=(3, 1)))
-    with pytest.warns(UserWarning):
-        model = m_step(post, tree, rng.normal(size=(3, 1)), prev_rho=0.9)
+    prev = HmtModel(rho=0.9, pi1=0.5, components=(_gauss(0.0), _gauss(1.0)))
+    with pytest.warns(UserWarning, match="keeping previous rho"):
+        model = m_step(post, rng.normal(size=(3, 1)), prev)
     assert model.rho == 0.9
 
 
 def test_m_step_moments_match_independent_formulas(rng):
     model, tree, feats = oracle.random_tree_instance(rng, 10, feature_dim=2)
     post = e_step(model, tree, feats)
-    new = m_step(post, tree, feats, prev_rho=model.rho)
+    new = m_step(post, feats, model)
     for cls in (0, 1):
         w = post.marginal if cls == 1 else 1.0 - post.marginal
         mean = (w[:, None] * feats).sum(axis=0) / w.sum()
@@ -375,7 +381,7 @@ def test_uninformative_emissions_with_hard_transition():
     model = HmtModel(rho=1.0, pi1=0.4, components=(g, g))
     post = e_step(model, tree, feats)
     np.testing.assert_allclose(post.marginal, 0.4, atol=1e-12)
-    new = m_step(post, tree, feats, prev_rho=1.0)
+    new = m_step(post, feats, model)
     np.testing.assert_allclose(new.components[0].mean, new.components[1].mean, atol=1e-12)
 
 
@@ -455,26 +461,86 @@ def test_clamped_labels_pin_posteriors(small_scene):
     tree = build_flow_tree(scene.elevation())
     log_em = _log_emissions(model, tree, feats)
     flat, cls = labels.flat_indices(scene.width, scene.height)
-    log_em[flat, 1 - cls] = -np.inf
-    u, _ = _upward(model, tree, log_em)
-    marginal = _downward(model, tree, u)
+    log_em[1 - cls, flat] = -np.inf
+    u = log_em[:, tree.order]
+    _upward(model, tree, u)
+    marginal = _downward(model, tree, u)[tree.position]
     np.testing.assert_allclose(marginal[flat], cls.astype(float), atol=1e-12)
 
 
 def test_contradictory_clamped_labels_are_a_data_error(small_scene):
     scene, labels = small_scene
     tree = build_flow_tree(scene.elevation())
-    child = int(np.flatnonzero(tree.parent >= 0)[0])
-    parent = int(tree.parent[child])
+    nonroot = tree.parent >= 0
+    parent_is_root = tree.parent[np.maximum(tree.parent, 0)] < 0
     # A flood label under a dry-labeled parent: both of the parent's classes
-    # have zero likelihood once the child's evidence reaches it.
-    pair = {divmod(child, scene.width): 1, divmod(parent, scene.width): 0}
-    entries = [(r, c, y) for r, c, y in labels.entries if (r, c) not in pair]
-    entries += [(r, c, y) for (r, c), y in pair.items()]
+    # have zero likelihood once the child's evidence reaches it. The upward
+    # pass checks the roots apart from the levels below them, so the parent
+    # is a root in one case and a non-root in the other.
+    for under_root, where in ((True, "a root"), (False, "a node")):
+        child = int(np.flatnonzero(nonroot & (parent_is_root == under_root))[0])
+        parent = int(tree.parent[child])
+        pair = {divmod(child, scene.width): 1, divmod(parent, scene.width): 0}
+        entries = [(r, c, y) for r, c, y in labels.entries if (r, c) not in pair]
+        entries += [(r, c, y) for (r, c), y in pair.items()]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DataError, match=f"contradictory clamped evidence: {where}"):
+                em_fit(scene, LabelSet(entries), clamp_labels=True, max_iter=3)
+
+
+def test_fit_on_a_constant_dem_keeps_rho_without_a_warning(small_scene):
+    # a constant DEM is an all-root flow forest: no edge to update rho from
+    scene, labels = small_scene
+    data = scene.data.copy()
+    data[scene.elevation_channel] = 1.0
+    flat = dataclasses.replace(scene, data=data)
+    assert not build_flow_tree(flat.elevation()).has_edges
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        with pytest.raises(DataError, match="contradictory clamped evidence"):
-            em_fit(scene, LabelSet(entries), clamp_labels=True, max_iter=3)
+        model, trace = em_fit(flat, labels, max_iter=3, tol=0.0)
+    assert trace.has_rho and len(trace.rows) == 4
+    assert model.rho == 0.99 and all(row.rho == 0.99 for row in trace.rows)
+
+
+@settings(derandomize=True, max_examples=120, deadline=None, database=None)
+@given(
+    kind=st.sampled_from(["edgeless", "chain", "random"]),
+    rho=st.sampled_from([1e-12, 1.0]),
+    pi1=st.sampled_from([0.0, 1.0]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_extreme_models_give_finite_results_or_typed_errors(kind, rho, pi1, seed):
+    """rho and pi1 at their extremes, on the edgeless forest with a mixture
+    model, a chain and a random forest: every result is finite, or a typed
+    error, and nothing emits a numpy warning."""
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(1, 9))
+    base, tree, feats = oracle.random_tree_instance(rng, n)
+    if kind == "edgeless":
+        tree, model = FlowTree.edgeless(n), GmmModel(pi1=pi1, components=base.components)
+    else:
+        if kind == "chain":
+            tree = FlowTree.from_parents(np.arange(n) - 1)
+        model = HmtModel(rho=rho, pi1=pi1, components=base.components)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        # the documented outcome of an update with no flood mass on any parent
+        warnings.filterwarnings("ignore", "no posterior mass on flooded parents", UserWarning)
+        post = e_step(model, tree, feats)
+        assert np.all((post.marginal >= 0.0) & (post.marginal <= 1.0))
+        dec = map_decode(model, tree, feats)
+        nonroot = tree.parent >= 0
+        assert not np.any((dec[nonroot] == 1) & (dec[tree.parent[nonroot]] == 0))
+        assert np.isfinite(expected_complete_loglik(post, model, tree, feats))
+        try:
+            new = m_step(post, feats, model)
+        except FloodemError:
+            return
+    assert type(new) is type(model) and 0.0 <= new.pi1 <= 1.0
+    assert kind == "edgeless" or 1e-12 <= new.rho <= 1.0
+    for g in new.components:
+        assert np.all(np.isfinite(g.mean)) and np.all(np.isfinite(g.cov))
 
 
 # --- map_decode ---
@@ -516,7 +582,7 @@ def test_decode_matches_enumeration(rng):
         value = assignment_log_joint(model, tree, feats, dec)
         assert value == pytest.approx(ov, abs=1e-9)
         # the max-sum upward pass alone already yields the MAP log joint
-        _, map_value = _upward(model, tree, _log_emissions(model, tree, feats), np.maximum)
+        map_value = _upward(model, tree, _log_emissions(model, tree, feats, tree.order), np.maximum)
         assert map_value == pytest.approx(ov, abs=1e-9)
 
 
