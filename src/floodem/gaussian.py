@@ -6,9 +6,10 @@ collapse during EM can leave near-singular covariance estimates.
 
 EM evaluates and refits the same Gaussians over the same points in every
 iteration, so it first lifts the points once (`Lifted`) to
-Phi = [1, z, z_i z_j for i <= j], z = x - (mean of the points). A log
-density is linear in Phi, and a weighted fit needs only w @ Phi, so on a
-lifted input both `log_pdf` and `weighted_mle` are one matrix-vector product.
+Phi = [1, z, z_i z_j for i <= j], z = x - (mean of the points), stored one
+row per statistic. A log density is linear in Phi, and a weighted fit needs
+only Phi @ w, so on a lifted input both `log_pdf` and `weighted_mle` are one
+matrix-vector product over contiguous rows.
 """
 
 from __future__ import annotations
@@ -22,10 +23,16 @@ from .errors import DataError, DegenerateError, DimError
 _LOG_2PI = float(np.log(2.0 * np.pi))
 
 
-def _base_epsilon(cov: np.ndarray) -> float:
-    """Scale-aware jitter: 1e-9 of the mean diagonal entry, with an absolute floor."""
+def _base_epsilon(cov: np.ndarray, mean: np.ndarray) -> float:
+    """Scale-aware jitter: 1e-9 of the mean diagonal entry, with an absolute floor.
+
+    Fitting constant points leaves a trace made of the rounding of the mean
+    and of the centred points: a few ulps of |mean|, squared, or exactly 0.
+    That is no spread, so a trace up to (64 ulps of |mean|)^2 gets the
+    absolute floor too, whichever way the rounding fell.
+    """
     trace = float(np.trace(cov))
-    if trace > 0.0:
+    if trace > (64.0 * np.finfo(float).eps) ** 2 * float(mean @ mean):
         return 1e-9 * trace / cov.shape[0]
     return 1e-9
 
@@ -54,10 +61,11 @@ def regularize(cov: np.ndarray, epsilon: float) -> np.ndarray:
 class Lifted:
     """An (n, m) point set lifted once to its Gaussian sufficient statistics.
 
-    ``phi`` is (n, K) with K = 1 + m + m(m+1)/2: a column of ones, the
-    centred points z = x - ``center``, then z_i * z_j for i <= j in row-major
-    order. Centring on the points' mean keeps the raw second moments close
-    to the covariances they stand for.
+    ``phi`` is (K, n) with K = 1 + m + m(m+1)/2, one contiguous row per
+    statistic: a row of ones, the centred points z = x - ``center``, then
+    z_i * z_j for i <= j in row-major order. Centring on the points' mean
+    keeps the raw second moments close to the covariances they stand for.
+    ``shape`` is the (n, m) of the points, like a point array's.
     """
 
     def __init__(self, points: np.ndarray) -> None:
@@ -68,12 +76,12 @@ class Lifted:
         self.shape = (n, m)
         self.center = pts.mean(axis=0)
         self.pairs = np.triu_indices(m)
-        self.phi = np.empty((n, 1 + m + self.pairs[0].size))
-        self.phi[:, 0] = 1.0
-        z = self.phi[:, 1 : 1 + m]
-        np.subtract(pts, self.center, out=z)
+        self.phi = np.empty((1 + m + self.pairs[0].size, n))
+        self.phi[0] = 1.0
+        z = self.phi[1 : 1 + m]
+        np.subtract(pts.T, self.center[:, None], out=z)
         for k, (i, j) in enumerate(zip(*self.pairs), start=1 + m):
-            np.multiply(z[:, i], z[:, j], out=self.phi[:, k])
+            np.multiply(z[i], z[j], out=self.phi[k])
 
 
 @dataclass
@@ -103,7 +111,7 @@ class GaussianParams:
         try:
             chol = np.linalg.cholesky(cov)
         except np.linalg.LinAlgError:
-            cov = regularize(cov, _base_epsilon(cov))
+            cov = regularize(cov, _base_epsilon(cov, self.mean))
             chol = np.linalg.cholesky(cov)
         self.cov = cov
         self._chol = chol
@@ -117,7 +125,7 @@ class GaussianParams:
 
 def _theta(g: GaussianParams, lifted: Lifted) -> np.ndarray:
     """Coefficients of ln N(x; mean, cov) on the lifted coordinates, so the
-    log density is ``lifted.phi @ theta``."""
+    log density is ``theta @ lifted.phi``."""
     d = g.mean - lifted.center
     prec = g._chol_inv.T @ g._chol_inv
     prec_d = prec @ d
@@ -131,7 +139,7 @@ def log_pdf(g: GaussianParams, x: np.ndarray | Lifted) -> np.ndarray | float:
     if isinstance(x, Lifted):
         if x.shape[1] != g.dim:
             raise DimError(f"point dimension {x.shape} does not match Gaussian dimension {g.dim}")
-        return x.phi @ _theta(g, x)
+        return _theta(g, x) @ x.phi
     x = np.asarray(x, dtype=float)
     single = x.ndim == 1
     pts = np.atleast_2d(x)
@@ -148,7 +156,7 @@ def weighted_mle(points: np.ndarray | Lifted, weights: np.ndarray) -> GaussianPa
 
     Mean is the weighted average; covariance is the weighted outer-product
     average around that mean, then jittered through `regularize` so the
-    result always factorizes. On a `Lifted` input both come from w @ phi.
+    result always factorizes. On a `Lifted` input both come from phi @ w.
     """
     if isinstance(points, Lifted):
         pts = points
@@ -169,7 +177,7 @@ def weighted_mle(points: np.ndarray | Lifted, weights: np.ndarray) -> GaussianPa
         raise DegenerateError("total weight is zero")
     if isinstance(pts, Lifted):
         m = pts.shape[1]
-        moments = (w @ pts.phi) / total
+        moments = (pts.phi @ w) / total
         offset = moments[1 : 1 + m]
         mean = pts.center + offset
         cov = np.empty((m, m))
@@ -181,5 +189,5 @@ def weighted_mle(points: np.ndarray | Lifted, weights: np.ndarray) -> GaussianPa
         centered = pts - mean
         cov = (centered * w[:, None]).T @ centered / total
         cov = (cov + cov.T) / 2.0
-    cov = regularize(cov, _base_epsilon(cov))
+    cov = regularize(cov, _base_epsilon(cov, mean))
     return GaussianParams(mean, cov)

@@ -408,7 +408,8 @@ def save_scene(scene: RasterScene, path: str) -> None:
 
 
 def load_scene(path: str) -> RasterScene:
-    """Read a scene file; rejects bad magic, truncation, and trailing bytes."""
+    """Read a scene file; rejects bad magic, an empty or inconsistent header,
+    truncation, and trailing bytes before it builds any array."""
     try:
         with open(path, "rb") as fh:
             blob = fh.read()
@@ -421,12 +422,18 @@ def load_scene(path: str) -> RasterScene:
         raise FormatError(f"{path}: truncated header")
     width, height, channels, flags = _HEADER.unpack_from(blob, off)
     off += _HEADER.size
+    if min(width, height, channels) == 0:
+        raise FormatError(f"{path}: empty {width}x{height}x{channels} grid")
+    if flags & ~(_FLAG_ELEVATION | _FLAG_TRUTH):
+        raise FormatError(f"{path}: unknown flag bits {flags:#04x}")
     elevation_channel = None
     if flags & _FLAG_ELEVATION:
         if len(blob) < off + 4:
             raise FormatError(f"{path}: truncated elevation channel index")
         (elevation_channel,) = struct.unpack_from("<I", blob, off)
         off += 4
+        if elevation_channel >= channels:
+            raise FormatError(f"{path}: elevation channel {elevation_channel} of {channels} channels")
     n_data = width * height * channels
     if len(blob) < off + 8 * n_data:
         raise FormatError(f"{path}: truncated data payload")

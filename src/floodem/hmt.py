@@ -266,7 +266,21 @@ def _log_emissions(
     return np.stack([log_pdf(g, features)[rows] for g in model.components])
 
 
-def _upward(model: TwoClassModel, tree: FlowTree, u: np.ndarray, combine=np.logaddexp) -> float:
+def _logaddexp(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """ln(e^a + e^b) as max + log1p(exp(-|a - b|)), in whole-array passes
+    (numpy's logaddexp is a scalar loop); -inf where both are -inf, with no
+    numpy warning."""
+    hi = np.maximum(a, b)
+    d = np.minimum(a, b)
+    # Where hi is -inf so is d, and d - hi would be nan: leave d at -inf there.
+    np.subtract(d, hi, out=d, where=hi > -np.inf)
+    np.exp(d, out=d)
+    np.log1p(d, out=d)
+    hi += d
+    return hi
+
+
+def _upward(model: TwoClassModel, tree: FlowTree, u: np.ndarray, combine=_logaddexp) -> float:
     """Leaf-to-root pass of sum-product, or of max-sum when ``combine`` is np.maximum.
 
     ``u`` holds the (2, N) log emissions in ``tree``'s layout. In place, it
@@ -309,7 +323,7 @@ def _downward(model: TwoClassModel, tree: FlowTree, u: np.ndarray) -> np.ndarray
         u0, u1 = u[:, s:e]
         mp = marginal[tree.up[s:e]]
         # The message n sent its flooded parent, as _upward computed it.
-        to_wet = np.logaddexp(stay[0] + u0, stay[1] + u1)
+        to_wet = _logaddexp(stay[0] + u0, stay[1] + u1)
         # Where m_p = 0 the message may be -inf and the ratio nan; mask it.
         with np.errstate(invalid="ignore"):
             step = np.exp(np.minimum(stay[1] + u1 - to_wet, 0.0))

@@ -461,7 +461,7 @@ def test_verify_catches_a_corrupted_lift(monkeypatch):
 
     def corrupted(self, points):
         real(self, points)
-        self.phi[:, -1] *= 1.0 + 1e-6
+        self.phi[-1] *= 1.0 + 1e-6
 
     monkeypatch.setattr(gaussian.Lifted, "__init__", corrupted)
     sink = io.StringIO()

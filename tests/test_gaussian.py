@@ -143,9 +143,11 @@ def test_lifted_columns_are_ones_centred_points_and_pair_products():
     pts = np.array([[1.0, 2.0], [3.0, 6.0], [5.0, 7.0]])
     lift = Lifted(pts)
     z = pts - [3.0, 5.0]
-    expected = np.column_stack([np.ones(3), z, z[:, 0] ** 2, z[:, 0] * z[:, 1], z[:, 1] ** 2])
+    expected = np.vstack([np.ones(3), z.T, z[:, 0] ** 2, z[:, 0] * z[:, 1], z[:, 1] ** 2])
     assert lift.shape == (3, 2)
     np.testing.assert_array_equal(lift.center, [3.0, 5.0])
+    # Feature-major: one contiguous row of all points per statistic.
+    assert lift.phi.flags.c_contiguous
     np.testing.assert_array_equal(lift.phi, expected)
 
 
@@ -179,6 +181,18 @@ def test_lifted_constant_channel_gets_the_same_jitter(rng, value):
     sd = np.sqrt(np.diag(raw.cov))
     assert np.max(np.abs(lifted.cov - raw.cov) / np.outer(sd, sd)) <= 1e-9
     assert lifted.mean[2] == pytest.approx(value, rel=1e-15, abs=0.0)
+
+
+@pytest.mark.parametrize("value", [0.1, 3.0, 1e6 + 0.1])
+def test_constant_one_channel_fit_gets_the_absolute_floor(rng, value):
+    # The pre-jitter variance is rounding noise of the mean, so the jitter
+    # must not scale with it: both paths land on the absolute floor.
+    pts = np.full((50, 1), value)
+    for _ in range(50):
+        w = rng.uniform(size=50)
+        for fit in (weighted_mle(pts, w), weighted_mle(Lifted(pts), w)):
+            assert fit.cov[0, 0] == pytest.approx(1e-9, rel=1e-9, abs=0.0)
+            assert fit.mean[0] == pytest.approx(value, rel=1e-15, abs=0.0)
 
 
 def test_lifted_path_keeps_every_input_check():

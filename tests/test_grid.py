@@ -4,7 +4,7 @@ import struct
 import numpy as np
 import pytest
 
-from floodem import gmm, metrics
+from floodem import cli, gmm, metrics
 from floodem.errors import DataError, FormatError, IoError, SpecError
 from floodem.grid import (
     MAGIC,
@@ -88,6 +88,33 @@ def test_truncated_and_trailing_bytes(tmp_path):
     (tmp_path / "trail.sgrid").write_bytes(raw + b"\x00")
     with pytest.raises(FormatError):
         load_scene(str(tmp_path / "trail.sgrid"))
+
+
+def test_corrupt_scene_files_are_format_errors_and_exit_3(tmp_path, capsys):
+    scene = RasterScene(
+        width=3, height=2, channels=2, data=np.arange(12.0), elevation_channel=1,
+        truth=np.array([[0, 1, 0], [1, 1, 0]], dtype=np.uint8),
+    )
+    path = tmp_path / "s.sgrid"
+    save_scene(scene, str(path))
+    raw = path.read_bytes()
+    payload = raw[len(MAGIC) + 17 :]  # after the header and the elevation index
+    cases = [(f"truncated to {k} bytes", raw[:k]) for k in range(len(raw))]
+    cases.append(("one trailing byte", raw + b"\x00"))
+    big = 2**32 - 1
+    for w, h, c, flags in [(big, big, big, 0), (big, big, 3, 3), (65536, 65536, 4, 0), (3, 2, 3, 3),
+                           (3, 2, 0, 0), (big, big, 0, 0), (0, 2, 2, 3), (3, 0, 2, 2), (3, 2, 2, 0x83)]:
+        header = MAGIC + struct.pack("<IIIB", w, h, c, flags) + struct.pack("<I", 1) * (flags & 1)
+        cases += [(f"header {w}x{h}x{c} flags {flags:#x}", header + payload), (f"bare header {w}x{h}x{c}", header)]
+    cases.append(("elevation channel out of range", MAGIC + struct.pack("<IIIBI", 3, 2, 2, 3, 2) + payload))
+    train = ["train", "--method", "gmm", "--scene", str(path), "--ratio", "0.5", "--seed", "1",
+             "--out", str(tmp_path / "run")]
+    for what, blob in cases:
+        path.write_bytes(blob)
+        with pytest.raises(FormatError):
+            load_scene(str(path))
+        assert cli.main(train) == 3, what
+        assert str(path) in capsys.readouterr().err, what
 
 
 def test_non_finite_payload_rejected(tmp_path):

@@ -13,6 +13,7 @@ from floodem.gmm import GmmModel
 from floodem.grid import LabelSet, RasterScene, SceneSpec, generate_scene
 from floodem.hmt import (
     FlowTree,
+    _logaddexp,
     HmtModel,
     TreePosteriors,
     assignment_log_joint,
@@ -269,6 +270,31 @@ def test_hard_transition_with_a_clamped_dry_leaf_gives_exact_zeros():
     u = log_em[:, tree.order]
     _upward(model, tree, u)
     np.testing.assert_array_equal(_downward(model, tree, u), [0.0, 0.0, 0.0])
+
+
+def test_logaddexp_matches_numpy_within_rounding():
+    rng = np.random.default_rng(8)
+    n = 10**6
+
+    def spread():
+        return np.where(rng.uniform(size=n) < 0.5, -1.0, 1.0) * 10.0 ** rng.uniform(-3.0, 6.0, size=n)
+
+    a = spread()
+    # Half the pairs are independent, half lie within a spread of each other,
+    # so the log1p term runs over its whole range.
+    b = np.where(np.arange(n) < n // 2, spread(), a + spread())
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = _logaddexp(a, b)
+        x = np.array([-3.5, 0.0, 2.0, 1e6])
+        ninf = np.full(4, -np.inf)
+        assert np.all(_logaddexp(ninf, ninf) == -np.inf)
+        np.testing.assert_array_equal(_logaddexp(ninf, x), x)
+        np.testing.assert_array_equal(_logaddexp(x, ninf), x)
+        np.testing.assert_array_equal(_logaddexp(x, x), x + np.log(2.0))
+    eps = np.finfo(float).eps
+    bound = 4.0 * eps * (1.0 + np.maximum(np.abs(a), np.abs(b)))
+    assert np.all(np.abs(got - np.logaddexp(a, b)) <= bound)
 
 
 def test_pairwise_tables_consistent(rng):
