@@ -24,8 +24,7 @@ from .grid import (
     save_labels,
     save_scene,
 )
-from .gmm import EmTrace, GmmModel
-from .hmt import FlowTree, HmtModel, TreePosteriors, build_flow_tree, map_decode
+from .hmt import EmTrace, FlowTree, GmmModel, HmtModel, TreePosteriors, build_flow_tree, map_decode
 from .metrics import ClassReport, RocCurve, class_report, gamma_index, roc_auc, salt_pepper_count
 
 __version__ = "0.1.0"

@@ -150,12 +150,6 @@ def _load_grid(path: str) -> np.ndarray:
     return scene.data[0]
 
 
-def _load_any_model(path: str):
-    """A tree model if the file has a rho key, else a mixture model."""
-    kv = hmt._parse_model_file(path)
-    return (hmt if "rho" in kv else gmm).model_from_kv(kv, path)
-
-
 def _load_run_scene(
     path: str | None, parser: argparse.ArgumentParser, *, truth: bool = False
 ) -> RasterScene:
@@ -204,7 +198,7 @@ def _train(method: str, scene: RasterScene, labels: LabelSet, cfg: RunConfig, ru
     return fit
 
 
-def _gmm_use_elevation(model: gmm.GmmModel, scene: RasterScene) -> bool:
+def _gmm_use_elevation(model: hmt.GmmModel, scene: RasterScene) -> bool:
     """Recover the channel selection from the model dimension."""
     if model.dim == scene.channels:
         return True
@@ -286,7 +280,7 @@ def cmd_train(args, parser) -> int:
     model_path = _out_path(cfg.out, "model.txt")
     trace_path = _out_path(cfg.out, "trace.csv")
     model, trace = _train(cfg.method, scene, labels, cfg)
-    (hmt if isinstance(model, hmt.HmtModel) else gmm).save_model(model, model_path)
+    hmt.save_model(model, model_path)
     trace.to_csv(trace_path)
     last = trace.rows[-1]
     print(f"{cfg.method}: {last.iteration} EM iterations, final loglik {last.loglik:.4f}")
@@ -299,7 +293,7 @@ def cmd_predict(args, parser) -> int:
     given = _given_settings(args)
     cfg = RunConfig(**given)
     scene = _load_run_scene(cfg.scene, parser)
-    model = _load_any_model(args.model)
+    model = hmt.load_model(args.model)
     asked = given.get("neighborhood")
     if isinstance(model, hmt.HmtModel) and asked not in (None, model.neighborhood):
         raise DataError(f"neighborhood {asked} was given, but {args.model} was trained "
@@ -345,9 +339,7 @@ def cmd_compare(args, parser) -> int:
     for method in METHODS:
         try:
             model, trace = _train(method, scene, labels, cfg)
-            (hmt if method == "hmt" else gmm).save_model(
-                model, _out_path(cfg.out, f"model_{method}.txt")
-            )
+            hmt.save_model(model, _out_path(cfg.out, f"model_{method}.txt"))
             trace.to_csv(_out_path(cfg.out, f"trace_{method}.csv"))
             classes, scores = _predict(model, scene, cfg)
             _save_grid(classes.astype(float), _out_path(cfg.out, f"pred_{method}.sgrid"))

@@ -4,27 +4,16 @@ With every pixel a root, the upward pass is the mixture's log-sum-exp and the
 marginals are its responsibilities. Labeled pixels are clamped evidence, so
 their posterior is exactly 0 or 1 in every iteration; class identity is
 pinned by the labeled initialization, so no component swapping is needed.
+The model, `GmmModel`, and its file format live in `floodem.hmt`, whose tree
+model is this mixture plus a transition.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
-from .errors import FormatError
-from .gaussian import GaussianParams
 from .grid import LabelSet, RasterScene
-from .hmt import EmTrace, FlowTree, TwoClassModel, class_params_from_labels, e_step, forest_em
-from .hmt import _components_from_kv, _parse_model_file, _write_model
-
-
-@dataclass
-class GmmModel(TwoClassModel):
-    """Two-class mixture: Bernoulli prior (pi1 stored, pi0 derived) + per-class Gaussians."""
-
-    pi1: float
-    components: tuple[GaussianParams, GaussianParams]
+from .hmt import EmTrace, FlowTree, GmmModel, class_params_from_labels, e_step, forest_em
 
 
 def init_from_labels(scene: RasterScene, labels: LabelSet, use_elevation: bool) -> GmmModel:
@@ -63,18 +52,3 @@ def score_grid(model: GmmModel, scene: RasterScene, use_elevation: bool) -> np.n
     """Per-pixel flood posterior as a (height, width) grid: the E-step on the edgeless forest."""
     posteriors = e_step(model, FlowTree.edgeless(scene.n_pixels), scene.feature_matrix(use_elevation))
     return posteriors.marginal.reshape(scene.height, scene.width)
-
-
-def save_model(model: GmmModel, path: str) -> None:
-    _write_model(path, [], model)
-
-
-def model_from_kv(kv: dict[str, float], path: str) -> GmmModel:
-    """A mixture model from the parsed keys of a model file."""
-    if "rho" in kv:
-        raise FormatError(f"{path}: has a rho key; this is a tree model file")
-    return GmmModel(pi1=kv["pi1"], components=_components_from_kv(kv, path))
-
-
-def load_model(path: str) -> GmmModel:
-    return model_from_kv(_parse_model_file(path), path)

@@ -1,4 +1,4 @@
-"""Structured EM over a forest: the one EM both methods run.
+"""Structured EM over a forest: the one EM both methods run, and the one model family.
 
 Each pixel's parent in the flow forest is its lowest strictly-lower neighbor,
 so standing water at a pixel implies standing water at its parent. Class
@@ -9,17 +9,22 @@ pixel can never sit above a dry parent):
     P(child=1 | parent=0) = 0        P(child=1 | parent=1) = rho
 
 Parentless nodes carry the Bernoulli prior (pi0, pi1). Emissions are
-per-class Gaussians. Inference is exact: sum-product for the node marginals
-and max-sum for the MAP labeling are one upward sweep that differs only in
-how it combines a child's two states, run level by level in the log domain
-with per-node max-shift normalization. Because of the structural zero, every
-pairwise posterior P(y_n, y_parent | X) follows from the two node marginals,
-so the E-step stores nothing else. On the edgeless forest, where every node
-is a root, the same EM is the two-class mixture of `floodem.gmm`.
+per-class Gaussians. `GmmModel` is the prior and the emissions, `HmtModel`
+the mixture plus rho; `save_model` and `load_model` write and read both. On
+the edgeless forest, where every node is a root, the same EM is the
+two-class mixture of `floodem.gmm`.
+
+Inference is exact: sum-product for the node marginals and max-sum for the
+MAP labeling are one upward sweep that differs only in how it combines a
+child's two states, run level by level in the log domain with per-node
+max-shift normalization. Because of the structural zero, every pairwise
+posterior P(y_n, y_parent | X) follows from the two node marginals, so the
+E-step stores nothing else.
 """
 
 from __future__ import annotations
 
+import re
 import warnings
 from dataclasses import dataclass, field, replace
 from functools import cached_property
@@ -121,8 +126,16 @@ class FlowTree:
         return steps
 
 
-class TwoClassModel:
-    """What both model families share: a root prior ``pi1`` and per-class emission ``components``."""
+@dataclass(kw_only=True)
+class GmmModel:
+    """The two-class mixture: a root prior ``pi1`` (pi0 derived) and per-class emission Gaussians."""
+
+    pi1: float
+    components: tuple[GaussianParams, GaussianParams]
+
+    def __post_init__(self):
+        if not 0.0 <= self.pi1 <= 1.0:  # NaN fails every comparison
+            raise DataError(f"pi1 must lie in [0, 1], got {self.pi1}")
 
     @property
     def pi0(self) -> float:
@@ -133,15 +146,18 @@ class TwoClassModel:
         return self.components[0].dim
 
 
-@dataclass
-class HmtModel(TwoClassModel):
-    """Transition strength rho, root prior pi1, per-class emission Gaussians,
-    and the neighborhood of the flow forest they were fitted on."""
+@dataclass(kw_only=True)
+class HmtModel(GmmModel):
+    """The mixture plus the transition strength rho, and the neighborhood of
+    the flow forest it was fitted on."""
 
     rho: float
-    pi1: float
-    components: tuple[GaussianParams, GaussianParams]
-    neighborhood: int = 8  # of the flow forest the model was fitted on
+    neighborhood: int = 8
+
+    def __post_init__(self):
+        super().__post_init__()
+        if not 0.0 < self.rho <= 1.0:
+            raise DataError(f"rho must lie in (0, 1], got {self.rho}")
 
     def log_transition(self) -> np.ndarray:
         """2x2 log table indexed [child, parent]; columns are stochastic."""
@@ -255,7 +271,7 @@ def build_flow_tree(elevation: np.ndarray, neighborhood: int = 8) -> FlowTree:
 
 
 def _log_emissions(
-    model: TwoClassModel, tree: FlowTree, features: np.ndarray | Lifted, rows=slice(None)
+    model: GmmModel, tree: FlowTree, features: np.ndarray | Lifted, rows=slice(None)
 ) -> np.ndarray:
     """(2, N) log densities: class c in row c, the nodes listed in ``rows`` order."""
     shape = np.shape(features)
@@ -280,17 +296,19 @@ def _logaddexp(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return hi
 
 
-def _upward(model: TwoClassModel, tree: FlowTree, u: np.ndarray, combine=_logaddexp) -> float:
+def _upward(model: GmmModel, tree: FlowTree, u: np.ndarray, combine=_logaddexp) -> float:
     """Leaf-to-root pass of sum-product, or of max-sum when ``combine`` is np.maximum.
 
-    ``u`` holds the (2, N) log emissions in ``tree``'s layout. In place, it
-    becomes each non-root node's max-shifted log score of its subtree given
-    y_n, final once the node's level is done, and each root's log posterior
-    of y_n (under max-sum, relative to its best class). Returns the log
-    evidence (the MAP log joint under max-sum), all shifts telescoped back in.
+    ``u`` holds the (2, N) log emissions in ``tree``'s layout. In place, each
+    non-root node's column becomes log P(y_n | flooded parent, X): its
+    subtree score given y_n, times P(y_n | y_p=1), over the message it sends
+    that flooded parent (under max-sum the message is the larger term, so the
+    better class reads 0). Each root's column becomes its log posterior of
+    y_n (under max-sum, relative to its best class). Returns the log evidence
+    (the MAP log joint under max-sum), all per-level shifts telescoped back in.
     """
     total = 0.0
-    stay = model.log_transition()[:, 1] if tree.has_edges else None  # log P(y_n | wet parent)
+    stay = model.log_transition()[:, 1:] if tree.has_edges else None  # log P(y_n | wet parent)
     for s, e, runs, run_up in tree.schedule:
         level = u[:, s:e]
         shift = np.maximum(level[0], level[1])
@@ -299,9 +317,13 @@ def _upward(model: TwoClassModel, tree: FlowTree, u: np.ndarray, combine=_logadd
             raise DataError("contradictory clamped evidence: a node has zero likelihood in both classes")
         level -= shift
         # By the structural zero a node's message to a dry parent is its own u0.
-        to_wet = combine(stay[0] + level[0], stay[1] + level[1])
         u[0, run_up] += np.add.reduceat(level[0], runs)
+        level += stay
+        to_wet = combine(level[0], level[1])
         u[1, run_up] += np.add.reduceat(to_wet, runs)
+        # Where the parent cannot be wet, to_wet is -inf and the column nan.
+        with np.errstate(invalid="ignore"):
+            level -= to_wet
     roots = u[:, tree.starts[-1]:]
     roots += [[_safe_log(model.pi0)], [_safe_log(model.pi1)]]
     z = combine(roots[0], roots[1])
@@ -312,33 +334,27 @@ def _upward(model: TwoClassModel, tree: FlowTree, u: np.ndarray, combine=_logadd
     return total
 
 
-def _downward(model: TwoClassModel, tree: FlowTree, u: np.ndarray) -> np.ndarray:
+def _downward(tree: FlowTree, u: np.ndarray) -> np.ndarray:
     """Root-to-leaf pass over `_upward`'s ``u``: the marginals in layout order.
     m_n = m_p * P(y_n=1 | y_p=1, X) is all the structural zero leaves to compute."""
     marginal = np.empty(tree.n_nodes)
     r = tree.starts[-1]
     np.exp(u[1, r:], out=marginal[r:])
-    stay = model.log_transition()[:, 1] if tree.has_edges else None
     for s, e, _, _ in reversed(tree.schedule):
-        u0, u1 = u[:, s:e]
         mp = marginal[tree.up[s:e]]
-        # The message n sent its flooded parent, as _upward computed it.
-        to_wet = _logaddexp(stay[0] + u0, stay[1] + u1)
-        # Where m_p = 0 the message may be -inf and the ratio nan; mask it.
-        with np.errstate(invalid="ignore"):
-            step = np.exp(np.minimum(stay[1] + u1 - to_wet, 0.0))
-        marginal[s:e] = np.where(mp > 0.0, mp * step, 0.0)
+        # Where m_p = 0 the kept message may be nan; mask it.
+        marginal[s:e] = np.where(mp > 0.0, mp * np.exp(np.minimum(u[1, s:e], 0.0)), 0.0)
     return marginal
 
 
-def e_step(model: TwoClassModel, tree: FlowTree, features: np.ndarray) -> TreePosteriors:
+def e_step(model: GmmModel, tree: FlowTree, features: np.ndarray) -> TreePosteriors:
     """Exact sum-product posteriors under the current parameters."""
     u = _log_emissions(model, tree, features, tree.order)
     _upward(model, tree, u)
-    return TreePosteriors(marginal=_downward(model, tree, u)[tree.position], parent=tree.parent)
+    return TreePosteriors(marginal=_downward(tree, u)[tree.position], parent=tree.parent)
 
 
-def m_step(posteriors: TreePosteriors, features: np.ndarray | Lifted, model: TwoClassModel):
+def m_step(posteriors: TreePosteriors, features: np.ndarray | Lifted, model: GmmModel):
     """Closed-form update of ``model``; ``features`` list the nodes in the posteriors' order.
 
     pi1 is the mean root marginal. On a forest with edges rho is the
@@ -362,7 +378,7 @@ def m_step(posteriors: TreePosteriors, features: np.ndarray | Lifted, model: Two
 
 
 def expected_complete_loglik(
-    posteriors: TreePosteriors, model: TwoClassModel, tree: FlowTree, features: np.ndarray | Lifted
+    posteriors: TreePosteriors, model: GmmModel, tree: FlowTree, features: np.ndarray | Lifted
 ) -> float:
     """Posterior expectation of the complete-data log likelihood.
 
@@ -389,7 +405,7 @@ def expected_complete_loglik(
 def _max_rel_change(old, new) -> float:
     """Largest relative change of any parameter, rho included when the model has one."""
     pairs = [(np.atleast_1d(old.pi1), np.atleast_1d(new.pi1))]
-    if hasattr(old, "rho"):
+    if isinstance(old, HmtModel):
         pairs.append((np.atleast_1d(old.rho), np.atleast_1d(new.rho)))
     for c in (0, 1):
         pairs.append((old.components[c].mean, new.components[c].mean))
@@ -400,22 +416,30 @@ def _max_rel_change(old, new) -> float:
     return worst
 
 
-def run_em(model, e_step, m_step, *, max_iter: int, tol: float, callback=None):
-    """The EM loop; returns (final model, EmTrace).
+def forest_em(model: GmmModel, tree: FlowTree, scene: RasterScene, clamped: LabelSet, *,
+              use_elevation: bool, max_iter: int, tol: float, callback=None):
+    """Transductive EM of ``model`` over ``tree``, one node per pixel; returns (model, EmTrace).
 
-    ``e_step(model) -> (loglik, stats)`` scores the current model and
-    ``m_step(model, stats) -> model`` updates it. Row k of the trace holds
-    the model after k updates. EM stops once an update moves every parameter
-    by less than ``tol`` (relative), or after ``max_iter`` updates.
-    ``callback(iteration, model)``, when given, fires for every traced model.
+    The ``clamped`` pixels are hard evidence: their other class gets zero
+    likelihood. Row k of the trace holds the model after k updates. EM stops
+    once an update moves every parameter by less than ``tol`` (relative), or
+    after ``max_iter`` updates. ``callback(iteration, model)``, when given,
+    fires for every traced model. Features and clamps are put in the forest's
+    layout once, and messages and marginals stay in it, so every level is a
+    slice and no iteration reorders anything.
     """
     if max_iter < 0:
         raise SpecError(f"max_iter must be non-negative, got {max_iter}")
-    has_rho = hasattr(model, "rho")
+    features = Lifted(scene.feature_matrix(use_elevation)[tree.order])
+    flat, cls = clamped.flat_indices(scene.width, scene.height)
+    at = tree.position[flat]
+    has_rho = isinstance(model, HmtModel)
     trace = EmTrace(has_rho=has_rho)
     prev = None
     for it in range(max_iter + 1):
-        loglik, stats = e_step(model)
+        u = _log_emissions(model, tree, features)
+        u[1 - cls, at] = -np.inf
+        loglik = _upward(model, tree, u)
         maxrel = _max_rel_change(prev, model) if prev is not None else float("nan")
         trace.rows.append(
             TraceRow(
@@ -436,38 +460,14 @@ def run_em(model, e_step, m_step, *, max_iter: int, tol: float, callback=None):
         if it == max_iter:
             trace.stop_reason = "max_iter"
             break
+        # The downward pass runs only here, when an update follows.
+        posteriors = TreePosteriors(marginal=_downward(tree, u), parent=tree.up)
         try:
-            new = m_step(model, stats)
+            new = m_step(posteriors, features, model)
         except DegenerateError as exc:
             raise DegenerateError(f"{exc} (iteration {it + 1})") from exc
-        prev, model, stats = model, new, None  # free the E-step's arrays before the next one
+        prev, model, u, posteriors = model, new, None, None  # free the E-step's arrays before the next one
     return model, trace
-
-
-def forest_em(model: TwoClassModel, tree: FlowTree, scene: RasterScene, clamped: LabelSet, *,
-              use_elevation: bool, max_iter: int, tol: float, callback=None):
-    """Transductive EM of ``model`` over ``tree``, one node per pixel; returns (model, EmTrace).
-
-    The ``clamped`` pixels are hard evidence: their other class gets zero
-    likelihood. Features and clamps are put in the forest's layout once, and
-    messages and marginals stay in it, so every level is a slice and no
-    iteration reorders anything.
-    """
-    features = Lifted(scene.feature_matrix(use_elevation)[tree.order])
-    flat, cls = clamped.flat_indices(scene.width, scene.height)
-    at = tree.position[flat]
-
-    def expect(model):
-        u = _log_emissions(model, tree, features)
-        u[1 - cls, at] = -np.inf
-        return _upward(model, tree, u), u
-
-    def maximize(model, u):
-        # The downward pass runs only here, when an update follows.
-        posteriors = TreePosteriors(marginal=_downward(model, tree, u), parent=tree.up)
-        return m_step(posteriors, features, model)
-
-    return run_em(model, expect, maximize, max_iter=max_iter, tol=tol, callback=callback)
 
 
 def em_fit(
@@ -492,7 +492,7 @@ def em_fit(
                      max_iter=max_iter, tol=tol, callback=callback)
 
 
-def map_decode(model: TwoClassModel, tree: FlowTree, features: np.ndarray) -> np.ndarray:
+def map_decode(model: GmmModel, tree: FlowTree, features: np.ndarray) -> np.ndarray:
     """Exact MAP labeling: the max-sum upward pass, then a backtrack that gives
     each node its best class under its parent's; ties break toward dry."""
     u = _log_emissions(model, tree, features, tree.order)
@@ -500,10 +500,9 @@ def map_decode(model: TwoClassModel, tree: FlowTree, features: np.ndarray) -> np
     classes = np.empty(tree.n_nodes, dtype=np.uint8)
     r = tree.starts[-1]
     classes[r:] = u[1, r:] > u[0, r:]
-    stay = model.log_transition()[:, 1] if tree.has_edges else None
     for s, e, _, _ in reversed(tree.schedule):
         # Under a dry parent the structural zero leaves only dry.
-        classes[s:e] = (classes[tree.up[s:e]] == 1) & (stay[1] + u[1, s:e] > stay[0] + u[0, s:e])
+        classes[s:e] = (classes[tree.up[s:e]] == 1) & (u[1, s:e] > u[0, s:e])
     return classes[tree.position]
 
 
@@ -524,60 +523,59 @@ def assignment_log_joint(
 
 # --- model files: one key=value per line, 17-significant-digit floats ---
 
+_INDEX = r"(?:0|[1-9][0-9]*)"
+# Every key a model file may hold; a file with rho holds a tree model.
+_MODEL_KEY = re.compile(rf"pi1|rho|neighborhood|mean\.[01]\.{_INDEX}|cov\.[01]\.{_INDEX}\.{_INDEX}")
 
-def _write_model(path: str, lines: list[str], model) -> None:
-    """Write ``lines``, then the prior and emission keys of ``model``."""
-    lines = lines + [f"pi1={model.pi1:.17g}"]
-    for c in (0, 1):
-        g = model.components[c]
-        for k, v in enumerate(g.mean):
-            lines.append(f"mean.{c}.{k}={v:.17g}")
-        for i in range(g.dim):
-            for j in range(g.dim):
-                lines.append(f"cov.{c}.{i}.{j}={g.cov[i, j]:.17g}")
+
+def _model_value(key: str, val: str) -> float:
+    if not _MODEL_KEY.fullmatch(key):
+        raise KeyError(key)
+    return float(val)
+
+
+def save_model(model: GmmModel, path: str) -> None:
+    """Write either family; a tree model's file leads with rho and its neighborhood."""
+    lines = []
+    if isinstance(model, HmtModel):
+        lines += [f"rho={model.rho:.17g}", f"neighborhood={model.neighborhood}"]
+    lines.append(f"pi1={model.pi1:.17g}")
+    for c, g in enumerate(model.components):
+        lines += [f"mean.{c}.{k}={v:.17g}" for k, v in enumerate(g.mean)]
+        lines += [f"cov.{c}.{i}.{j}={v:.17g}" for (i, j), v in np.ndenumerate(g.cov)]
     write_lines(path, "model", lines)
 
 
-def _parse_model_file(path: str) -> dict[str, float]:
-    kv = read_key_values(path, "model", lambda key, val: float(val), FormatError)
-    if "pi1" not in kv:
-        raise FormatError(f"{path}: missing pi1")
-    return kv
+def load_model(path: str) -> GmmModel:
+    """The model a file holds: a tree model if it has a rho key, else a mixture.
 
-
-def _components_from_kv(kv: dict[str, float], path: str) -> tuple[GaussianParams, GaussianParams]:
-    dims = [k[len("mean.0."):] for k in kv if k.startswith("mean.0.")]
-    if not dims:
+    The mean.0.* keys set the dimension. A missing key, or one the family
+    lacks (a neighborhood without rho, an index past the dimension), is a
+    FormatError; a tree file without a neighborhood predates the key and
+    holds an 8-neighbor model.
+    """
+    kv = read_key_values(path, "model", _model_value, FormatError)
+    m = sum(key.startswith("mean.0.") for key in kv)
+    if m == 0:
         raise FormatError(f"{path}: no mean.0.* keys")
-    for d in dims:
-        if not d.isdigit():
-            raise FormatError(f"{path}: bad model key 'mean.0.{d}'")
-    m = 1 + max(int(d) for d in dims)
-    comps = []
-    for c in (0, 1):
-        try:
-            mean = np.array([kv[f"mean.{c}.{k}"] for k in range(m)])
-            cov = np.array([[kv[f"cov.{c}.{i}.{j}"] for j in range(m)] for i in range(m)])
-        except KeyError as exc:
-            raise FormatError(f"{path}: missing model key {exc.args[0]}") from exc
-        comps.append(GaussianParams(mean, cov))
-    return comps[0], comps[1]
+    for key in kv:
+        indices = key.split(".")[2:]  # a mean's or covariance's indices after the class
+        if any(int(i) >= m for i in indices) or key == "neighborhood" and "rho" not in kv:
+            raise FormatError(f"{path}: unknown key {key!r}")
 
+    def value(key: str) -> float:
+        if key not in kv:
+            raise FormatError(f"{path}: missing model key {key!r}")
+        return kv[key]
 
-def save_model(model: HmtModel, path: str) -> None:
-    _write_model(path, [f"rho={model.rho:.17g}", f"neighborhood={model.neighborhood}"], model)
-
-
-def model_from_kv(kv: dict[str, float], path: str) -> HmtModel:
-    """A tree model from the parsed keys of a model file."""
+    components = tuple(
+        GaussianParams(np.array([value(f"mean.{c}.{k}") for k in range(m)]),
+                       np.array([[value(f"cov.{c}.{i}.{j}") for j in range(m)] for i in range(m)]))
+        for c in (0, 1)
+    )
     if "rho" not in kv:
-        raise FormatError(f"{path}: missing rho; this is a mixture model file")
-    neighborhood = kv.get("neighborhood", 8.0)  # files from before the key hold 8-neighbor models
+        return GmmModel(pi1=value("pi1"), components=components)
+    neighborhood = kv.get("neighborhood", 8.0)
     if neighborhood not in (4.0, 8.0):
         raise FormatError(f"{path}: neighborhood must be 4 or 8, got {neighborhood:g}")
-    components = _components_from_kv(kv, path)
-    return HmtModel(kv["rho"], kv["pi1"], components, neighborhood=int(neighborhood))
-
-
-def load_model(path: str) -> HmtModel:
-    return model_from_kv(_parse_model_file(path), path)
+    return HmtModel(pi1=value("pi1"), components=components, rho=kv["rho"], neighborhood=int(neighborhood))

@@ -537,6 +537,50 @@ def test_predict_rejects_a_malformed_model_key(workdir, tmp_path, capsys):
     assert "mean.0.x" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("flag, value", [("--rho", "1.5"), ("--rho", "nan"), ("--rho", "0"),
+                                         ("--pi", "1.5"), ("--pi", "-0.2")])
+def test_train_rejects_out_of_range_parameters(workdir, tmp_path, capsys, flag, value):
+    train = ["train", "--method", "hmt", "--scene", str(workdir / "scene.sgrid"),
+             "--labels", str(workdir / "labels.txt"), "--max-iter", "0", "--out", str(tmp_path),
+             flag, value]
+    assert cli.main(train) == 3
+    assert ("rho" if flag == "--rho" else "pi1") in capsys.readouterr().err
+    assert not (tmp_path / "model.txt").exists()
+
+
+@pytest.mark.parametrize("key, value", [("rho", "1.5"), ("rho", "nan"), ("rho", "0"),
+                                        ("pi1", "-0.2"), ("pi1", "inf")])
+def test_predict_rejects_a_model_file_with_out_of_range_values(workdir, tmp_path, capsys, key, value):
+    run = tmp_path / "run"
+    assert _train_and_predict(workdir, run, "hmt") == 0
+    model_file = run / "model.txt"
+    lines = [f"{key}={value}" if line.startswith(f"{key}=") else line
+             for line in model_file.read_text().splitlines()]
+    model_file.write_text("\n".join(lines) + "\n")
+    capsys.readouterr()
+    predict = ["predict", "--model", str(model_file),
+               "--scene", str(workdir / "scene.sgrid"), "--out", str(run)]
+    assert cli.main(predict) == 3
+    assert key in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("method, edit, named", [
+    ("hmt", lambda text: text.replace("rho=", "rh0=") + "mean.2.0=7\n", "rh0"),
+    ("gmm", lambda text: text + "neighborhood=4\n", "neighborhood"),
+    ("gmm", lambda text: text + "mean.1.3=7\n", "mean.1.3"),
+])
+def test_predict_rejects_unknown_model_keys(workdir, tmp_path, capsys, method, edit, named):
+    run = tmp_path / "run"
+    assert _train_and_predict(workdir, run, method) == 0
+    model_file = run / "model.txt"
+    model_file.write_text(edit(model_file.read_text()))
+    capsys.readouterr()
+    predict = ["predict", "--model", str(model_file),
+               "--scene", str(workdir / "scene.sgrid"), "--out", str(run)]
+    assert cli.main(predict) == 3
+    assert f"unknown key '{named}'" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("flag, value", [("--ratios", "0.01,x"), ("--seeds", "1,two")])
 def test_sweep_labels_rejects_a_bad_list_as_usage_error(workdir, tmp_path, flag, value):
     argv = {"--ratios": "0.05", "--seeds": "1", flag: value}

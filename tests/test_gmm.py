@@ -4,20 +4,12 @@ import math
 import numpy as np
 import pytest
 
-from floodem import oracle
+from floodem import hmt, oracle
 from floodem.errors import DegenerateError, DimError, FormatError, InitError, SpecError
 from floodem.gaussian import GaussianParams
-from floodem.gmm import (
-    GmmModel,
-    em_fit,
-    infer,
-    init_from_labels,
-    load_model,
-    save_model,
-    score_grid,
-)
+from floodem.gmm import GmmModel, em_fit, infer, init_from_labels, score_grid
 from floodem.grid import LabelSet, RasterScene, SceneSpec, generate_scene, sample_labels
-from floodem.hmt import run_em
+from floodem.hmt import HmtModel, load_model, save_model
 
 
 def _line_scene(values, truth=None):
@@ -224,8 +216,9 @@ def test_model_serialization_round_trip_exact(tmp_path, small_scene):
 def test_load_model_rejects_tree_files(tmp_path):
     path = tmp_path / "m.txt"
     path.write_text("rho=0.5\npi1=0.5\nmean.0.0=0\nmean.1.0=1\ncov.0.0.0=1\ncov.1.0.0=1\n")
-    with pytest.raises(FormatError):
-        load_model(str(path))
+    # the one reader returns the family the file holds: a rho key means a tree model
+    model = load_model(str(path))
+    assert type(model) is HmtModel and model.rho == 0.5 and model.neighborhood == 8
 
 
 # --- the shared EM driver ---
@@ -247,19 +240,20 @@ def test_em_rejects_negative_max_iter(small_scene):
         em_fit(scene, labels, use_elevation=False, max_iter=-1)
 
 
-def test_run_em_numbers_the_failing_update():
-    model = _sym_model()
-    calls = []
+def test_run_em_numbers_the_failing_update(small_scene, monkeypatch):
+    scene, labels = small_scene
+    real, calls = hmt.m_step, []
 
-    def m_step(m, stats):
-        calls.append(stats)
+    def m_step(posteriors, features, model):
+        calls.append(model)
         if len(calls) == 2:
             raise DegenerateError("collapsed")
-        return GmmModel(pi1=m.pi1 / 2, components=m.components)
+        return real(posteriors, features, model)
 
+    monkeypatch.setattr(hmt, "m_step", m_step)
     with pytest.raises(DegenerateError, match=r"collapsed \(iteration 2\)"):
-        run_em(model, lambda m: (0.0, "stats"), m_step, max_iter=5, tol=0.0)
-    assert calls == ["stats", "stats"]
+        em_fit(scene, labels, use_elevation=False, max_iter=5, tol=0.0)
+    assert len(calls) == 2
 
 
 def test_malformed_mean_key_is_a_format_error(tmp_path):

@@ -4,7 +4,7 @@ import struct
 import numpy as np
 import pytest
 
-from floodem import cli, gmm, metrics
+from floodem import cli, gmm, hmt, metrics
 from floodem.errors import DataError, FormatError, IoError, SpecError
 from floodem.grid import (
     MAGIC,
@@ -305,8 +305,11 @@ def _read_spec(path):
         (_read_config, "tol=1e-3", "no_such_key=1", SpecError),
         (_read_spec, "width=8", "height=tall", SpecError),
         (_read_spec, "width=8", "no_such_key=1", SpecError),
-        (gmm.load_model, "pi1=0.5", "mean.0.0=zero", FormatError),
-        (gmm.load_model, "pi1=0.5", "just words", FormatError),
+        (hmt.load_model, "pi1=0.5", "mean.0.0=zero", FormatError),
+        (hmt.load_model, "pi1=0.5", "just words", FormatError),
+        (hmt.load_model, "pi1=0.5", "rh0=0.5", FormatError),
+        (hmt.load_model, "rho=0.5", "mean.2.0=7", FormatError),
+        (hmt.load_model, "pi1=0.5", "cov.0.0.01=1", FormatError),
         (load_labels, "0,1,1", "0,1", FormatError),
         (load_labels, "0,1,1", "0,1,x", FormatError),
     ],
@@ -322,7 +325,17 @@ def test_text_readers_name_the_bad_line(tmp_path, reader, good, bad, error):
         reader(str(path))
 
 
-@pytest.mark.parametrize("reader", [_read_config, _read_spec, gmm.load_model, load_labels])
+@pytest.mark.parametrize("extra", ["neighborhood=4", "mean.1.1=7", "cov.0.0.1=7"])
+def test_model_reader_rejects_keys_outside_the_family(tmp_path, extra):
+    """Keys a mixture file cannot hold: a neighborhood without rho, and an
+    index past the dimension that the mean.0.* keys set."""
+    path = tmp_path / "m.txt"
+    path.write_text(f"pi1=0.5\nmean.0.0=0\nmean.1.0=1\ncov.0.0.0=1\ncov.1.0.0=1\n{extra}\n")
+    with pytest.raises(FormatError, match=re.escape(f"unknown key '{extra.split('=')[0]}'")):
+        hmt.load_model(str(path))
+
+
+@pytest.mark.parametrize("reader", [_read_config, _read_spec, hmt.load_model, load_labels])
 def test_text_readers_report_a_missing_file(tmp_path, reader):
     with pytest.raises(IoError):
         reader(str(tmp_path / "missing.txt"))

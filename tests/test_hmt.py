@@ -6,11 +6,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from floodem import oracle
+from floodem import gmm, oracle
 from floodem.errors import DataError, FloodemError, FormatError, InitError, SpecError
 from floodem.gaussian import GaussianParams, regularize
 from floodem.gmm import GmmModel
-from floodem.grid import LabelSet, RasterScene, SceneSpec, generate_scene
+from floodem.grid import LabelSet, RasterScene, SceneSpec, generate_scene, sample_labels
 from floodem.hmt import (
     FlowTree,
     _logaddexp,
@@ -208,6 +208,28 @@ def test_deep_chain_stays_finite_and_monotone():
 # --- transition table ---
 
 
+def test_upward_keeps_each_nodes_message_to_a_flooded_parent():
+    """After `_upward` every non-root column holds log P(y_n | flooded parent, X),
+    which enumeration gives as m_n / m_parent, on the 100 trees of acceptance
+    criterion 1."""
+    from floodem.hmt import _log_emissions, _upward
+
+    rng = np.random.default_rng(20240817)
+    worst, checked = 0.0, 0
+    for _ in range(100):
+        model, tree, feats = oracle.random_tree_instance(rng, int(rng.integers(2, 13)))
+        marginal, _, _, _ = oracle.enumerate_joint(model, tree, feats)
+        u = _log_emissions(model, tree, feats, tree.order)
+        _upward(model, tree, u)
+        r = tree.starts[-1]
+        nodes = tree.order[:r]  # the non-root layout positions come before the roots
+        given_wet = marginal[nodes] / marginal[tree.parent[nodes]]
+        if r:
+            worst = max(worst, float(np.max(np.abs(np.exp(u[:, :r]) - [1.0 - given_wet, given_wet]))))
+        checked += r
+    assert checked > 300 and worst <= 1e-9
+
+
 def _table(rho):
     g = GaussianParams(np.zeros(1), np.eye(1))
     return np.exp(HmtModel(rho=rho, pi1=0.5, components=(g, g)).log_transition())
@@ -269,7 +291,7 @@ def test_hard_transition_with_a_clamped_dry_leaf_gives_exact_zeros():
     log_em[1, 2] = -np.inf
     u = log_em[:, tree.order]
     _upward(model, tree, u)
-    np.testing.assert_array_equal(_downward(model, tree, u), [0.0, 0.0, 0.0])
+    np.testing.assert_array_equal(_downward(tree, u), [0.0, 0.0, 0.0])
 
 
 def test_logaddexp_matches_numpy_within_rounding():
@@ -490,7 +512,7 @@ def test_clamped_labels_pin_posteriors(small_scene):
     log_em[1 - cls, flat] = -np.inf
     u = log_em[:, tree.order]
     _upward(model, tree, u)
-    marginal = _downward(model, tree, u)[tree.position]
+    marginal = _downward(tree, u)[tree.position]
     np.testing.assert_allclose(marginal[flat], cls.astype(float), atol=1e-12)
 
 
@@ -648,6 +670,38 @@ def test_hard_transition_uniform_emissions_single_class_components(rng):
             assert dec[node] == dec[p]
 
 
+@pytest.mark.parametrize("pi1, rho", [(-0.2, 0.5), (1.5, 0.5), (np.nan, 0.5), (np.inf, 0.5),
+                                      (0.5, 0.0), (0.5, 1.5), (0.5, -0.1), (0.5, np.nan), (0.5, np.inf)])
+def test_models_reject_out_of_range_parameters(pi1, rho):
+    g = _gauss(0.0)
+    with pytest.raises(DataError, match="rho" if pi1 == 0.5 else "pi1"):
+        HmtModel(pi1=pi1, components=(g, g), rho=rho)
+    if rho == 0.5:
+        with pytest.raises(DataError, match="pi1"):
+            GmmModel(pi1=pi1, components=(g, g))
+
+
+def test_invariants_hold_at_512_without_the_oracle():
+    """The canonical scene at 512², beyond enumeration: marginals are
+    probabilities, no flood pixel sits under a dry parent, traces stay finite,
+    and the mixture's scores are probabilities."""
+    scene, _ = generate_scene(SceneSpec(width=512, height=512, obstacle_fraction=0.3, rng_seed=7))
+    labels = sample_labels(scene, 1e-3, rng_seed=7)
+    model, trace = em_fit(scene, labels)
+    tree = build_flow_tree(scene.elevation())
+    feats = scene.feature_matrix(use_elevation=False)
+    marginal = e_step(model, tree, feats).marginal
+    nonroot = np.flatnonzero(tree.parent >= 0)
+    assert np.all((marginal >= 0.0) & (marginal <= 1.0))
+    assert np.all(marginal[nonroot] <= marginal[tree.parent[nonroot]])
+    dec = map_decode(model, tree, feats)
+    assert not np.any((dec[nonroot] == 1) & (dec[tree.parent[nonroot]] == 0))
+    mixture, mixture_trace = gmm.em_fit(scene, labels, use_elevation=True)
+    assert np.all(np.isfinite(trace.logliks() + mixture_trace.logliks()))
+    scores = gmm.score_grid(mixture, scene, use_elevation=True)
+    assert np.all((scores >= 0.0) & (scores <= 1.0))
+
+
 # --- files ---
 
 
@@ -683,5 +737,7 @@ def test_model_file_keeps_the_neighborhood(tmp_path, small_scene):
 def test_load_model_requires_rho(tmp_path):
     path = tmp_path / "m.txt"
     path.write_text("pi1=0.5\nmean.0.0=0\nmean.1.0=1\ncov.0.0.0=1\ncov.1.0.0=1\n")
-    with pytest.raises(FormatError):
-        load_model(str(path))
+    # without rho the file holds a mixture, and the one reader says so by its type
+    model = load_model(str(path))
+    assert type(model) is GmmModel and model.pi1 == 0.5
+
