@@ -193,7 +193,7 @@ def _train(method: str, scene: RasterScene, labels: LabelSet, cfg: RunConfig, ru
     trace = fit[1]
     if trace.stop_reason == "max_iter":
         print(f"warning: {method}{run}: EM stopped at the {cfg.max_iter}-iteration cap before "
-              f"converging; final max relative change {trace.rows[-1].max_rel_change:.3g} "
+              f"converging; final max relative change {trace.max_rel_changes[-1]:.3g} "
               f"(tol {cfg.tol:g})", file=sys.stderr)
     return fit
 
@@ -282,8 +282,7 @@ def cmd_train(args, parser) -> int:
     model, trace = _train(cfg.method, scene, labels, cfg)
     hmt.save_model(model, model_path)
     trace.to_csv(trace_path)
-    last = trace.rows[-1]
-    print(f"{cfg.method}: {last.iteration} EM iterations, final loglik {last.loglik:.4f}")
+    print(f"{cfg.method}: {len(trace.models) - 1} EM iterations, final loglik {trace.logliks[-1]:.4f}")
     print(f"model -> {model_path}")
     print(f"trace -> {trace_path}")
     return 0
@@ -486,9 +485,8 @@ def run_verify(n_trees: int = 100, seed: int = 0, out=None) -> bool:
 
     spec = SceneSpec(width=16, height=16, obstacle_fraction=0.2, labels_per_class=8, rng_seed=seed)
     scene, labels = generate_scene(spec)
-    models: list = []
-    gmm.em_fit(scene, labels, use_elevation=False, callback=lambda it, m: models.append(m))
-    logliks = [oracle.gmm_loglik(m, scene, labels, use_elevation=False) for m in models]
+    _, trace = gmm.em_fit(scene, labels, use_elevation=False)
+    logliks = [oracle.gmm_loglik(m, scene, labels, use_elevation=False) for m in trace.models]
     drops = [b - a for a, b in zip(logliks, logliks[1:]) if b < a - 1e-8]
     emit(
         not drops,

@@ -95,7 +95,6 @@ class GaussianParams:
 
     mean: np.ndarray
     cov: np.ndarray
-    _chol: np.ndarray = field(init=False, repr=False, compare=False)
     _chol_inv: np.ndarray = field(init=False, repr=False, compare=False)
     _log_norm: float = field(init=False, repr=False, compare=False)
 
@@ -114,7 +113,6 @@ class GaussianParams:
             cov = regularize(cov, _base_epsilon(cov, self.mean))
             chol = np.linalg.cholesky(cov)
         self.cov = cov
-        self._chol = chol
         self._chol_inv = np.linalg.inv(chol)
         self._log_norm = -0.5 * m * _LOG_2PI - float(np.sum(np.log(np.diag(chol))))
 

@@ -4,8 +4,9 @@ With every pixel a root, the upward pass is the mixture's log-sum-exp and the
 marginals are its responsibilities. Labeled pixels are clamped evidence, so
 their posterior is exactly 0 or 1 in every iteration; class identity is
 pinned by the labeled initialization, so no component swapping is needed.
-The model, `GmmModel`, and its file format live in `floodem.hmt`, whose tree
-model is this mixture plus a transition.
+The model, `GmmModel`, its file format and its initialization from the
+labels, `init_from_labels`, live in `floodem.hmt`, whose tree model is this
+mixture plus a transition.
 """
 
 from __future__ import annotations
@@ -13,13 +14,7 @@ from __future__ import annotations
 import numpy as np
 
 from .grid import LabelSet, RasterScene
-from .hmt import EmTrace, FlowTree, GmmModel, class_params_from_labels, e_step, forest_em
-
-
-def init_from_labels(scene: RasterScene, labels: LabelSet, use_elevation: bool) -> GmmModel:
-    """Initialize means/covariances from the labeled pixels of each class."""
-    comps, pi1 = class_params_from_labels(scene, labels, use_elevation)
-    return GmmModel(pi1=pi1, components=comps)
+from .hmt import EmTrace, FlowTree, GmmModel, e_step, forest_em, init_from_labels
 
 
 def em_fit(
@@ -29,16 +24,12 @@ def em_fit(
     *,
     max_iter: int = 100,
     tol: float = 1e-5,
-    callback=None,
 ) -> tuple[GmmModel, EmTrace]:
-    """Run semi-supervised EM until the max relative parameter change drops below tol.
-
-    ``callback(iteration, model)``, when given, fires for the initial model
-    (iteration 0) and after every M-step.
-    """
+    """Run semi-supervised EM from `init_from_labels` until the max relative
+    parameter change drops below tol; the labels are clamped throughout."""
     model = init_from_labels(scene, labels, use_elevation)
     return forest_em(model, FlowTree.edgeless(scene.n_pixels), scene, labels, use_elevation=use_elevation,
-                     max_iter=max_iter, tol=tol, callback=callback)
+                     max_iter=max_iter, tol=tol)
 
 
 def infer(

@@ -80,15 +80,22 @@ def write_lines(path: str, what: str, lines) -> None:
 def read_key_values(path: str, what: str, cast, error: type[Exception]) -> dict:
     """Parse key=value lines into {key: cast(key, value)}, keys and values stripped.
 
-    A line without '=', or a ``cast`` that raises KeyError (unknown key) or
-    ValueError (bad value), raises ``error`` naming ``path:lineno``.
+    A line without '=', a ``cast`` that raises KeyError (unknown key) or
+    ValueError (bad value), or a key given twice raises ``error`` naming
+    ``path:lineno``. Keys that differ only in '-' versus '_' count as one key,
+    since a config file may spell a setting either way.
     """
     values = {}
+    first_line = {}
     for lineno, text in read_lines(path, what):
         key, eq, val = text.partition("=")
         key, val = key.strip(), val.strip()
         if not eq:
             raise error(f"{path}:{lineno}: expected key=value, got {text!r}")
+        fold = key.replace("-", "_")
+        if fold in first_line:
+            raise error(f"{path}:{lineno}: key {key!r} repeats line {first_line[fold]}")
+        first_line[fold] = lineno
         try:
             values[key] = cast(key, val)
         except KeyError:

@@ -10,9 +10,11 @@ pixel can never sit above a dry parent):
 
 Parentless nodes carry the Bernoulli prior (pi0, pi1). Emissions are
 per-class Gaussians. `GmmModel` is the prior and the emissions, `HmtModel`
-the mixture plus rho; `save_model` and `load_model` write and read both. On
-the edgeless forest, where every node is a root, the same EM is the
-two-class mixture of `floodem.gmm`.
+the mixture plus rho; `save_model` and `load_model` write and read both, and
+`init_from_labels` fits the initial mixture to the labeled pixels.
+`forest_em` is the EM; its `EmTrace` keeps every model it visits. On the
+edgeless forest, where every node is a root, the same EM is the two-class
+mixture of `floodem.gmm`.
 
 Inference is exact: sum-product for the node marginals and max-sum for the
 MAP labeling are one upward sweep that differs only in how it combines a
@@ -190,38 +192,31 @@ class TreePosteriors:
 
 
 @dataclass
-class TraceRow:
-    iteration: int
-    pi1: float
-    mu: tuple[np.ndarray, np.ndarray]
-    sigma_diag: tuple[np.ndarray, np.ndarray]
-    loglik: float
-    max_rel_change: float  # nan on the initial row
-    rho: float | None = None
-
-
-@dataclass
 class EmTrace:
-    """Per-iteration parameter snapshots; row 0 is the state before any update."""
+    """The models EM visited, ``models[k]`` after k updates, with the log
+    likelihood of each and its largest relative change from the one before
+    (nan for the initial model)."""
 
-    rows: list[TraceRow] = field(default_factory=list)
-    has_rho: bool = False
+    models: list[GmmModel] = field(default_factory=list)
+    logliks: list[float] = field(default_factory=list)
+    max_rel_changes: list[float] = field(default_factory=list)
     stop_reason: str | None = None  # "tol" (converged) or "max_iter" (stopped at the cap)
 
-    def logliks(self) -> list[float]:
-        return [row.loglik for row in self.rows]
-
     def to_csv(self, path: str) -> None:
-        if not self.rows:
+        """One row per model: its rho (tree models only), pi1, means and
+        covariance diagonals, log likelihood and max relative change."""
+        if not self.models:
             raise IoError("empty trace")
-        dim = self.rows[0].mu[0].size
-        cols = ["iter"] + ["rho"] * self.has_rho + ["pi1"]
+        tree_model = isinstance(self.models[0], HmtModel)
+        dim = self.models[0].dim
+        cols = ["iter"] + ["rho"] * tree_model + ["pi1"]
         cols += [f"{p}{c}.{k}" for p in ("mu", "sig") for c in (0, 1) for k in range(dim)]
         lines = [",".join(cols + ["loglik", "maxrel"])]
-        for row in self.rows:
-            vals = [row.rho] * self.has_rho + [row.pi1, *row.mu[0], *row.mu[1]]
-            vals += [*row.sigma_diag[0], *row.sigma_diag[1], row.loglik, row.max_rel_change]
-            lines.append(",".join([str(row.iteration)] + [f"{v:.17g}" for v in vals]))
+        for it, (model, loglik, maxrel) in enumerate(zip(self.models, self.logliks, self.max_rel_changes)):
+            g0, g1 = model.components
+            vals = [model.rho] if tree_model else []
+            vals += [model.pi1, *g0.mean, *g1.mean, *np.diag(g0.cov), *np.diag(g1.cov), loglik, maxrel]
+            lines.append(",".join([str(it)] + [f"{v:.17g}" for v in vals]))
         write_lines(path, "trace", lines)
 
 
@@ -229,10 +224,8 @@ def _safe_log(p: float) -> float:
     return float(np.log(p)) if p > 0.0 else -np.inf
 
 
-def class_params_from_labels(
-    scene: RasterScene, labels: LabelSet, use_elevation: bool
-) -> tuple[tuple[GaussianParams, GaussianParams], float]:
-    """Per-class MLE Gaussians over the labeled pixels, plus the labeled class-1 fraction."""
+def init_from_labels(scene: RasterScene, labels: LabelSet, use_elevation: bool) -> GmmModel:
+    """Per-class MLE Gaussians over the labeled pixels, with the labeled class-1 fraction as pi1."""
     feats = scene.feature_matrix(use_elevation)
     flat, cls = labels.flat_indices(scene.width, scene.height)
     comps = []
@@ -241,7 +234,7 @@ def class_params_from_labels(
         if pts.shape[0] < 2:
             raise InitError(f"class {c} has {pts.shape[0]} labeled samples, need at least 2")
         comps.append(weighted_mle(pts, np.ones(pts.shape[0])))
-    return (comps[0], comps[1]), float(np.mean(cls))
+    return GmmModel(pi1=float(np.mean(cls)), components=(comps[0], comps[1]))
 
 
 def build_flow_tree(elevation: np.ndarray, neighborhood: int = 8) -> FlowTree:
@@ -417,44 +410,31 @@ def _max_rel_change(old, new) -> float:
 
 
 def forest_em(model: GmmModel, tree: FlowTree, scene: RasterScene, clamped: LabelSet, *,
-              use_elevation: bool, max_iter: int, tol: float, callback=None):
+              use_elevation: bool, max_iter: int, tol: float):
     """Transductive EM of ``model`` over ``tree``, one node per pixel; returns (model, EmTrace).
 
     The ``clamped`` pixels are hard evidence: their other class gets zero
-    likelihood. Row k of the trace holds the model after k updates. EM stops
-    once an update moves every parameter by less than ``tol`` (relative), or
-    after ``max_iter`` updates. ``callback(iteration, model)``, when given,
-    fires for every traced model. Features and clamps are put in the forest's
-    layout once, and messages and marginals stay in it, so every level is a
-    slice and no iteration reorders anything.
+    likelihood. The trace keeps every model visited. EM stops once an update
+    moves every parameter by less than ``tol`` (relative), or after
+    ``max_iter`` updates. Features and clamps are put in the forest's layout
+    once, and messages and marginals stay in it, so every level is a slice
+    and no iteration reorders anything.
     """
     if max_iter < 0:
         raise SpecError(f"max_iter must be non-negative, got {max_iter}")
     features = Lifted(scene.feature_matrix(use_elevation)[tree.order])
     flat, cls = clamped.flat_indices(scene.width, scene.height)
     at = tree.position[flat]
-    has_rho = isinstance(model, HmtModel)
-    trace = EmTrace(has_rho=has_rho)
-    prev = None
+    trace = EmTrace()
     for it in range(max_iter + 1):
         u = _log_emissions(model, tree, features)
         u[1 - cls, at] = -np.inf
         loglik = _upward(model, tree, u)
-        maxrel = _max_rel_change(prev, model) if prev is not None else float("nan")
-        trace.rows.append(
-            TraceRow(
-                iteration=it,
-                pi1=model.pi1,
-                mu=tuple(g.mean.copy() for g in model.components),
-                sigma_diag=tuple(np.diag(g.cov).copy() for g in model.components),
-                loglik=loglik,
-                max_rel_change=maxrel,
-                rho=model.rho if has_rho else None,
-            )
-        )
-        if callback is not None:
-            callback(it, model)
-        if prev is not None and maxrel < tol:
+        maxrel = _max_rel_change(trace.models[-1], model) if it > 0 else float("nan")
+        trace.models.append(model)
+        trace.logliks.append(loglik)
+        trace.max_rel_changes.append(maxrel)
+        if it > 0 and maxrel < tol:
             trace.stop_reason = "tol"
             break
         if it == max_iter:
@@ -466,7 +446,7 @@ def forest_em(model: GmmModel, tree: FlowTree, scene: RasterScene, clamped: Labe
             new = m_step(posteriors, features, model)
         except DegenerateError as exc:
             raise DegenerateError(f"{exc} (iteration {it + 1})") from exc
-        prev, model, u, posteriors = model, new, None, None  # free the E-step's arrays before the next one
+        model, u, posteriors = new, None, None  # free the E-step's arrays before the next one
     return model, trace
 
 
@@ -479,17 +459,13 @@ def em_fit(
     rho_init: float = 0.99,
     pi_init: float = 0.5,
     neighborhood: int = 8,
-    clamp_labels: bool = False,
-    callback=None,
 ) -> tuple[HmtModel, EmTrace]:
-    """`forest_em` on the flow forest over the non-elevation channels. Labels
-    initialize the emission Gaussians and, with ``clamp_labels``, are also
-    hard evidence. ``callback(iteration, model)`` fires for every traced model."""
+    """`forest_em` on the flow forest over the non-elevation channels, with no
+    clamped pixels; the labels only initialize the emission Gaussians."""
     tree = build_flow_tree(scene.elevation(), neighborhood)
-    components, _ = class_params_from_labels(scene, labels, use_elevation=False)
+    components = init_from_labels(scene, labels, use_elevation=False).components
     model = HmtModel(rho=rho_init, pi1=pi_init, components=components, neighborhood=neighborhood)
-    return forest_em(model, tree, scene, labels if clamp_labels else LabelSet([]), use_elevation=False,
-                     max_iter=max_iter, tol=tol, callback=callback)
+    return forest_em(model, tree, scene, LabelSet([]), use_elevation=False, max_iter=max_iter, tol=tol)
 
 
 def map_decode(model: GmmModel, tree: FlowTree, features: np.ndarray) -> np.ndarray:

@@ -115,14 +115,13 @@ def test_criterion_3_em_objectives_non_decreasing():
         )
         scene, labels = generate_scene(spec)
 
-        models: list = []
-        gmm.em_fit(scene, labels, use_elevation=False, callback=lambda it, m: models.append(m))
-        logliks = [oracle.gmm_loglik(m, scene, labels, use_elevation=False) for m in models]
+        _, trace = gmm.em_fit(scene, labels, use_elevation=False)
+        logliks = [oracle.gmm_loglik(m, scene, labels, use_elevation=False) for m in trace.models]
         for a, b in zip(logliks, logliks[1:]):
             worst_gmm = max(worst_gmm, a - b)
 
-        tmodels: list = []
-        hmt.em_fit(scene, labels, callback=lambda it, m: tmodels.append(m))
+        _, trace = hmt.em_fit(scene, labels)
+        tmodels = trace.models
         tree = hmt.build_flow_tree(scene.elevation())
         feats = scene.feature_matrix(use_elevation=False)
         for old, new in zip(tmodels, tmodels[1:]):
@@ -141,9 +140,8 @@ def test_criterion_4_supervised_fixed_point():
     spec = SceneSpec(width=16, height=16, labels_per_class=5, rng_seed=21)
     scene, _ = generate_scene(spec)
     labels = sample_labels(scene, 1.0, rng_seed=0)
-    models: list = []
-    gmm.em_fit(scene, labels, use_elevation=True, max_iter=4, tol=0.0,
-               callback=lambda it, m: models.append(m))
+    _, trace = gmm.em_fit(scene, labels, use_elevation=True, max_iter=4, tol=0.0)
+    models = trace.models
     worst = 0.0
     for a, b in zip(models[1:], models[2:]):
         worst = max(worst, abs(b.pi1 - a.pi1))

@@ -109,9 +109,8 @@ def test_fully_labeled_scene_is_fixed_point_after_one_step():
     spec = SceneSpec(width=12, height=12, labels_per_class=5, rng_seed=8)
     scene, _ = generate_scene(spec)
     labels = sample_labels(scene, 1.0, rng_seed=0)
-    models = []
-    em_fit(scene, labels, use_elevation=True, max_iter=4, tol=0.0,
-           callback=lambda it, m: models.append(m))
+    _, trace = em_fit(scene, labels, use_elevation=True, max_iter=4, tol=0.0)
+    models = trace.models
     first = models[1]
     # supervised MLE: class means are the plain class averages
     feats = scene.feature_matrix(True)
@@ -128,9 +127,8 @@ def test_fully_labeled_scene_is_fixed_point_after_one_step():
 def test_loglik_monotone_against_oracle():
     spec = SceneSpec(width=20, height=10, obstacle_fraction=0.2, labels_per_class=10, rng_seed=2)
     scene, labels = generate_scene(spec)
-    models = []
-    em_fit(scene, labels, use_elevation=False, callback=lambda it, m: models.append(m))
-    logliks = [oracle.gmm_loglik(m, scene, labels, use_elevation=False) for m in models]
+    _, trace = em_fit(scene, labels, use_elevation=False)
+    logliks = [oracle.gmm_loglik(m, scene, labels, use_elevation=False) for m in trace.models]
     assert len(logliks) >= 3
     for a, b in zip(logliks, logliks[1:]):
         assert b >= a - 1e-8
@@ -140,7 +138,7 @@ def test_trace_matches_oracle_loglik():
     spec = SceneSpec(width=10, height=10, labels_per_class=5, rng_seed=4)
     scene, labels = generate_scene(spec)
     model, trace = em_fit(scene, labels, use_elevation=False, max_iter=5)
-    assert trace.rows[-1].loglik == pytest.approx(
+    assert trace.logliks[-1] == pytest.approx(
         oracle.gmm_loglik(model, scene, labels, use_elevation=False), abs=1e-8
     )
 
@@ -227,11 +225,11 @@ def test_load_model_rejects_tree_files(tmp_path):
 def test_em_stop_reason_names_tol_or_cap(small_scene):
     scene, labels = small_scene
     _, trace = em_fit(scene, labels, use_elevation=False, max_iter=3, tol=0.0)
-    assert trace.stop_reason == "max_iter" and len(trace.rows) == 4
+    assert trace.stop_reason == "max_iter" and len(trace.models) == 4
     _, trace = em_fit(scene, labels, use_elevation=False, max_iter=100, tol=1.0)
-    assert trace.stop_reason == "tol" and trace.rows[-1].max_rel_change < 1.0
+    assert trace.stop_reason == "tol" and trace.max_rel_changes[-1] < 1.0
     _, trace = em_fit(scene, labels, use_elevation=False, max_iter=0)
-    assert trace.stop_reason == "max_iter" and len(trace.rows) == 1
+    assert trace.stop_reason == "max_iter" and len(trace.models) == 1
 
 
 def test_em_rejects_negative_max_iter(small_scene):

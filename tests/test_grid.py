@@ -312,6 +312,10 @@ def _read_spec(path):
         (hmt.load_model, "pi1=0.5", "cov.0.0.01=1", FormatError),
         (load_labels, "0,1,1", "0,1", FormatError),
         (load_labels, "0,1,1", "0,1,x", FormatError),
+        (_read_config, "tol=1e-3", "tol=0.5", SpecError),
+        (_read_config, "max-iter=5", "max_iter=7", SpecError),
+        (_read_spec, "width=16", "width=32", SpecError),
+        (hmt.load_model, "pi1=0.5", "pi1=0.25", FormatError),
     ],
 )
 def test_text_readers_name_the_bad_line(tmp_path, reader, good, bad, error):

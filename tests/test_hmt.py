@@ -21,6 +21,8 @@ from floodem.hmt import (
     e_step,
     em_fit,
     expected_complete_loglik,
+    forest_em,
+    init_from_labels,
     load_model,
     m_step,
     map_decode,
@@ -466,8 +468,8 @@ def test_em_fit_requires_two_labels_per_class(small_scene):
 def test_em_fit_expected_loglik_monotone():
     spec = SceneSpec(width=8, height=8, obstacle_fraction=0.2, labels_per_class=5, rng_seed=12)
     scene, labels = generate_scene(spec)
-    models = []
-    _, trace = em_fit(scene, labels, callback=lambda it, m: models.append(m))
+    _, trace = em_fit(scene, labels)
+    models = trace.models
     tree = build_flow_tree(scene.elevation())
     feats = scene.feature_matrix(use_elevation=False)
     assert len(models) >= 3
@@ -476,7 +478,7 @@ def test_em_fit_expected_loglik_monotone():
         q_old = expected_complete_loglik(post, old, tree, feats)
         q_new = expected_complete_loglik(post, new, tree, feats)
         assert q_new >= q_old - 1e-8
-    logliks = trace.logliks()
+    logliks = trace.logliks
     for a, b in zip(logliks, logliks[1:]):
         assert b >= a - 1e-8
 
@@ -484,25 +486,55 @@ def test_em_fit_expected_loglik_monotone():
 def test_em_fit_trace_first_row_is_initialization(small_scene):
     scene, labels = small_scene
     _, trace = em_fit(scene, labels, max_iter=3)
-    assert trace.has_rho
-    assert trace.rows[0].rho == 0.99
-    assert trace.rows[0].pi1 == 0.5
-    assert np.isnan(trace.rows[0].max_rel_change)
+    assert isinstance(trace.models[0], HmtModel)
+    assert trace.models[0].rho == 0.99
+    assert trace.models[0].pi1 == 0.5
+    assert np.isnan(trace.max_rel_changes[0])
+
+
+def test_trace_csv_rows_are_the_models_it_holds(small_scene, tmp_path):
+    """The fitted model is the trace's last, and row k of the trace file is
+    models[k]: pi1, means, covariance diagonals, and rho for the tree only."""
+    scene, labels = small_scene
+    for fit, has_rho in ((lambda: gmm.em_fit(scene, labels, use_elevation=True, max_iter=5), False),
+                         (lambda: em_fit(scene, labels, max_iter=5), True)):
+        model, trace = fit()
+        assert model is trace.models[-1]
+        path = tmp_path / "trace.csv"
+        trace.to_csv(str(path))
+        header, *rows = path.read_text().splitlines()
+        assert ("rho" in header.split(",")) == has_rho
+        assert len(rows) == len(trace.models)
+        for k, (row, m) in enumerate(zip(rows, trace.models)):
+            vals = [float(v) for v in row.split(",")]
+            assert vals[0] == k
+            expect = [m.rho] if has_rho else []
+            expect += [m.pi1, *m.components[0].mean, *m.components[1].mean,
+                       *np.diag(m.components[0].cov), *np.diag(m.components[1].cov)]
+            assert vals[1 : len(expect) + 1] == expect
 
 
 def test_em_fit_shares_the_driver_stop_rules(small_scene):
     scene, labels = small_scene
     _, trace = em_fit(scene, labels, max_iter=2, tol=0.0)
-    assert trace.stop_reason == "max_iter" and len(trace.rows) == 3
+    assert trace.stop_reason == "max_iter" and len(trace.models) == 3
     _, trace = em_fit(scene, labels, tol=1.0)
-    assert trace.stop_reason == "tol" and trace.rows[-1].max_rel_change < 1.0
+    assert trace.stop_reason == "tol" and trace.max_rel_changes[-1] < 1.0
     with pytest.raises(SpecError):
         em_fit(scene, labels, max_iter=-1)
 
 
+def _clamped_fit(scene, labels, max_iter):
+    """Tree EM with the labels as hard evidence: `forest_em` from `em_fit`'s initial model."""
+    components = init_from_labels(scene, labels, use_elevation=False).components
+    model = HmtModel(rho=0.99, pi1=0.5, components=components)
+    tree = build_flow_tree(scene.elevation())
+    return forest_em(model, tree, scene, labels, use_elevation=False, max_iter=max_iter, tol=1e-5)
+
+
 def test_clamped_labels_pin_posteriors(small_scene):
     scene, labels = small_scene
-    model, _ = em_fit(scene, labels, clamp_labels=True, max_iter=5)
+    model, _ = _clamped_fit(scene, labels, max_iter=5)
     from floodem.hmt import _downward, _log_emissions, _upward
 
     feats = scene.feature_matrix(use_elevation=False)
@@ -534,7 +566,7 @@ def test_contradictory_clamped_labels_are_a_data_error(small_scene):
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(DataError, match=f"contradictory clamped evidence: {where}"):
-                em_fit(scene, LabelSet(entries), clamp_labels=True, max_iter=3)
+                _clamped_fit(scene, LabelSet(entries), max_iter=3)
 
 
 def test_fit_on_a_constant_dem_keeps_rho_without_a_warning(small_scene):
@@ -547,8 +579,8 @@ def test_fit_on_a_constant_dem_keeps_rho_without_a_warning(small_scene):
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         model, trace = em_fit(flat, labels, max_iter=3, tol=0.0)
-    assert trace.has_rho and len(trace.rows) == 4
-    assert model.rho == 0.99 and all(row.rho == 0.99 for row in trace.rows)
+    assert isinstance(trace.models[0], HmtModel) and len(trace.models) == 4
+    assert model.rho == 0.99 and all(m.rho == 0.99 for m in trace.models)
 
 
 @settings(derandomize=True, max_examples=120, deadline=None, database=None)
@@ -697,7 +729,7 @@ def test_invariants_hold_at_512_without_the_oracle():
     dec = map_decode(model, tree, feats)
     assert not np.any((dec[nonroot] == 1) & (dec[tree.parent[nonroot]] == 0))
     mixture, mixture_trace = gmm.em_fit(scene, labels, use_elevation=True)
-    assert np.all(np.isfinite(trace.logliks() + mixture_trace.logliks()))
+    assert np.all(np.isfinite(trace.logliks + mixture_trace.logliks))
     scores = gmm.score_grid(mixture, scene, use_elevation=True)
     assert np.all((scores >= 0.0) & (scores <= 1.0))
 
