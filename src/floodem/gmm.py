@@ -32,13 +32,6 @@ def em_fit(
                      max_iter=max_iter, tol=tol)
 
 
-def infer(
-    model: GmmModel, scene: RasterScene, use_elevation: bool, cutoff: float = 0.5
-) -> np.ndarray:
-    """Per-pixel class grid: 1 wherever the flood posterior reaches the cutoff."""
-    return (score_grid(model, scene, use_elevation) >= cutoff).astype(np.uint8)
-
-
 def score_grid(model: GmmModel, scene: RasterScene, use_elevation: bool) -> np.ndarray:
     """Per-pixel flood posterior as a (height, width) grid: the E-step on the edgeless forest."""
     posteriors = e_step(model, FlowTree.edgeless(scene.n_pixels), scene.feature_matrix(use_elevation))

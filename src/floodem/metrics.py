@@ -2,7 +2,8 @@
 
 The AUC numerator is accumulated in integer counts and divided once, so the
 trapezoid sweep agrees bit-for-bit with a tie-aware pairwise comparison
-count.
+count. The ROC curve keeps only the vertices of its polyline, chosen in the
+same integer counts.
 """
 
 from __future__ import annotations
@@ -33,7 +34,9 @@ class ClassReport:
 
 @dataclass
 class RocCurve:
-    points: np.ndarray  # (k, 2) rows of (false positive rate, true positive rate)
+    # (k, 2) rows of (false positive rate, true positive rate): the polyline's
+    # vertices, from (0, 0) to (1, 1) in sweep order.
+    points: np.ndarray
     auc: float
 
 
@@ -76,12 +79,17 @@ def roc_auc(
 ) -> RocCurve:
     """Threshold sweep over the unique scores; AUC by the trapezoid rule.
 
-    Equals the Mann-Whitney statistic exactly, ties counting one half.
+    Equals the Mann-Whitney statistic exactly, ties counting one half. The
+    curve holds the end points and every threshold point where the sweep
+    changes direction; the points it drops lie on the segment between their
+    neighbours, so it draws the same polyline as the full sweep.
     """
-    s = np.asarray(_flatten(np.asarray(scores, dtype=float), mask))
-    t = np.asarray(_flatten(truth, mask))
-    if s.shape != t.shape:
-        raise DataError("scores and truth differ in size")
+    scores = np.asarray(scores, dtype=float)
+    truth = np.asarray(truth)
+    if scores.shape != truth.shape:
+        raise DataError(f"score shape {scores.shape} != truth shape {truth.shape}")
+    s = _flatten(scores, mask)
+    t = _flatten(truth, mask)
     if not np.all(np.isfinite(s)):
         raise DataError("scores contain non-finite values")
     n_pos = int(np.sum(t == 1))
@@ -94,14 +102,17 @@ def roc_auc(
     # Sweep from the highest score down; each unique value is one threshold.
     pos_per = pos_per[::-1]
     neg_per = neg_per[::-1]
-    tp = np.cumsum(pos_per)
-    fp = np.cumsum(neg_per)
-    tp_prev = np.concatenate([[0], tp[:-1]])
-    numerator = int(np.sum(neg_per * (2 * tp_prev + pos_per)))
+    # Cumulative counts at (0, 0) and after each threshold.
+    fps = np.concatenate([[0], np.cumsum(neg_per)])
+    tps = np.concatenate([[0], np.cumsum(pos_per)])
+    numerator = int(np.sum(neg_per * (2 * tps[:-1] + pos_per)))
     auc = numerator / (2 * n_pos * n_neg)
-    points = np.concatenate(
-        [[[0.0, 0.0]], np.stack([fp / n_neg, tp / n_pos], axis=1)], axis=0
-    )
+    # Point i is a vertex where the steps into and out of it, (neg_per[i-1],
+    # pos_per[i-1]) and (neg_per[i], pos_per[i]), turn: an exact cross-product
+    # test in counts, whose products are at most N^2.
+    turn = neg_per[:-1] * pos_per[1:] != neg_per[1:] * pos_per[:-1]
+    keep = np.concatenate([[True], turn, [True]])
+    points = np.stack([fps[keep] / n_neg, tps[keep] / n_pos], axis=1)
     return RocCurve(points=points, auc=auc)
 
 
@@ -161,9 +172,8 @@ def report_rows(method: str, report: ClassReport) -> list[tuple[str, str, str, s
 
 
 def write_roc_csv(curve: RocCurve, path: str) -> None:
-    """Two-column fpr,tpr CSV for external plotting."""
-    # Streamed, not listed: a curve has one row per distinct score. Columns
-    # as Python floats format faster than numpy scalars, to the same text.
+    """Two-column fpr,tpr CSV of the curve's vertices, as %.17g, for external plotting."""
+    # Columns as Python floats format faster than numpy scalars, to the same text.
     fpr, tpr = curve.points.T
     rows = (f"{f:.17g},{t:.17g}" for f, t in zip(map(float, fpr), map(float, tpr)))
     write_lines(path, "ROC points", chain(["fpr,tpr"], rows))

@@ -291,6 +291,18 @@ def test_eval_perfect_and_inverted(tmp_path, rng, capsys):
     assert "inv,flood,0.000000,0.000000,0.000000" in report
 
 
+def test_eval_rejects_a_transposed_score_grid(tmp_path, rng, capsys):
+    truth = rng.integers(0, 2, size=(2, 3)).astype(np.uint8)
+    truth[0, 0], truth[0, 1] = 0, 1
+    _write_grids(tmp_path, truth, rng.random((3, 2)), truth)
+    rc = cli.main(["eval", "--pred", str(tmp_path / "pred.sgrid"),
+                   "--score", str(tmp_path / "score.sgrid"),
+                   "--truth", str(tmp_path / "truth.sgrid"),
+                   "--name", "t", "--out", str(tmp_path)])
+    assert rc == 3
+    assert "shape" in capsys.readouterr().err
+
+
 def test_eval_checkerboard_salt_pepper(tmp_path):
     truth = (np.indices((6, 6)).sum(axis=0) % 2).astype(np.uint8)
     _write_grids(tmp_path, truth, truth.astype(float), truth)

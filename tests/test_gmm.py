@@ -7,7 +7,7 @@ import pytest
 from floodem import hmt, oracle
 from floodem.errors import DegenerateError, DimError, FormatError, InitError, SpecError
 from floodem.gaussian import GaussianParams
-from floodem.gmm import GmmModel, em_fit, infer, init_from_labels, score_grid
+from floodem.gmm import GmmModel, em_fit, init_from_labels, score_grid
 from floodem.grid import LabelSet, RasterScene, SceneSpec, generate_scene, sample_labels
 from floodem.hmt import HmtModel, load_model, save_model
 
@@ -152,7 +152,7 @@ def test_prior_complement_exact(small_scene):
 def test_infer_cutoff_half_is_joint_argmax(small_scene):
     scene, labels = small_scene
     model, _ = em_fit(scene, labels, use_elevation=True, max_iter=10)
-    pred = infer(model, scene, use_elevation=True, cutoff=0.5)
+    pred = (score_grid(model, scene, use_elevation=True) >= 0.5).astype(np.uint8)
     feats = scene.feature_matrix(True)
     from floodem.gaussian import log_pdf
 
@@ -164,7 +164,7 @@ def test_infer_cutoff_half_is_joint_argmax(small_scene):
 def test_infer_cutoff_zero_floods_everything(small_scene):
     scene, labels = small_scene
     model = init_from_labels(scene, labels, use_elevation=True)
-    assert infer(model, scene, use_elevation=True, cutoff=0.0).all()
+    assert (score_grid(model, scene, use_elevation=True) >= 0.0).all()
 
 
 def test_converged_parameters_permutation_invariant():

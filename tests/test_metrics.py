@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from floodem.errors import DataError, EmptyError
 from floodem.metrics import (
@@ -66,13 +68,82 @@ def test_report_mask_and_empty():
 
 def test_roc_perfect_and_constant():
     truth = np.array([0, 0, 1, 1])
-    assert roc_auc(truth.astype(float), truth).auc == 1.0
-    assert roc_auc(np.full(4, 0.7), truth).auc == 0.5
+    perfect = roc_auc(truth.astype(float), truth)
+    assert perfect.auc == 1.0
+    np.testing.assert_array_equal(perfect.points, [[0.0, 0.0], [0.0, 1.0], [1.0, 1.0]])
+    constant = roc_auc(np.full(4, 0.7), truth)
+    assert constant.auc == 0.5
+    np.testing.assert_array_equal(constant.points, [[0.0, 0.0], [1.0, 1.0]])
 
 
 def test_roc_worked_example():
     curve = roc_auc(np.array([0.1, 0.4, 0.35, 0.8]), np.array([0, 0, 1, 1]))
     assert curve.auc == 0.75
+    np.testing.assert_array_equal(
+        curve.points, [[0.0, 0.0], [0.0, 0.5], [0.5, 0.5], [0.5, 1.0], [1.0, 1.0]]
+    )
+
+
+def test_roc_rejects_mis_shaped_scores():
+    # same size, other shape: flattening would pair the wrong pixels
+    truth = np.array([[0, 1, 0], [1, 0, 1]])
+    with pytest.raises(DataError):
+        roc_auc(np.zeros((3, 2)), truth)
+    with pytest.raises(DataError):
+        roc_auc(np.zeros(6), truth)
+
+
+def _full_sweep(scores, truth):
+    """Integer (fp, tp) counts at (0, 0) and at every distinct score, highest first."""
+    fp, tp = [0], [0]
+    for value in sorted(set(scores.tolist()), reverse=True):
+        at = scores == value
+        fp.append(fp[-1] + int(np.sum(at & (truth == 0))))
+        tp.append(tp[-1] + int(np.sum(at & (truth == 1))))
+    return np.array(fp), np.array(tp)
+
+
+def _collinear(fp, tp, a, b, c):
+    return (fp[b] - fp[a]) * (tp[c] - tp[b]) == (tp[b] - tp[a]) * (fp[c] - fp[b])
+
+
+@settings(derandomize=True, max_examples=150, deadline=None, database=None)
+@given(
+    n=st.integers(2, 60),
+    tied=st.booleans(),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_roc_points_are_the_vertices_of_the_full_sweep(n, tied, seed):
+    rng = np.random.default_rng(seed)
+    truth = rng.integers(0, 2, size=n)
+    truth[0], truth[1] = 0, 1
+    if tied:
+        scores = rng.choice([0.0, 0.25, 0.5, 0.75, 1.0], size=n)
+    else:
+        scores = rng.normal(size=n)
+    curve = roc_auc(scores, truth)
+    fp, tp = _full_sweep(scores, truth)
+    full = np.stack([fp / np.sum(truth == 0), tp / np.sum(truth == 1)], axis=1)
+
+    # an in-order subsequence of the full sweep, float for float
+    kept, j = [], 0
+    for point in curve.points:
+        while j < len(full) and not np.array_equal(full[j], point):
+            j += 1
+        assert j < len(full), "a point missing from the full sweep, or out of order"
+        kept.append(j)
+        j += 1
+    assert kept[0] == 0 and kept[-1] == len(full) - 1
+    np.testing.assert_array_equal(curve.points[0], [0.0, 0.0])
+    np.testing.assert_array_equal(curve.points[-1], [1.0, 1.0])
+    # every dropped point lies on the segment between its kept neighbours
+    for a, b in zip(kept, kept[1:]):
+        for m in range(a + 1, b):
+            assert _collinear(fp, tp, a, m, b)
+    # and every kept interior point is a turn
+    for a, b, c in zip(kept, kept[1:], kept[2:]):
+        assert not _collinear(fp, tp, a, b, c)
+    assert np.trapezoid(curve.points[:, 1], curve.points[:, 0]) == pytest.approx(curve.auc, abs=1e-12)
 
 
 def test_roc_requires_both_classes():
