@@ -24,7 +24,7 @@ from .grid import (
     save_labels,
     save_scene,
 )
-from .hmt import EmTrace, FlowTree, GmmModel, HmtModel, TreePosteriors, build_flow_tree, map_decode
+from .hmt import EmTrace, FlowTree, GmmModel, HmtModel, build_flow_tree, map_decode
 from .metrics import ClassReport, RocCurve, class_report, gamma_index, roc_auc, salt_pepper_count
 
 __version__ = "0.1.0"
@@ -50,7 +50,6 @@ __all__ = [
     "RocCurve",
     "SceneSpec",
     "SpecError",
-    "TreePosteriors",
     "build_flow_tree",
     "class_report",
     "gamma_index",

@@ -16,7 +16,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import gmm, hmt, metrics, oracle
-from .gaussian import Lifted, log_pdf, weighted_mle
 from .errors import DataError, DimError, FloodemError, InitError, IoError, SpecError
 from .grid import (
     LabelSet,
@@ -215,9 +214,8 @@ def _predict(model, scene: RasterScene, cfg: RunConfig) -> tuple[np.ndarray, np.
     if isinstance(model, hmt.HmtModel):
         feats = scene.feature_matrix(use_elevation=False)
         tree = hmt.build_flow_tree(scene.elevation(), model.neighborhood)
-        posteriors = hmt.e_step(model, tree, feats)
+        scores = hmt.e_step(model, tree, feats).reshape(scene.height, scene.width)
         classes = hmt.map_decode(model, tree, feats).reshape(scene.height, scene.width)
-        scores = posteriors.marginal.reshape(scene.height, scene.width)
         return classes, scores
     use_elev = _gmm_use_elevation(model, scene)
     scores = gmm.score_grid(model, scene, use_elev)
@@ -368,6 +366,8 @@ def cmd_sweep_labels(args, parser) -> int:
         seeds = [int(s) for s in args.seeds.split(",")]
     except ValueError as exc:
         parser.error(f"--ratios and --seeds take comma-separated numbers: {exc}")
+    if min(seeds) < 0:
+        parser.error(f"--seeds takes non-negative seeds, got {args.seeds}")
     out_path = _out_path(cfg.out, "sweep.csv")
     try:
         fh = open(out_path, "w")
@@ -395,109 +395,8 @@ def cmd_sweep_labels(args, parser) -> int:
     return 0
 
 
-def _lift_error(points: np.ndarray, weights: np.ndarray) -> float:
-    """Worst disagreement between the lifted and the raw-point Gaussian paths:
-    the weighted fit's mean in units of |mean| + sd and its covariance in units
-    of sd_i * sd_j, and the fit's log densities in units of 1 + |log density|."""
-    lift = Lifted(points)
-    ref, fit = weighted_mle(points, weights), weighted_mle(lift, weights)
-    sd = np.sqrt(np.diag(ref.cov))
-    ref_lp = log_pdf(ref, points)
-    return max(
-        float(np.max(np.abs(fit.mean - ref.mean) / (np.abs(ref.mean) + sd))),
-        float(np.max(np.abs(fit.cov - ref.cov) / np.outer(sd, sd))),
-        float(np.max(np.abs(log_pdf(ref, lift) - ref_lp) / (1.0 + np.abs(ref_lp)))),
-    )
-
-
-def run_verify(n_trees: int = 100, seed: int = 0, out=None) -> bool:
-    """Oracle-equivalence suite; returns True iff every check passes."""
-    out = out or sys.stdout
-    rng = np.random.default_rng(seed)
-    instances = []
-    for k in range(n_trees):
-        n = int(rng.integers(2, 13))
-        instances.append(oracle.random_tree_instance(rng, n, all_roots=k % 10 == 9))
-
-    all_ok = True
-
-    def emit(ok: bool, name: str, detail: str) -> None:
-        nonlocal all_ok
-        all_ok = all_ok and ok
-        print(f"{'ok  ' if ok else 'FAIL'} {name} ({detail})", file=out)
-
-    worst = worst_map = 0.0
-    ties = 0
-    exact = True
-    for model, tree, feats in instances:
-        om, op, oa, ov = oracle.enumerate_joint(model, tree, feats)
-        post = hmt.e_step(model, tree, feats)
-        worst = max(worst, float(np.max(np.abs(post.marginal - om))))
-        nonroot = np.flatnonzero(tree.parent >= 0)
-        if nonroot.size:
-            worst = max(worst, float(np.max(np.abs(post.pairwise[nonroot] - op[nonroot]))))
-        dec = hmt.map_decode(model, tree, feats)
-        dv = hmt.assignment_log_joint(model, tree, feats, dec)
-        worst_map = max(worst_map, abs(dv - ov))
-        if not np.array_equal(dec, oa):
-            ties += 1
-            exact = exact and abs(dv - ov) <= 1e-9
-    emit(worst <= 1e-9, "tree posteriors match enumeration", f"{n_trees} trees, max err {worst:.3g}")
-    emit(
-        worst_map <= 1e-9 and exact,
-        "MAP decoding attains the enumeration maximum",
-        f"{n_trees} trees, max value err {worst_map:.3g}, {ties} tie-equivalent assignments",
-    )
-
-    worst_gap = 0.0
-    grid_rho = np.linspace(0.01, 0.999, 25)
-    for model, tree, feats in instances[: min(25, n_trees)]:
-        if not tree.has_edges:
-            continue
-        post = hmt.e_step(model, tree, feats)
-        new = hmt.m_step(post, feats, model)
-        q_hat = hmt.expected_complete_loglik(post, new, tree, feats)
-        for r in grid_rho:
-            trial = hmt.HmtModel(rho=float(r), pi1=new.pi1, components=new.components)
-            gap = hmt.expected_complete_loglik(post, trial, tree, feats) - q_hat
-            worst_gap = max(worst_gap, gap)
-    emit(
-        worst_gap <= 1e-9,
-        "transition update maximizes the expected complete log likelihood",
-        f"max improvement found by grid search {worst_gap:.3g}",
-    )
-
-    worst_lift = 0.0
-    n_fits = 40
-    for k in range(n_fits):
-        # Correlated channels with offsets up to 1e6 and scales from 1e-3 to 1e3.
-        m = 1 + k % 4
-        mix = rng.normal(size=(m, m)) + 2.0 * np.eye(m)
-        scales = 10.0 ** rng.uniform(-3.0, 3.0, size=m)
-        offsets = 10.0 ** rng.uniform(0.0, 6.0, size=m) * rng.choice([-1.0, 1.0], size=m)
-        pts = (rng.normal(size=(200, m)) @ mix) * scales + offsets
-        worst_lift = max(worst_lift, _lift_error(pts, rng.uniform(size=200) ** 4))
-    emit(
-        worst_lift <= 1e-9,
-        "lifted Gaussian fits and densities match the Cholesky path",
-        f"{n_fits} fits, max rel err {worst_lift:.3g}",
-    )
-
-    spec = SceneSpec(width=16, height=16, obstacle_fraction=0.2, labels_per_class=8, rng_seed=seed)
-    scene, labels = generate_scene(spec)
-    _, trace = gmm.em_fit(scene, labels, use_elevation=False)
-    logliks = [oracle.gmm_loglik(m, scene, labels, use_elevation=False) for m in trace.models]
-    drops = [b - a for a, b in zip(logliks, logliks[1:]) if b < a - 1e-8]
-    emit(
-        not drops,
-        "mixture EM log likelihood is non-decreasing",
-        f"{len(logliks)} iterations, worst drop {min(drops) if drops else 0.0:.3g}",
-    )
-    return all_ok
-
-
 def cmd_verify(args, parser) -> int:
-    ok = run_verify(n_trees=args.trees, seed=args.seed)
+    ok = oracle.run_verify(n_trees=args.trees, seed=args.seed)
     print("all checks passed" if ok else "verification FAILED")
     return 0 if ok else 1
 
@@ -511,7 +410,7 @@ _FLAG_HELP = {
     "ratio": "labeled fraction to sample",
     "seed": "label sampling seed",
     "tol": "convergence threshold (default 1e-5)",
-    "cutoff": "class cutoff (default 0.5)",
+    "cutoff": "mixture models' class cutoff (default 0.5); a tree model's classes are its MAP labeling",
     "rho": "initial transition strength (default 0.99)",
     "pi": "initial flood prior (default 0.5)",
     "out": "output directory",

@@ -34,5 +34,5 @@ def em_fit(
 
 def score_grid(model: GmmModel, scene: RasterScene, use_elevation: bool) -> np.ndarray:
     """Per-pixel flood posterior as a (height, width) grid: the E-step on the edgeless forest."""
-    posteriors = e_step(model, FlowTree.edgeless(scene.n_pixels), scene.feature_matrix(use_elevation))
-    return posteriors.marginal.reshape(scene.height, scene.width)
+    marginal = e_step(model, FlowTree.edgeless(scene.n_pixels), scene.feature_matrix(use_elevation))
+    return marginal.reshape(scene.height, scene.width)

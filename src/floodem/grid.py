@@ -298,6 +298,8 @@ def generate_scene(spec: SceneSpec) -> tuple[RasterScene, LabelSet]:
     uniformly from non-obstacle pixels of each class. Fully deterministic for
     a fixed ``rng_seed``.
     """
+    if spec.rng_seed < 0:
+        raise SpecError(f"seed must be non-negative, got {spec.rng_seed}")
     rng = np.random.default_rng(spec.rng_seed)
     elev = spec.elevation_grid()
     if spec.water_level is None:
@@ -373,6 +375,8 @@ def sample_labels(scene: RasterScene, ratio: float, rng_seed: int) -> LabelSet:
         raise DataError("scene has no truth grid to sample labels from")
     if not 0.0 < ratio <= 1.0:
         raise DataError(f"ratio {ratio} outside (0, 1]")
+    if rng_seed < 0:
+        raise DataError(f"seed must be non-negative, got {rng_seed}")
     flat = scene.truth.ravel()
     pools = [np.flatnonzero(flat == cls) for cls in (0, 1)]
     for cls, pool in enumerate(pools):

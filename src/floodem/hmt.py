@@ -20,8 +20,10 @@ Inference is exact: sum-product for the node marginals and max-sum for the
 MAP labeling are one upward sweep that differs only in how it combines a
 child's two states, run level by level in the log domain with per-node
 max-shift normalization. Because of the structural zero, every pairwise
-posterior P(y_n, y_parent | X) follows from the two node marginals, so the
-E-step stores nothing else.
+posterior P(y_n, y_parent | X) follows from the two node marginals, so
+`e_step` returns the (N,) marginals and `m_step` reads nothing else. The
+brute-force references that certify this module, and the `floodem verify`
+suite that runs them, live in `floodem.oracle`.
 """
 
 from __future__ import annotations
@@ -166,29 +168,6 @@ class HmtModel(GmmModel):
         return np.array(
             [[0.0, _safe_log(1.0 - self.rho)], [-np.inf, _safe_log(self.rho)]]
         )
-
-
-@dataclass
-class TreePosteriors:
-    """Exact per-node posteriors P(y=1 | X) over a forest with parent links ``parent``."""
-
-    marginal: np.ndarray  # (N,)
-    parent: np.ndarray  # (N,) int64, -1 marks a root
-
-    @property
-    def pairwise(self) -> np.ndarray:
-        """(N, 2, 2) P(y_n, y_parent | X) indexed [node, y_node, y_parent]; NaN at roots.
-
-        The structural zero makes the table a function of the two marginals:
-        P(1, 1) = m_n, P(0, 1) = m_p - m_n, P(0, 0) = 1 - m_p, P(1, 0) = 0.
-        """
-        nonroot = self.parent >= 0
-        m = np.where(nonroot, self.marginal, np.nan)
-        mp = np.where(nonroot, self.marginal[self.parent], np.nan)
-        zero = np.where(nonroot, 0.0, np.nan)
-        table = np.stack([1.0 - mp, mp - m, zero, m], axis=1).reshape(-1, 2, 2)
-        table.flags.writeable = False
-        return table
 
 
 @dataclass
@@ -340,59 +319,35 @@ def _downward(tree: FlowTree, u: np.ndarray) -> np.ndarray:
     return marginal
 
 
-def e_step(model: GmmModel, tree: FlowTree, features: np.ndarray) -> TreePosteriors:
-    """Exact sum-product posteriors under the current parameters."""
+def e_step(model: GmmModel, tree: FlowTree, features: np.ndarray) -> np.ndarray:
+    """Exact sum-product marginals P(y_n=1 | X) under the current parameters, in node order."""
     u = _log_emissions(model, tree, features, tree.order)
     _upward(model, tree, u)
-    return TreePosteriors(marginal=_downward(tree, u)[tree.position], parent=tree.parent)
+    return _downward(tree, u)[tree.position]
 
 
-def m_step(posteriors: TreePosteriors, features: np.ndarray | Lifted, model: GmmModel):
-    """Closed-form update of ``model``; ``features`` list the nodes in the posteriors' order.
+def m_step(marginal: np.ndarray, parent: np.ndarray, features: np.ndarray | Lifted, model: GmmModel):
+    """Closed-form update of ``model`` from the marginals P(y_n=1 | X).
 
-    pi1 is the mean root marginal. On a forest with edges rho is the
-    expected-count MLE sum E[y_parent * y_n] / sum E[y_parent], which the
-    structural zero turns into sum m_n / sum m_parent(n); with no posterior
-    mass on flooded parents it is undefined and kept, with a warning. A
-    forest without edges leaves rho, or a mixture's lack of one, alone.
+    ``marginal``, ``parent`` (each node's parent index, -1 at roots) and
+    ``features`` list the nodes in one order, whichever it is. pi1 is the
+    mean root marginal. On a forest with edges rho is the expected-count MLE
+    sum E[y_parent * y_n] / sum E[y_parent], which the structural zero turns
+    into sum m_n / sum m_parent(n); with no posterior mass on flooded parents
+    it is undefined and kept, with a warning. A forest without edges leaves
+    rho, or a mixture's lack of one, alone.
     """
-    marg, parent = posteriors.marginal, posteriors.parent
     root = parent < 0
-    components = (weighted_mle(features, 1.0 - marg), weighted_mle(features, marg))
-    update = {"pi1": float(np.sum(marg, where=root)) / np.count_nonzero(root), "components": components}
+    components = (weighted_mle(features, 1.0 - marginal), weighted_mle(features, marginal))
+    update = {"pi1": float(np.sum(marginal, where=root)) / np.count_nonzero(root), "components": components}
     if not root.all():
-        den = float(marg[parent[~root]].sum())
+        den = float(marginal[parent[~root]].sum())
         if den == 0.0:
             warnings.warn("no posterior mass on flooded parents; keeping previous rho", stacklevel=2)
         else:
             # the floor keeps the (0, 1] contract when flood mass vanishes
-            update["rho"] = max(min(float(np.sum(marg, where=~root)) / den, 1.0), 1e-12)
+            update["rho"] = max(min(float(np.sum(marginal, where=~root)) / den, 1.0), 1e-12)
     return replace(model, **update)
-
-
-def expected_complete_loglik(
-    posteriors: TreePosteriors, model: GmmModel, tree: FlowTree, features: np.ndarray | Lifted
-) -> float:
-    """Posterior expectation of the complete-data log likelihood.
-
-    Emission term over all nodes, prior term over roots, transition term over
-    non-root edges: m_n on flood/flood and m_p - m_n on dry/flood, the only
-    cells with a non-zero log factor. Zero-probability cells contribute zero
-    even against a -inf log factor.
-    """
-    log_em = _log_emissions(model, tree, features)
-    marg1 = posteriors.marginal
-    total = float(((1.0 - marg1) * log_em[0] + marg1 * log_em[1]).sum())
-    r1 = marg1[tree.roots]
-    terms = [(1.0 - r1, _safe_log(model.pi0)), (r1, _safe_log(model.pi1))]
-    if tree.has_edges:
-        nonroot = np.flatnonzero(tree.parent >= 0)
-        m, mp = marg1[nonroot], marg1[tree.parent[nonroot]]
-        terms += [(m, _safe_log(model.rho)), (mp - m, _safe_log(1.0 - model.rho))]
-    with np.errstate(invalid="ignore"):
-        for p, log_factor in terms:
-            total += float(np.where(p > 0.0, p * log_factor, 0.0).sum())
-    return total
 
 
 def _max_rel_change(old, new) -> float:
@@ -441,12 +396,11 @@ def forest_em(model: GmmModel, tree: FlowTree, scene: RasterScene, clamped: Labe
             trace.stop_reason = "max_iter"
             break
         # The downward pass runs only here, when an update follows.
-        posteriors = TreePosteriors(marginal=_downward(tree, u), parent=tree.up)
         try:
-            new = m_step(posteriors, features, model)
+            new = m_step(_downward(tree, u), tree.up, features, model)
         except DegenerateError as exc:
             raise DegenerateError(f"{exc} (iteration {it + 1})") from exc
-        model, u, posteriors = new, None, None  # free the E-step's arrays before the next one
+        model, u = new, None  # free the E-step's arrays before the next one
     return model, trace
 
 
@@ -480,21 +434,6 @@ def map_decode(model: GmmModel, tree: FlowTree, features: np.ndarray) -> np.ndar
         # Under a dry parent the structural zero leaves only dry.
         classes[s:e] = (classes[tree.up[s:e]] == 1) & (u[1, s:e] > u[0, s:e])
     return classes[tree.position]
-
-
-def assignment_log_joint(
-    model: HmtModel, tree: FlowTree, features: np.ndarray, classes: np.ndarray
-) -> float:
-    """Log joint probability of one full class assignment."""
-    classes = np.asarray(classes, dtype=np.int64).reshape(-1)
-    log_em = _log_emissions(model, tree, features)
-    total = float(log_em[classes, np.arange(tree.n_nodes)].sum())
-    log_pi = np.array([_safe_log(model.pi0), _safe_log(model.pi1)])
-    total += float(log_pi[classes[tree.roots]].sum())
-    nonroot = np.flatnonzero(tree.parent >= 0)
-    log_t = model.log_transition()
-    total += float(log_t[classes[nonroot], classes[tree.parent[nonroot]]].sum())
-    return total
 
 
 # --- model files: one key=value per line, 17-significant-digit floats ---

@@ -1,19 +1,26 @@
-"""Brute-force references that certify the EM code paths on small instances.
+"""Brute-force references that certify the EM code paths on small instances,
+and `run_verify`, the suite behind `floodem verify` that runs them.
 
-Everything here re-derives probabilities from first principles. The only
+Every reference re-derives probabilities from first principles. The only
 piece shared with the production paths is the Gaussian log density; sums,
 normalizations, transition tables, and the MAP search are coded separately
-so a bug cannot hide on both sides of a comparison.
+so a bug cannot hide on both sides of a comparison. `run_verify` checks
+`floodem.hmt`'s E-step, M-step and MAP decoding against these references,
+the lifted Gaussian fits against the Cholesky path, and the mixture EM's
+likelihood for monotonicity.
 """
 
 from __future__ import annotations
 
 import itertools
+import sys
 
 import numpy as np
 
-from .errors import CapError
-from .gaussian import GaussianParams, log_pdf
+from . import gmm, hmt
+from .errors import CapError, SpecError
+from .gaussian import GaussianParams, Lifted, log_pdf, weighted_mle
+from .grid import SceneSpec, generate_scene
 
 MAX_NODES = 20
 
@@ -29,6 +36,19 @@ def _logsumexp(values: np.ndarray) -> float:
     return m + float(np.log(np.sum(np.exp(values - m))))
 
 
+def _class_log_densities(model, features) -> np.ndarray:
+    """(2, N) log densities, class c in row c."""
+    return np.stack([log_pdf(g, features) for g in model.components])
+
+
+def _log_tables(model) -> tuple[np.ndarray, np.ndarray]:
+    """The log root prior [pi0, pi1] and the log transition table, indexed
+    [child, parent], written out from scratch."""
+    log_pi = np.array([_log(1.0 - model.pi1), _log(model.pi1)])
+    log_t = np.array([[0.0, _log(1.0 - model.rho)], [-np.inf, _log(model.rho)]])
+    return log_pi, log_t
+
+
 def enumerate_joint(model, tree, features):
     """Exhaustive posterior computation over all 2^N class assignments.
 
@@ -39,16 +59,11 @@ def enumerate_joint(model, tree, features):
     n = tree.n_nodes
     if n > MAX_NODES:
         raise CapError(f"{n} nodes exceeds the enumeration cap of {MAX_NODES}")
-    feats = np.asarray(features, dtype=float)
-    em = np.stack(
-        [log_pdf(model.components[0], feats), log_pdf(model.components[1], feats)], axis=1
-    )
-    log_pi = np.array([_log(1.0 - model.pi1), _log(model.pi1)])
-    # Transition table written out from scratch, indexed [child, parent].
-    log_t = np.array([[0.0, _log(1.0 - model.rho)], [-np.inf, _log(model.rho)]])
+    em = _class_log_densities(model, np.asarray(features, dtype=float))
+    log_pi, log_t = _log_tables(model)
 
     assignments = np.array(list(itertools.product((0, 1), repeat=n)), dtype=np.int8)
-    logp = em[np.arange(n)[None, :], assignments].sum(axis=1)
+    logp = em[assignments, np.arange(n)[None, :]].sum(axis=1)
     parent = np.asarray(tree.parent)
     for node in range(n):
         p = parent[node]
@@ -74,6 +89,54 @@ def enumerate_joint(model, tree, features):
 
     best = int(np.argmax(logp))
     return marginals, pairwise, assignments[best].astype(np.uint8), float(logp[best])
+
+
+def pairwise_from_marginals(marginal: np.ndarray, parent: np.ndarray) -> np.ndarray:
+    """(N, 2, 2) P(y_n, y_parent | X) indexed [node, y_node, y_parent]; NaN at roots.
+
+    The structural zero makes the table a function of the two marginals:
+    P(1, 1) = m_n, P(0, 1) = m_p - m_n, P(0, 0) = 1 - m_p, P(1, 0) = 0. This
+    is the claim the E-step rests on, checked against `enumerate_joint`.
+    """
+    nonroot = parent >= 0
+    m = np.where(nonroot, marginal, np.nan)
+    mp = np.where(nonroot, marginal[parent], np.nan)
+    zero = np.where(nonroot, 0.0, np.nan)
+    return np.stack([1.0 - mp, mp - m, zero, m], axis=1).reshape(-1, 2, 2)
+
+
+def expected_complete_loglik(marginal: np.ndarray, model, tree, features) -> float:
+    """Posterior expectation of the complete-data log likelihood, given the
+    marginals P(y_n=1 | X) in node order.
+
+    Emission term over all nodes, prior term over roots, transition term over
+    non-root edges: m_n on flood/flood and m_p - m_n on dry/flood, the only
+    cells with a non-zero log factor. Zero-probability cells contribute zero
+    even against a -inf log factor.
+    """
+    log_em = _class_log_densities(model, features)
+    total = float(((1.0 - marginal) * log_em[0] + marginal * log_em[1]).sum())
+    r1 = marginal[tree.parent < 0]
+    terms = [(1.0 - r1, _log(1.0 - model.pi1)), (r1, _log(model.pi1))]
+    nonroot = np.flatnonzero(tree.parent >= 0)
+    if nonroot.size:
+        m, mp = marginal[nonroot], marginal[tree.parent[nonroot]]
+        terms += [(m, _log(model.rho)), (mp - m, _log(1.0 - model.rho))]
+    with np.errstate(invalid="ignore"):
+        for p, log_factor in terms:
+            total += float(np.where(p > 0.0, p * log_factor, 0.0).sum())
+    return total
+
+
+def assignment_log_joint(model, tree, features, classes) -> float:
+    """Log joint probability of one full class assignment."""
+    classes = np.asarray(classes, dtype=np.int64).reshape(-1)
+    total = float(_class_log_densities(model, features)[classes, np.arange(tree.n_nodes)].sum())
+    log_pi, log_t = _log_tables(model)
+    total += float(log_pi[classes[tree.parent < 0]].sum())
+    nonroot = np.flatnonzero(tree.parent >= 0)
+    total += float(log_t[classes[nonroot], classes[tree.parent[nonroot]]].sum())
+    return total
 
 
 def gmm_loglik(model, scene, labels, use_elevation: bool) -> float:
@@ -108,8 +171,6 @@ def random_tree_instance(
     the exact structural-zero endpoint with small probability) and draws
     Gaussian emissions per class.
     """
-    from .hmt import FlowTree, HmtModel  # type reuse only; no algorithm sharing
-
     parent = np.full(n_nodes, -1, dtype=np.int64)
     for node in range(1, n_nodes):
         if all_roots or rng.random() < 0.15:
@@ -117,7 +178,7 @@ def random_tree_instance(
         parent[node] = rng.integers(0, node)
     label = rng.permutation(n_nodes)
     parent[label] = np.where(parent >= 0, label[parent], -1)
-    tree = FlowTree.from_parents(parent)
+    tree = hmt.FlowTree.from_parents(parent)
 
     dim = feature_dim if feature_dim is not None else int(rng.integers(1, 4))
     comps = []
@@ -128,6 +189,102 @@ def random_tree_instance(
         comps.append(GaussianParams(mean, cov))
     rho = 1.0 if rng.random() < 0.1 else float(rng.uniform(0.5, 1.0))
     pi1 = float(rng.uniform(0.1, 0.9))
-    model = HmtModel(rho=rho, pi1=pi1, components=(comps[0], comps[1]))
+    model = hmt.HmtModel(rho=rho, pi1=pi1, components=(comps[0], comps[1]))
     features = rng.normal(0.0, 2.5, size=(n_nodes, dim))
     return model, tree, features
+
+
+# --- the floodem verify suite ---
+
+
+def _lift_error(points: np.ndarray, weights: np.ndarray) -> float:
+    """Worst disagreement between the lifted and the raw-point Gaussian paths:
+    the weighted fit's mean in units of |mean| + sd and its covariance in units
+    of sd_i * sd_j, and the fit's log densities in units of 1 + |log density|."""
+    lift = Lifted(points)
+    ref, fit = weighted_mle(points, weights), weighted_mle(lift, weights)
+    sd = np.sqrt(np.diag(ref.cov))
+    ref_lp = log_pdf(ref, points)
+    return max(
+        float(np.max(np.abs(fit.mean - ref.mean) / (np.abs(ref.mean) + sd))),
+        float(np.max(np.abs(fit.cov - ref.cov) / np.outer(sd, sd))),
+        float(np.max(np.abs(log_pdf(ref, lift) - ref_lp) / (1.0 + np.abs(ref_lp)))),
+    )
+
+
+def run_verify(n_trees: int = 100, seed: int = 0, out=None) -> bool:
+    """Oracle-equivalence suite over ``n_trees`` random trees; prints one line
+    per check to ``out`` (stdout by default) and returns True iff every check passes."""
+    if n_trees < 1:
+        raise SpecError(f"verify needs at least one tree, got {n_trees}")
+    if seed < 0:
+        raise SpecError(f"seed must be non-negative, got {seed}")
+    out = out or sys.stdout
+    rng = np.random.default_rng(seed)
+    instances = [random_tree_instance(rng, int(rng.integers(2, 13)), all_roots=k % 10 == 9)
+                 for k in range(n_trees)]
+
+    all_ok = True
+
+    def emit(ok: bool, name: str, detail: str) -> None:
+        nonlocal all_ok
+        all_ok = all_ok and ok
+        print(f"{'ok  ' if ok else 'FAIL'} {name} ({detail})", file=out)
+
+    worst = worst_map = 0.0
+    ties = 0
+    exact = True
+    for model, tree, feats in instances:
+        om, op, oa, ov = enumerate_joint(model, tree, feats)
+        marginal = hmt.e_step(model, tree, feats)
+        worst = max(worst, float(np.max(np.abs(marginal - om))))
+        nonroot = np.flatnonzero(tree.parent >= 0)
+        if nonroot.size:
+            pairwise = pairwise_from_marginals(marginal, tree.parent)
+            worst = max(worst, float(np.max(np.abs(pairwise[nonroot] - op[nonroot]))))
+        dec = hmt.map_decode(model, tree, feats)
+        dv = assignment_log_joint(model, tree, feats, dec)
+        worst_map = max(worst_map, abs(dv - ov))
+        if not np.array_equal(dec, oa):
+            ties += 1
+            exact = exact and abs(dv - ov) <= 1e-9
+    emit(worst <= 1e-9, "tree posteriors match enumeration", f"{n_trees} trees, max err {worst:.3g}")
+    emit(worst_map <= 1e-9 and exact, "MAP decoding attains the enumeration maximum",
+         f"{n_trees} trees, max value err {worst_map:.3g}, {ties} tie-equivalent assignments")
+
+    worst_gap = 0.0
+    grid_rho = np.linspace(0.01, 0.999, 25)
+    for model, tree, feats in instances[: min(25, n_trees)]:
+        if not tree.has_edges:
+            continue
+        marginal = hmt.e_step(model, tree, feats)
+        new = hmt.m_step(marginal, tree.parent, feats, model)
+        q_hat = expected_complete_loglik(marginal, new, tree, feats)
+        for r in grid_rho:
+            trial = hmt.HmtModel(rho=float(r), pi1=new.pi1, components=new.components)
+            gap = expected_complete_loglik(marginal, trial, tree, feats) - q_hat
+            worst_gap = max(worst_gap, gap)
+    emit(worst_gap <= 1e-9, "transition update maximizes the expected complete log likelihood",
+         f"max improvement found by grid search {worst_gap:.3g}")
+
+    worst_lift = 0.0
+    n_fits = 40
+    for k in range(n_fits):
+        # Correlated channels with offsets up to 1e6 and scales from 1e-3 to 1e3.
+        m = 1 + k % 4
+        mix = rng.normal(size=(m, m)) + 2.0 * np.eye(m)
+        scales = 10.0 ** rng.uniform(-3.0, 3.0, size=m)
+        offsets = 10.0 ** rng.uniform(0.0, 6.0, size=m) * rng.choice([-1.0, 1.0], size=m)
+        pts = (rng.normal(size=(200, m)) @ mix) * scales + offsets
+        worst_lift = max(worst_lift, _lift_error(pts, rng.uniform(size=200) ** 4))
+    emit(worst_lift <= 1e-9, "lifted Gaussian fits and densities match the Cholesky path",
+         f"{n_fits} fits, max rel err {worst_lift:.3g}")
+
+    spec = SceneSpec(width=16, height=16, obstacle_fraction=0.2, labels_per_class=8, rng_seed=seed)
+    scene, labels = generate_scene(spec)
+    _, trace = gmm.em_fit(scene, labels, use_elevation=False)
+    logliks = [gmm_loglik(m, scene, labels, use_elevation=False) for m in trace.models]
+    drops = [b - a for a, b in zip(logliks, logliks[1:]) if b < a - 1e-8]
+    emit(not drops, "mixture EM log likelihood is non-decreasing",
+         f"{len(logliks)} iterations, worst drop {min(drops) if drops else 0.0:.3g}")
+    return all_ok

@@ -5,7 +5,7 @@ from dataclasses import fields
 import numpy as np
 import pytest
 
-from floodem import cli, gaussian, hmt
+from floodem import cli, gaussian, hmt, oracle
 from floodem.errors import SpecError
 from floodem.grid import RasterScene, load_scene, save_scene
 
@@ -447,7 +447,7 @@ def test_sweep_labels_handles_tiny_ratios(workdir, tmp_path):
 
 
 def test_verify_passes_on_fresh_build(capsys):
-    assert cli.run_verify(n_trees=20, seed=3) is True
+    assert oracle.run_verify(n_trees=20, seed=3) is True
     out = capsys.readouterr().out
     assert out.count("ok  ") == 5
 
@@ -455,8 +455,8 @@ def test_verify_passes_on_fresh_build(capsys):
 def test_verify_catches_corrupted_transition_update(monkeypatch):
     real = hmt.m_step
 
-    def corrupted(posteriors, features, model):
-        model = real(posteriors, features, model)
+    def corrupted(marginal, parent, features, model):
+        model = real(marginal, parent, features, model)
         if not isinstance(model, hmt.HmtModel):
             return model  # the mixture's update has no rho to bend
         bent = min(max(model.rho * 0.6, 1e-6), 1.0)
@@ -464,7 +464,7 @@ def test_verify_catches_corrupted_transition_update(monkeypatch):
 
     monkeypatch.setattr(hmt, "m_step", corrupted)
     sink = io.StringIO()
-    assert cli.run_verify(n_trees=10, seed=0, out=sink) is False
+    assert oracle.run_verify(n_trees=10, seed=0, out=sink) is False
     assert "FAIL transition update" in sink.getvalue()
 
 
@@ -477,7 +477,7 @@ def test_verify_catches_a_corrupted_lift(monkeypatch):
 
     monkeypatch.setattr(gaussian.Lifted, "__init__", corrupted)
     sink = io.StringIO()
-    assert cli.run_verify(n_trees=10, seed=0, out=sink) is False
+    assert oracle.run_verify(n_trees=10, seed=0, out=sink) is False
     assert "FAIL lifted Gaussian" in sink.getvalue()
 
 
@@ -593,7 +593,7 @@ def test_predict_rejects_unknown_model_keys(workdir, tmp_path, capsys, method, e
     assert f"unknown key '{named}'" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("flag, value", [("--ratios", "0.01,x"), ("--seeds", "1,two")])
+@pytest.mark.parametrize("flag, value", [("--ratios", "0.01,x"), ("--seeds", "1,two"), ("--seeds", "1,-1")])
 def test_sweep_labels_rejects_a_bad_list_as_usage_error(workdir, tmp_path, flag, value):
     argv = {"--ratios": "0.05", "--seeds": "1", flag: value}
     with pytest.raises(SystemExit) as exc:
@@ -601,6 +601,28 @@ def test_sweep_labels_rejects_a_bad_list_as_usage_error(workdir, tmp_path, flag,
                   "--ratios", argv["--ratios"], "--seeds", argv["--seeds"],
                   "--out", str(tmp_path)])
     assert exc.value.code == 2
+
+
+@pytest.mark.parametrize("verb", ["synth", "train", "compare", "verify"])
+def test_negative_seed_is_a_data_error(workdir, tmp_path, capsys, verb):
+    # the check runs before any random generator is built, so no numpy traceback
+    scene = str(workdir / "scene.sgrid")
+    argv = {
+        "synth": ["--spec", str(workdir / "spec.txt"), "--out-scene", str(tmp_path / "s.sgrid"),
+                  "--out-labels", str(tmp_path / "l.txt")],
+        "train": ["--method", "gmm", "--scene", scene, "--ratio", "0.01", "--out", str(tmp_path)],
+        "compare": ["--scene", scene, "--ratio", "0.01", "--out", str(tmp_path)],
+        "verify": [],
+    }[verb]
+    assert cli.main([verb, *argv, "--seed", "-1"]) == 3
+    assert "seed must be non-negative, got -1" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("trees", [0, -3])
+def test_verify_without_trees_is_a_data_error(capsys, trees):
+    assert cli.main(["verify", "--trees", str(trees)]) == 3
+    captured = capsys.readouterr()
+    assert "at least one tree" in captured.err and "ok" not in captured.out
 
 
 @pytest.mark.parametrize("verb", ["train", "sweep-labels"])

@@ -242,11 +242,11 @@ def test_run_em_numbers_the_failing_update(small_scene, monkeypatch):
     scene, labels = small_scene
     real, calls = hmt.m_step, []
 
-    def m_step(posteriors, features, model):
+    def m_step(marginal, parent, features, model):
         calls.append(model)
         if len(calls) == 2:
             raise DegenerateError("collapsed")
-        return real(posteriors, features, model)
+        return real(marginal, parent, features, model)
 
     monkeypatch.setattr(hmt, "m_step", m_step)
     with pytest.raises(DegenerateError, match=r"collapsed \(iteration 2\)"):

@@ -205,6 +205,14 @@ def test_water_level_out_of_range_rejected():
         generate_scene(spec)
 
 
+def test_negative_seed_rejected():
+    # the CLI sets the seed after the spec is built, so generate_scene checks it
+    spec = SceneSpec(width=8, height=8)
+    spec.rng_seed = -1
+    with pytest.raises(SpecError, match="seed must be non-negative"):
+        generate_scene(spec)
+
+
 def test_spec_invariants():
     with pytest.raises(SpecError):
         SceneSpec(obstacle_fraction=1.5)
@@ -246,6 +254,11 @@ def test_sample_labels_errors():
     )
     with pytest.raises(DataError):
         sample_labels(one_class, 0.5, rng_seed=0)
+    two_class = RasterScene(
+        width=2, height=1, channels=1, data=np.zeros(2), truth=np.array([[0, 1]], dtype=np.uint8)
+    )
+    with pytest.raises(DataError, match="seed must be non-negative"):
+        sample_labels(two_class, 0.5, rng_seed=-1)
 
 
 def test_sample_labels_bounds_and_uniqueness(small_scene):

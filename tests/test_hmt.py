@@ -15,12 +15,9 @@ from floodem.hmt import (
     FlowTree,
     _logaddexp,
     HmtModel,
-    TreePosteriors,
-    assignment_log_joint,
     build_flow_tree,
     e_step,
     em_fit,
-    expected_complete_loglik,
     forest_em,
     init_from_labels,
     load_model,
@@ -28,6 +25,7 @@ from floodem.hmt import (
     map_decode,
     save_model,
 )
+from floodem.oracle import assignment_log_joint, expected_complete_loglik, pairwise_from_marginals
 
 # --- tree construction ---
 
@@ -178,11 +176,12 @@ def test_tiny_dem_inference_matches_enumeration(rng, monkeypatch):
             monkeypatch.setattr(hmt, "log_pdf", clamped)
             monkeypatch.setattr(oracle, "log_pdf", clamped)
             om, op, _, ov = oracle.enumerate_joint(model, tree, feats)
-            post = e_step(model, tree, feats)
-            np.testing.assert_allclose(post.marginal, om, atol=1e-9)
-            np.testing.assert_allclose(post.marginal[clamp_idx], clamp_cls, atol=1e-12)
+            marginal = e_step(model, tree, feats)
+            np.testing.assert_allclose(marginal, om, atol=1e-9)
+            np.testing.assert_allclose(marginal[clamp_idx], clamp_cls, atol=1e-12)
             nonroot = tree.parent >= 0
-            np.testing.assert_allclose(post.pairwise[nonroot], op[nonroot], atol=1e-9)
+            pairwise = pairwise_from_marginals(marginal, tree.parent)
+            np.testing.assert_allclose(pairwise[nonroot], op[nonroot], atol=1e-9)
             dec = map_decode(model, tree, feats)
             assert assignment_log_joint(model, tree, feats, dec) == pytest.approx(ov, abs=1e-9)
 
@@ -195,8 +194,8 @@ def test_deep_chain_stays_finite_and_monotone():
     rng = np.random.default_rng(5)
     feats = rng.normal(size=(n, 1)) + np.where(np.arange(n) < n // 2, 2.0, 0.0)[:, None]
     model = HmtModel(rho=0.999, pi1=0.5, components=(_gauss(0.0), _gauss(2.0)))
-    post = e_step(model, tree, feats)
-    assert np.all((post.marginal >= 0.0) & (post.marginal <= 1.0))
+    marginal = e_step(model, tree, feats)
+    assert np.all((marginal >= 0.0) & (marginal <= 1.0))
     from floodem.hmt import _log_emissions, _upward
 
     loglik = _upward(model, tree, _log_emissions(model, tree, feats, tree.order))
@@ -264,9 +263,9 @@ def _gauss(mu, var=1.0):
 def test_single_node_prior_only():
     model = HmtModel(rho=0.9, pi1=0.5, components=(_gauss(0.0), _gauss(0.0)))
     tree = FlowTree.from_parents(np.array([-1]))
-    post = e_step(model, tree, np.array([[1.3]]))
-    assert post.marginal[0] == pytest.approx(0.5, abs=1e-12)
-    assert np.all(np.isnan(post.pairwise[0]))
+    marginal = e_step(model, tree, np.array([[1.3]]))
+    assert marginal[0] == pytest.approx(0.5, abs=1e-12)
+    assert np.all(np.isnan(pairwise_from_marginals(marginal, tree.parent)[0]))
 
 
 def test_structural_zero_propagates_exactly():
@@ -275,10 +274,10 @@ def test_structural_zero_propagates_exactly():
     model = HmtModel(rho=1.0, pi1=0.5, components=(_gauss(0.0), _gauss(60.0)))
     tree = FlowTree.from_parents(np.array([-1, 0]))
     feats = np.array([[0.0], [30.0]])
-    post = e_step(model, tree, feats)
-    assert post.marginal[0] == 0.0
-    assert post.marginal[1] == 0.0
-    assert post.pairwise[1, 1, 0] == 0.0
+    marginal = e_step(model, tree, feats)
+    assert marginal[0] == 0.0
+    assert marginal[1] == 0.0
+    assert pairwise_from_marginals(marginal, tree.parent)[1, 1, 0] == 0.0
 
 
 def test_hard_transition_with_a_clamped_dry_leaf_gives_exact_zeros():
@@ -325,15 +324,16 @@ def test_pairwise_tables_consistent(rng):
     for trial in range(30):
         n = int(rng.integers(2, 13))
         model, tree, feats = oracle.random_tree_instance(rng, n)
-        post = e_step(model, tree, feats)
-        assert np.all((post.marginal >= 0.0) & (post.marginal <= 1.0))
+        marginal = e_step(model, tree, feats)
+        assert np.all((marginal >= 0.0) & (marginal <= 1.0))
+        pairwise = pairwise_from_marginals(marginal, tree.parent)
         for node in np.flatnonzero(tree.parent >= 0):
-            table = post.pairwise[node]
+            table = pairwise[node]
             assert table.sum() == pytest.approx(1.0, abs=1e-10)
             assert table[1, 0] == 0.0  # flood child under dry parent
-            assert table[1].sum() == pytest.approx(post.marginal[node], abs=1e-10)
+            assert table[1].sum() == pytest.approx(marginal[node], abs=1e-10)
             assert table[:, 1].sum() == pytest.approx(
-                post.marginal[tree.parent[node]], abs=1e-10
+                marginal[tree.parent[node]], abs=1e-10
             )
 
 
@@ -342,10 +342,11 @@ def test_e_step_matches_enumeration(rng):
         n = int(rng.integers(2, 13))
         model, tree, feats = oracle.random_tree_instance(rng, n)
         om, op, _, _ = oracle.enumerate_joint(model, tree, feats)
-        post = e_step(model, tree, feats)
-        np.testing.assert_allclose(post.marginal, om, atol=1e-9)
+        marginal = e_step(model, tree, feats)
+        np.testing.assert_allclose(marginal, om, atol=1e-9)
         nonroot = np.flatnonzero(tree.parent >= 0)
-        np.testing.assert_allclose(post.pairwise[nonroot], op[nonroot], atol=1e-9)
+        pairwise = pairwise_from_marginals(marginal, tree.parent)
+        np.testing.assert_allclose(pairwise[nonroot], op[nonroot], atol=1e-9)
 
 
 def test_sibling_relabeling_invariance(rng):
@@ -358,9 +359,9 @@ def test_sibling_relabeling_invariance(rng):
     tree2 = FlowTree.from_parents(parent2)
     feats2 = np.empty_like(feats)
     feats2[perm] = feats
-    post = e_step(model, tree, feats)
-    post2 = e_step(model, tree2, feats2)
-    np.testing.assert_allclose(post2.marginal[perm], post.marginal, atol=1e-12)
+    marginal = e_step(model, tree, feats)
+    marginal2 = e_step(model, tree2, feats2)
+    np.testing.assert_allclose(marginal2[perm], marginal, atol=1e-12)
     dec = map_decode(model, tree, feats)
     dec2 = map_decode(model, tree2, feats2)
     np.testing.assert_array_equal(dec2[perm], dec)
@@ -376,20 +377,20 @@ def test_m_step_rho_is_a_count_ratio(rng):
     tree = FlowTree.from_parents(np.array([-1] + [0] * n_children))
     feats = rng.normal(size=(n_children + 1, 2))
     marginal = np.array([1.0] + [1.0] * k + [0.0] * (n_children - k))
-    post = TreePosteriors(marginal=marginal, parent=tree.parent)
     g = GaussianParams(np.zeros(2), np.eye(2))
-    model = m_step(post, feats, HmtModel(rho=0.5, pi1=0.5, components=(g, g)))
+    model = m_step(marginal, tree.parent, feats, HmtModel(rho=0.5, pi1=0.5, components=(g, g)))
     assert model.rho == pytest.approx(k / n_children, abs=1e-15)
     assert model.pi1 == 1.0  # single root, flooded
 
 
 def test_m_step_pi_is_average_root_marginal(rng):
     tree = FlowTree.from_parents(np.array([-1, -1, -1]))
-    post = TreePosteriors(marginal=np.array([0.3, 0.3, 0.3]), parent=tree.parent)
+    marginal = np.array([0.3, 0.3, 0.3])
     g = GaussianParams(np.zeros(2), np.eye(2))
     with warnings.catch_warnings():
         warnings.simplefilter("error")  # no edges: rho is left alone, without a warning
-        model = m_step(post, rng.normal(size=(3, 2)), HmtModel(rho=0.7, pi1=0.5, components=(g, g)))
+        model = m_step(marginal, tree.parent, rng.normal(size=(3, 2)),
+                       HmtModel(rho=0.7, pi1=0.5, components=(g, g)))
     assert model.pi1 == pytest.approx(0.3, abs=1e-15)
     assert model.rho == 0.7
 
@@ -397,20 +398,21 @@ def test_m_step_pi_is_average_root_marginal(rng):
 def test_m_step_requires_prev_rho_when_degenerate(rng):
     # the only edge hangs off a dry parent; the flood mass sits on a second root
     tree = FlowTree.from_parents(np.array([-1, 0, -1]))
-    post = TreePosteriors(marginal=np.array([0.0, 0.0, 0.4]), parent=tree.parent)
-    np.testing.assert_array_equal(post.pairwise[1], [[1.0, 0.0], [0.0, 0.0]])  # all mass on dry/dry
+    marginal = np.array([0.0, 0.0, 0.4])
+    pairwise = pairwise_from_marginals(marginal, tree.parent)
+    np.testing.assert_array_equal(pairwise[1], [[1.0, 0.0], [0.0, 0.0]])  # all mass on dry/dry
     prev = HmtModel(rho=0.9, pi1=0.5, components=(_gauss(0.0), _gauss(1.0)))
     with pytest.warns(UserWarning, match="keeping previous rho"):
-        model = m_step(post, rng.normal(size=(3, 1)), prev)
+        model = m_step(marginal, tree.parent, rng.normal(size=(3, 1)), prev)
     assert model.rho == 0.9
 
 
 def test_m_step_moments_match_independent_formulas(rng):
     model, tree, feats = oracle.random_tree_instance(rng, 10, feature_dim=2)
-    post = e_step(model, tree, feats)
-    new = m_step(post, feats, model)
+    marginal = e_step(model, tree, feats)
+    new = m_step(marginal, tree.parent, feats, model)
     for cls in (0, 1):
-        w = post.marginal if cls == 1 else 1.0 - post.marginal
+        w = marginal if cls == 1 else 1.0 - marginal
         mean = (w[:, None] * feats).sum(axis=0) / w.sum()
         centered = feats - mean
         cov = (w[:, None] * centered).T @ centered / w.sum()
@@ -429,9 +431,9 @@ def test_uninformative_emissions_with_hard_transition():
     feats = rng.normal(size=(16, 2))
     g = GaussianParams(np.zeros(2), np.eye(2))
     model = HmtModel(rho=1.0, pi1=0.4, components=(g, g))
-    post = e_step(model, tree, feats)
-    np.testing.assert_allclose(post.marginal, 0.4, atol=1e-12)
-    new = m_step(post, feats, model)
+    marginal = e_step(model, tree, feats)
+    np.testing.assert_allclose(marginal, 0.4, atol=1e-12)
+    new = m_step(marginal, tree.parent, feats, model)
     np.testing.assert_allclose(new.components[0].mean, new.components[1].mean, atol=1e-12)
 
 
@@ -474,9 +476,9 @@ def test_em_fit_expected_loglik_monotone():
     feats = scene.feature_matrix(use_elevation=False)
     assert len(models) >= 3
     for old, new in zip(models, models[1:]):
-        post = e_step(old, tree, feats)
-        q_old = expected_complete_loglik(post, old, tree, feats)
-        q_new = expected_complete_loglik(post, new, tree, feats)
+        marginal = e_step(old, tree, feats)
+        q_old = expected_complete_loglik(marginal, old, tree, feats)
+        q_new = expected_complete_loglik(marginal, new, tree, feats)
         assert q_new >= q_old - 1e-8
     logliks = trace.logliks
     for a, b in zip(logliks, logliks[1:]):
@@ -607,14 +609,14 @@ def test_extreme_models_give_finite_results_or_typed_errors(kind, rho, pi1, seed
         warnings.simplefilter("error")
         # the documented outcome of an update with no flood mass on any parent
         warnings.filterwarnings("ignore", "no posterior mass on flooded parents", UserWarning)
-        post = e_step(model, tree, feats)
-        assert np.all((post.marginal >= 0.0) & (post.marginal <= 1.0))
+        marginal = e_step(model, tree, feats)
+        assert np.all((marginal >= 0.0) & (marginal <= 1.0))
         dec = map_decode(model, tree, feats)
         nonroot = tree.parent >= 0
         assert not np.any((dec[nonroot] == 1) & (dec[tree.parent[nonroot]] == 0))
-        assert np.isfinite(expected_complete_loglik(post, model, tree, feats))
+        assert np.isfinite(expected_complete_loglik(marginal, model, tree, feats))
         try:
-            new = m_step(post, feats, model)
+            new = m_step(marginal, tree.parent, feats, model)
         except FloodemError:
             return
     assert type(new) is type(model) and 0.0 <= new.pi1 <= 1.0
@@ -722,7 +724,7 @@ def test_invariants_hold_at_512_without_the_oracle():
     model, trace = em_fit(scene, labels)
     tree = build_flow_tree(scene.elevation())
     feats = scene.feature_matrix(use_elevation=False)
-    marginal = e_step(model, tree, feats).marginal
+    marginal = e_step(model, tree, feats)
     nonroot = np.flatnonzero(tree.parent >= 0)
     assert np.all((marginal >= 0.0) & (marginal <= 1.0))
     assert np.all(marginal[nonroot] <= marginal[tree.parent[nonroot]])

@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -7,8 +8,14 @@ from floodem.errors import CapError
 from floodem.gaussian import GaussianParams, log_pdf
 from floodem.gmm import GmmModel
 from floodem.grid import LabelSet, RasterScene
-from floodem.hmt import FlowTree, HmtModel
-from floodem.oracle import enumerate_joint, gmm_loglik, random_tree_instance
+from floodem.hmt import FlowTree, HmtModel, e_step
+from floodem.oracle import (
+    assignment_log_joint,
+    enumerate_joint,
+    expected_complete_loglik,
+    gmm_loglik,
+    random_tree_instance,
+)
 
 
 def _gauss(mu):
@@ -45,6 +52,20 @@ def test_marginals_and_pairwise_are_consistent(rng):
         assert pairwise[node].sum() == pytest.approx(1.0, abs=1e-12)
         assert pairwise[node][1].sum() == pytest.approx(marg[node], abs=1e-12)
         assert pairwise[node][:, 1].sum() == pytest.approx(marg[tree.parent[node]], abs=1e-12)
+
+
+def test_expected_complete_loglik_matches_enumeration(rng):
+    # E[log P(a, X) | X] summed over every assignment a; an impossible
+    # assignment has P(a | X) = 0 and contributes 0 even where log P is -inf
+    for trial in range(30):
+        model, tree, feats = random_tree_instance(rng, int(rng.integers(2, 9)), all_roots=trial % 10 == 9)
+        assignments = itertools.product((0, 1), repeat=tree.n_nodes)
+        log_joint = np.array([assignment_log_joint(model, tree, feats, a) for a in assignments])
+        posterior = np.exp(log_joint - np.logaddexp.reduce(log_joint))
+        terms = np.multiply(posterior, log_joint, out=np.zeros_like(posterior), where=posterior > 0.0)
+        reference = float(terms.sum())
+        got = expected_complete_loglik(e_step(model, tree, feats), model, tree, feats)
+        assert got == pytest.approx(reference, rel=1e-9, abs=0.0)
 
 
 def test_enumeration_cap():
