@@ -52,10 +52,20 @@ class RunConfig:
     out: str = "."
 
 
+def probability(val: str) -> float:
+    """The cast of a setting that must lie in [0, 1], NaN excluded. argparse
+    names the cast in its usage error, so the name is a plain word."""
+    p = float(val)
+    if not 0.0 <= p <= 1.0:
+        raise ValueError(f"{val!r} is not in [0, 1]")
+    return p
+
+
 # Every RunConfig field, with the cast its config-file value goes through.
 _CONFIG_CASTS = {
     **dict.fromkeys(("method", "scene", "labels", "out"), str),
-    **dict.fromkeys(("ratio", "tol", "cutoff", "rho", "pi"), float),
+    **dict.fromkeys(("ratio", "tol", "rho", "pi"), float),
+    "cutoff": probability,
     **dict.fromkeys(("seed", "neighborhood", "max_iter"), int),
 }
 

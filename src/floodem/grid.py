@@ -193,11 +193,11 @@ class LabelSet:
         return idx, cls
 
 
-# Default per-class feature distributions for the generator. The obstacle
-# distribution is shared by both classes and centered between them, which is
-# the whole point: those pixels are indistinguishable from non-spatial
-# features alone.
-_DEFAULT_MEANS = ((40.0, 45.0, 50.0), (90.0, 95.0, 100.0))
+# Default per-class feature distributions for the generator: class 0's means
+# run evenly from 40 to 50 over the features, class 1's sit 50 higher. The
+# obstacle distribution is shared by both classes and centered between them,
+# which is the whole point: those pixels are indistinguishable from
+# non-spatial features alone.
 _DEFAULT_STD = 15.0
 _DEFAULT_OBSTACLE_STD = 12.0
 _DEFAULT_NOISE_SIGMA = 6.0
@@ -242,11 +242,8 @@ class SceneSpec:
             raise SpecError("labels_per_class must be positive")
         m = self.n_features
         if self.class_means is None:
-            if m == 3:
-                self.class_means = np.array(_DEFAULT_MEANS)
-            else:
-                lo = np.linspace(40.0, 50.0, m)
-                self.class_means = np.stack([lo, lo + 50.0])
+            lo = np.linspace(40.0, 50.0, m)
+            self.class_means = np.stack([lo, lo + 50.0])
         self.class_means = np.asarray(self.class_means, dtype=float)
         if self.class_covs is None:
             self.class_covs = np.stack([np.eye(m) * _DEFAULT_STD**2] * 2)

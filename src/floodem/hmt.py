@@ -44,11 +44,11 @@ from .grid import LabelSet, RasterScene, neighbor_slices, read_key_values, write
 class FlowTree:
     """Forest over pixels: parent links plus a depth schedule.
 
-    ``order`` lists the nodes deepest level first, with the children of one
-    parent next to each other (`from_parents` sorts each level by parent).
-    ``starts`` holds the offset of each level in ``order``; the last level is
-    the roots. The passes keep per-node values in this layout, where every
-    level is a contiguous slice.
+    ``order`` lists the nodes deepest level first, and ``starts`` holds the
+    offset of each level in ``order``; the last level is the roots. The
+    passes keep per-node values in this layout, where every level is a
+    contiguous slice. A depth-d node's parent has depth d - 1, so all of a
+    level's parents lie in the slice of the next level.
     """
 
     parent: np.ndarray  # (N,) int64, -1 marks a root
@@ -76,7 +76,7 @@ class FlowTree:
             jump[live] = jump[up]
         else:
             raise DataError("parent links contain a cycle")
-        order = np.lexsort((parent, -depth))
+        order = np.argsort(-depth, kind="stable")
         starts = np.flatnonzero(np.r_[True, np.diff(depth[order]) != 0])
         return cls(parent=parent, order=order, starts=starts)
 
@@ -116,18 +116,14 @@ class FlowTree:
         return np.where(parent >= 0, self.position[parent], -1)
 
     @cached_property
-    def schedule(self) -> list[tuple[int, int, np.ndarray, np.ndarray]]:
+    def schedule(self) -> list[tuple[int, int, int, np.ndarray]]:
         """Per non-root level, deepest first: its layout slice ``s:e``, the
-        offsets of its sibling runs in the slice, and the layout positions of
-        those runs' parents."""
+        end ``pe`` of the next level ``e:pe``, which holds all its parents,
+        and each node's parent as an offset into that next level."""
         if not self.has_edges:
             return []
-        steps = []
-        for s, nodes in zip(self.starts, self.level_groups()[:-1]):
-            up = self.up[s : s + nodes.size]
-            runs = np.flatnonzero(np.r_[True, up[1:] != up[:-1]])
-            steps.append((s, s + nodes.size, runs, up[runs]))
-        return steps
+        ends = np.cumsum([nodes.size for nodes in self.level_groups()])
+        return [(s, e, pe, self.up[s:e] - e) for s, e, pe in zip(self.starts, ends, ends[1:])]
 
 
 @dataclass(kw_only=True)
@@ -281,18 +277,19 @@ def _upward(model: GmmModel, tree: FlowTree, u: np.ndarray, combine=_logaddexp) 
     """
     total = 0.0
     stay = model.log_transition()[:, 1:] if tree.has_edges else None  # log P(y_n | wet parent)
-    for s, e, runs, run_up in tree.schedule:
+    for s, e, pe, rel in tree.schedule:
         level = u[:, s:e]
         shift = np.maximum(level[0], level[1])
         total += float(shift.sum())  # -inf if any node has zero likelihood in both classes
         if not np.isfinite(total):
             raise DataError("contradictory clamped evidence: a node has zero likelihood in both classes")
         level -= shift
-        # By the structural zero a node's message to a dry parent is its own u0.
-        u[0, run_up] += np.add.reduceat(level[0], runs)
+        # One bincount per row adds the level into its parents' level. By the
+        # structural zero a node's message to a dry parent is its own u0.
+        u[0, e:pe] += np.bincount(rel, level[0], pe - e)
         level += stay
         to_wet = combine(level[0], level[1])
-        u[1, run_up] += np.add.reduceat(to_wet, runs)
+        u[1, e:pe] += np.bincount(rel, to_wet, pe - e)
         # Where the parent cannot be wet, to_wet is -inf and the column nan.
         with np.errstate(invalid="ignore"):
             level -= to_wet
@@ -377,6 +374,8 @@ def forest_em(model: GmmModel, tree: FlowTree, scene: RasterScene, clamped: Labe
     """
     if max_iter < 0:
         raise SpecError(f"max_iter must be non-negative, got {max_iter}")
+    if not 0.0 <= tol < np.inf:  # NaN fails every comparison
+        raise SpecError(f"tol must be finite and non-negative, got {tol}")
     features = Lifted(scene.feature_matrix(use_elevation)[tree.order])
     flat, cls = clamped.flat_indices(scene.width, scene.height)
     at = tree.position[flat]

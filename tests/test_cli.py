@@ -627,14 +627,35 @@ def test_verify_without_trees_is_a_data_error(capsys, trees):
 
 @pytest.mark.parametrize("verb", ["train", "sweep-labels"])
 def test_negative_max_iter_is_a_data_error(workdir, tmp_path, capsys, verb):
-    argv = [verb, "--scene", str(workdir / "scene.sgrid"), "--max-iter", "-1",
-            "--out", str(tmp_path)]
+    # and so is a tol that cannot be a tolerance: inf would stop after one update
+    argv = [verb, "--scene", str(workdir / "scene.sgrid"), "--out", str(tmp_path)]
     if verb == "train":
         argv += ["--method", "gmm", "--labels", str(workdir / "labels.txt")]
     else:
         argv += ["--ratios", "0.05", "--seeds", "1"]
-    assert cli.main(argv) == 3
-    assert "max_iter" in capsys.readouterr().err
+    for flag, value in [("--max-iter", "-1"), ("--tol", "nan"), ("--tol", "inf"), ("--tol", "-1")]:
+        assert cli.main([*argv, flag, value]) == 3
+        assert flag[2:].replace("-", "_") in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "2", "-1"])
+@pytest.mark.parametrize("verb", ["predict", "compare", "sweep-labels"])
+def test_out_of_range_cutoff_is_rejected(workdir, tmp_path, capsys, verb, value):
+    scene = str(workdir / "scene.sgrid")
+    argv = [verb, "--scene", scene, "--out", str(tmp_path)] + {
+        "predict": ["--model", str(tmp_path / "model.txt")],
+        "compare": ["--ratio", "0.05"],
+        "sweep-labels": ["--ratios", "0.05", "--seeds", "1"],
+    }[verb]
+    with pytest.raises(SystemExit) as exc:
+        cli.main([*argv, "--cutoff", value])
+    assert exc.value.code == 2
+    assert "--cutoff" in capsys.readouterr().err
+    cfgfile = tmp_path / "run.cfg"
+    cfgfile.write_text(f"tol=1e-3\ncutoff={value}\n")
+    assert cli.main([*argv, "--config", str(cfgfile)]) == 3
+    assert f"{cfgfile}:2: bad value for cutoff" in capsys.readouterr().err
+    assert not any(tmp_path.glob("*.sgrid"))
 
 
 def test_train_warns_when_em_stops_at_the_cap(workdir, tmp_path, capsys):

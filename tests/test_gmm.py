@@ -234,8 +234,11 @@ def test_em_stop_reason_names_tol_or_cap(small_scene):
 
 def test_em_rejects_negative_max_iter(small_scene):
     scene, labels = small_scene
-    with pytest.raises(SpecError):
+    with pytest.raises(SpecError, match="max_iter"):
         em_fit(scene, labels, use_elevation=False, max_iter=-1)
+    for tol in (float("nan"), float("inf"), -1.0):  # tol=0 stays valid: it forces the cap
+        with pytest.raises(SpecError, match="tol"):
+            em_fit(scene, labels, use_elevation=False, tol=tol)
 
 
 def test_run_em_numbers_the_failing_update(small_scene, monkeypatch):
