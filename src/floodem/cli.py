@@ -11,7 +11,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -34,24 +34,6 @@ from .grid import (
 METHODS = ("gmm", "gmm-elev", "hmt")
 
 
-@dataclass
-class RunConfig:
-    """Hyperparameters and I/O paths of one run."""
-
-    method: str = "gmm"
-    scene: str | None = None
-    labels: str | None = None
-    ratio: float | None = None
-    seed: int = 0
-    tol: float = 1e-5
-    cutoff: float = 0.5
-    rho: float = 0.99
-    pi: float = 0.5
-    neighborhood: int = 8
-    max_iter: int = 100
-    out: str = "."
-
-
 def probability(val: str) -> float:
     """The cast of a setting that must lie in [0, 1], NaN excluded. argparse
     names the cast in its usage error, so the name is a plain word."""
@@ -61,30 +43,78 @@ def probability(val: str) -> float:
     return p
 
 
-# Every RunConfig field, with the cast its config-file value goes through.
-_CONFIG_CASTS = {
-    **dict.fromkeys(("method", "scene", "labels", "out"), str),
-    **dict.fromkeys(("ratio", "tol", "rho", "pi"), float),
-    "cutoff": probability,
-    **dict.fromkeys(("seed", "neighborhood", "max_iter"), int),
-}
+def fraction(val: str) -> float:
+    """The cast of a label ratio, which must lie in (0, 1]."""
+    p = float(val)
+    if not 0.0 < p <= 1.0:
+        raise ValueError(f"{val!r} is not in (0, 1]")
+    return p
+
+
+def natural(val: str) -> int:
+    """The cast of a sweep seed, a non-negative int."""
+    n = int(val)
+    if n < 0:
+        raise ValueError(f"{val!r} is negative")
+    return n
+
+
+def _setting(default, cast, help=None, choices=None):
+    """A RunConfig field with the one description of its flag and its config
+    key: the cast of their text, the values allowed, and the flag's help."""
+    return field(default=default, metadata={"cast": cast, "choices": choices, "help": help})
+
+
+@dataclass
+class RunConfig:
+    """Hyperparameters and I/O paths of one run."""
+
+    method: str = _setting("gmm", str, choices=METHODS)
+    scene: str | None = _setting(None, str)
+    labels: str | None = _setting(None, str, "label file (row,col,class lines)")
+    ratio: float | None = _setting(None, fraction, "labeled fraction to sample")
+    seed: int = _setting(0, int, "label sampling seed")
+    tol: float = _setting(1e-5, float, "convergence threshold (default 1e-5)")
+    cutoff: float = _setting(0.5, probability, "mixture models' class cutoff (default 0.5); "
+                             "a tree model's classes are its MAP labeling")
+    rho: float = _setting(0.99, float, "initial transition strength (default 0.99)")
+    pi: float = _setting(0.5, float, "initial flood prior (default 0.5)")
+    neighborhood: int = _setting(8, int, choices=(4, 8))
+    max_iter: int = _setting(100, int)
+    out: str = _setting(".", str, "output directory")
+
+
+_SETTINGS = {f.name: f.metadata for f in fields(RunConfig)}
+
+
+def _checked(key: str, val: str):
+    """``val`` cast for the setting ``key``; a value outside its choices is a ValueError."""
+    setting = _SETTINGS[key]
+    value = setting["cast"](val)
+    if setting["choices"] and value not in setting["choices"]:
+        raise ValueError(f"{value!r} is not one of {setting['choices']}")
+    return value
+
+
+def _listed(cast):
+    """The cast of a comma-separated list of ``cast``'s values."""
+    def cast_list(text: str) -> list:
+        return [cast(val) for val in text.split(",")]
+
+    cast_list.__name__ = f"{cast.__name__} list"  # argparse names it in a usage error
+    return cast_list
 
 
 def load_config(path: str) -> dict:
-    """Parse a key=value config file; unknown keys and bad values carry line numbers.
-
-    A '-' in a key reads as '_', so "max-iter" names the same setting as the flag.
-    """
-    values = read_key_values(
-        path, "config", lambda key, val: _CONFIG_CASTS[key.replace("-", "_")](val), SpecError
-    )
-    return {key.replace("-", "_"): val for key, val in values.items()}
+    """Parse a key=value config file, each value checked as its flag is;
+    unknown keys and bad values carry line numbers."""
+    return read_key_values(path, "config", lambda texts: _SETTINGS, _checked, SpecError)
 
 
 def _given_settings(args: argparse.Namespace) -> dict:
     """Settings named in the config file or by a flag; flags win."""
     given = load_config(args.config) if getattr(args, "config", None) else {}
-    for key in _CONFIG_CASTS:
+    for key in _SETTINGS:
         flag = getattr(args, key, None)
         if flag is not None:
             given[key] = flag
@@ -118,7 +148,8 @@ _SPEC_FIELDS = {"features": "n_features", "seed": "rng_seed"}  # the SceneSpec n
 
 def parse_scene_spec(path: str) -> SceneSpec:
     """Build a SceneSpec from a key=value file; vars may be scalar or a diagonal list."""
-    raw = read_key_values(path, "spec", lambda key, val: _SPEC_CASTS[key](val), SpecError)
+    raw = read_key_values(path, "spec", lambda texts: _SPEC_CASTS, lambda key, val: _SPEC_CASTS[key](val),
+                          SpecError)
     kwargs = {_SPEC_FIELDS.get(k, k): v for k, v in raw.items() if k not in _SPEC_VECTORS}
     m = kwargs.get("n_features", 3)
 
@@ -187,18 +218,9 @@ def _train(method: str, scene: RasterScene, labels: LabelSet, cfg: RunConfig, ru
         if use_elev and scene.elevation_channel is None:
             raise DataError("gmm-elev needs a scene with an elevation channel")
         fit = gmm.em_fit(scene, labels, use_elevation=use_elev, max_iter=cfg.max_iter, tol=cfg.tol)
-    elif method == "hmt":
-        fit = hmt.em_fit(
-            scene,
-            labels,
-            max_iter=cfg.max_iter,
-            tol=cfg.tol,
-            rho_init=cfg.rho,
-            pi_init=cfg.pi,
-            neighborhood=cfg.neighborhood,
-        )
     else:
-        raise SpecError(f"unknown method {method!r}")
+        fit = hmt.em_fit(scene, labels, max_iter=cfg.max_iter, tol=cfg.tol, rho_init=cfg.rho,
+                         pi_init=cfg.pi, neighborhood=cfg.neighborhood)
     trace = fit[1]
     if trace.stop_reason == "max_iter":
         print(f"warning: {method}{run}: EM stopped at the {cfg.max_iter}-iteration cap before "
@@ -371,36 +393,20 @@ def cmd_compare(args, parser) -> int:
 def cmd_sweep_labels(args, parser) -> int:
     cfg = _resolve_config(args)
     scene = _load_run_scene(cfg.scene, parser, truth=True)
-    try:
-        ratios = [float(r) for r in args.ratios.split(",")]
-        seeds = [int(s) for s in args.seeds.split(",")]
-    except ValueError as exc:
-        parser.error(f"--ratios and --seeds take comma-separated numbers: {exc}")
-    if min(seeds) < 0:
-        parser.error(f"--seeds takes non-negative seeds, got {args.seeds}")
     out_path = _out_path(cfg.out, "sweep.csv")
-    try:
-        fh = open(out_path, "w")
-    except OSError as exc:
-        raise IoError(f"cannot write sweep to {out_path}: {exc}") from exc
-    with fh:
-        fh.write("method,ratio,seed,avg_f,reason\n")
-        for ratio in ratios:
-            for seed in seeds:
+    lines = ["method,ratio,seed,avg_f,reason"]
+    for ratio in args.ratios:
+        for seed in args.seeds:
+            labels = sample_labels(scene, ratio, rng_seed=seed)
+            for method in METHODS:
                 try:
-                    labels = sample_labels(scene, ratio, rng_seed=seed)
-                except DataError as exc:
-                    for method in METHODS:
-                        fh.write(f"{method},{ratio:g},{seed},nan,{exc}\n")
-                    continue
-                for method in METHODS:
-                    try:
-                        model, _ = _train(method, scene, labels, cfg, f" at ratio {ratio:g}, seed {seed}")
-                        classes, _ = _predict(model, scene, cfg)
-                        avg_f = metrics.class_report(classes, scene.truth).avg_f
-                        fh.write(f"{method},{ratio:g},{seed},{avg_f:.6f},\n")
-                    except InitError as exc:
-                        fh.write(f"{method},{ratio:g},{seed},nan,{exc}\n")
+                    model, _ = _train(method, scene, labels, cfg, f" at ratio {ratio:g}, seed {seed}")
+                    classes, _ = _predict(model, scene, cfg)
+                    avg_f = metrics.class_report(classes, scene.truth).avg_f
+                    lines.append(f"{method},{ratio:g},{seed},{avg_f:.6f},")
+                except InitError as exc:
+                    lines.append(f"{method},{ratio:g},{seed},nan,{exc}")
+    write_lines(out_path, "sweep", lines)
     print(f"sweep -> {out_path}")
     return 0
 
@@ -415,17 +421,6 @@ def cmd_verify(args, parser) -> int:
 
 
 # Each verb registers the flags of only the RunConfig settings it reads.
-_FLAG_HELP = {
-    "labels": "label file (row,col,class lines)",
-    "ratio": "labeled fraction to sample",
-    "seed": "label sampling seed",
-    "tol": "convergence threshold (default 1e-5)",
-    "cutoff": "mixture models' class cutoff (default 0.5); a tree model's classes are its MAP labeling",
-    "rho": "initial transition strength (default 0.99)",
-    "pi": "initial flood prior (default 0.5)",
-    "out": "output directory",
-}
-_FLAG_CHOICES = {"method": METHODS, "neighborhood": (4, 8)}
 _LABEL_KEYS = ("labels", "ratio", "seed")
 _FIT_KEYS = ("tol", "rho", "pi", "neighborhood", "max_iter")
 
@@ -433,8 +428,9 @@ _FIT_KEYS = ("tol", "rho", "pi", "neighborhood", "max_iter")
 def _add_run_flags(sub: argparse.ArgumentParser, keys: tuple[str, ...]) -> None:
     sub.add_argument("--config", default=None, help="key=value config file; any run setting")
     for key in keys:
-        sub.add_argument("--" + key.replace("_", "-"), dest=key, type=_CONFIG_CASTS[key],
-                         choices=_FLAG_CHOICES.get(key), help=_FLAG_HELP.get(key))
+        setting = _SETTINGS[key]
+        sub.add_argument("--" + key.replace("_", "-"), dest=key, type=setting["cast"],
+                         choices=setting["choices"], help=setting["help"])
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -473,8 +469,9 @@ def build_parser() -> argparse.ArgumentParser:
     # No abbreviations: --ratio and --seed, which this verb does not take, would
     # otherwise silently stand for --ratios and --seeds.
     p = subs.add_parser("sweep-labels", help="avg F across label ratios and seeds", allow_abbrev=False)
-    p.add_argument("--ratios", required=True, help="comma-separated label ratios")
-    p.add_argument("--seeds", required=True, help="comma-separated sampling seeds")
+    p.add_argument("--ratios", required=True, type=_listed(_SETTINGS["ratio"]["cast"]),
+                   help="comma-separated label ratios")
+    p.add_argument("--seeds", required=True, type=_listed(natural), help="comma-separated sampling seeds")
     _add_run_flags(p, ("scene", *_FIT_KEYS, "cutoff", "out"))
     p.set_defaults(func=cmd_sweep_labels)
 

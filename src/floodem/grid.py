@@ -77,31 +77,35 @@ def write_lines(path: str, what: str, lines) -> None:
         raise IoError(f"cannot write {what} to {path}: {exc}") from exc
 
 
-def read_key_values(path: str, what: str, cast, error: type[Exception]) -> dict:
+def read_key_values(path: str, what: str, keys, cast, error: type[Exception]) -> dict:
     """Parse key=value lines into {key: cast(key, value)}, keys and values stripped.
 
-    A line without '=', a ``cast`` that raises KeyError (unknown key) or
-    ValueError (bad value), or a key given twice raises ``error`` naming
-    ``path:lineno``. Keys that differ only in '-' versus '_' count as one key,
-    since a config file may spell a setting either way.
+    ``keys`` maps the {key: value text} read to the keys the file may hold. A
+    line without '=', a key given twice or outside ``keys``, or a value that
+    ``cast`` raises ValueError on raises ``error`` naming ``path:lineno``. A
+    '-' in a key reads as '_', so a config file may spell "max-iter" as the
+    flag does.
     """
-    values = {}
-    first_line = {}
+    lines, first_line = [], {}
     for lineno, text in read_lines(path, what):
-        key, eq, val = text.partition("=")
-        key, val = key.strip(), val.strip()
+        name, eq, val = text.partition("=")
         if not eq:
             raise error(f"{path}:{lineno}: expected key=value, got {text!r}")
-        fold = key.replace("-", "_")
-        if fold in first_line:
-            raise error(f"{path}:{lineno}: key {key!r} repeats line {first_line[fold]}")
-        first_line[fold] = lineno
+        name = name.strip()
+        key = name.replace("-", "_")
+        if key in first_line:
+            raise error(f"{path}:{lineno}: key {name!r} repeats line {first_line[key]}")
+        first_line[key] = lineno
+        lines.append((lineno, name, key, val.strip()))
+    allowed = set(keys({key: val for _, _, key, val in lines}))
+    values = {}
+    for lineno, name, key, val in lines:
+        if key not in allowed:
+            raise error(f"{path}:{lineno}: unknown key {name!r}")
         try:
             values[key] = cast(key, val)
-        except KeyError:
-            raise error(f"{path}:{lineno}: unknown key {key!r}") from None
         except ValueError as exc:
-            raise error(f"{path}:{lineno}: bad value for {key}: {val!r}") from exc
+            raise error(f"{path}:{lineno}: bad value for {name}: {val!r}") from exc
     return values
 
 

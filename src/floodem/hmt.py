@@ -28,7 +28,7 @@ suite that runs them, live in `floodem.oracle`.
 
 from __future__ import annotations
 
-import re
+import math
 import warnings
 from dataclasses import dataclass, field, replace
 from functools import cached_property
@@ -348,17 +348,9 @@ def m_step(marginal: np.ndarray, parent: np.ndarray, features: np.ndarray | Lift
 
 
 def _max_rel_change(old, new) -> float:
-    """Largest relative change of any parameter, rho included when the model has one."""
-    pairs = [(np.atleast_1d(old.pi1), np.atleast_1d(new.pi1))]
-    if isinstance(old, HmtModel):
-        pairs.append((np.atleast_1d(old.rho), np.atleast_1d(new.rho)))
-    for c in (0, 1):
-        pairs.append((old.components[c].mean, new.components[c].mean))
-        pairs.append((old.components[c].cov.ravel(), new.components[c].cov.ravel()))
-    worst = 0.0
-    for a, b in pairs:
-        worst = max(worst, float(np.max(np.abs(b - a) / (np.abs(a) + 1e-12))))
-    return worst
+    """Largest relative change of any entry of the `model_values` vector."""
+    a = model_values(old)
+    return float(np.max(np.abs(model_values(new) - a) / (np.abs(a) + 1e-12)))
 
 
 def forest_em(model: GmmModel, tree: FlowTree, scene: RasterScene, clamped: LabelSet, *,
@@ -437,59 +429,58 @@ def map_decode(model: GmmModel, tree: FlowTree, features: np.ndarray) -> np.ndar
 
 # --- model files: one key=value per line, 17-significant-digit floats ---
 
-_INDEX = r"(?:0|[1-9][0-9]*)"
-# Every key a model file may hold; a file with rho holds a tree model.
-_MODEL_KEY = re.compile(rf"pi1|rho|neighborhood|mean\.[01]\.{_INDEX}|cov\.[01]\.{_INDEX}\.{_INDEX}")
+def model_keys(dim: int, tree: bool) -> list[str]:
+    """The keys of a model file in file order: rho and the neighborhood for a
+    tree model, pi1, then each class's mean and row-major covariance."""
+    keys = ["rho", "neighborhood"] * tree + ["pi1"]
+    for c in (0, 1):
+        keys += [f"mean.{c}.{i}" for i in range(dim)]
+        keys += [f"cov.{c}.{i}.{j}" for i in range(dim) for j in range(dim)]
+    return keys
 
 
-def _model_value(key: str, val: str) -> float:
-    if not _MODEL_KEY.fullmatch(key):
-        raise KeyError(key)
-    return float(val)
+def model_values(model: GmmModel) -> np.ndarray:
+    """The parameter vector of ``model``, in the order of `model_keys`."""
+    head = [model.rho, model.neighborhood] if isinstance(model, HmtModel) else []
+    return np.concatenate([head + [model.pi1], *(np.r_[g.mean, g.cov.ravel()] for g in model.components)])
 
 
 def save_model(model: GmmModel, path: str) -> None:
-    """Write either family; a tree model's file leads with rho and its neighborhood."""
-    lines = []
-    if isinstance(model, HmtModel):
-        lines += [f"rho={model.rho:.17g}", f"neighborhood={model.neighborhood}"]
-    lines.append(f"pi1={model.pi1:.17g}")
-    for c, g in enumerate(model.components):
-        lines += [f"mean.{c}.{k}={v:.17g}" for k, v in enumerate(g.mean)]
-        lines += [f"cov.{c}.{i}.{j}={v:.17g}" for (i, j), v in np.ndenumerate(g.cov)]
-    write_lines(path, "model", lines)
+    """Write either family, one `model_keys` line per `model_values` entry."""
+    keys = model_keys(model.dim, isinstance(model, HmtModel))
+    write_lines(path, "model", (f"{key}={val:.17g}" for key, val in zip(keys, model_values(model))))
+
+
+def _file_shape(kv: dict) -> tuple[int, bool]:
+    """The (dimension, tree) whose `model_keys` a file's keys stand for. A file
+    with rho holds a tree model, and the dimension is the one whose key list is
+    nearest the file's in length, so one missing or foreign key is named as
+    such and does not shift the dimension."""
+    tree = "rho" in kv
+    dims = range(1, math.isqrt(len(kv)) + 2)
+    return min(dims, key=lambda m: abs(len(model_keys(m, tree)) - len(kv))), tree
 
 
 def load_model(path: str) -> GmmModel:
     """The model a file holds: a tree model if it has a rho key, else a mixture.
 
-    The mean.0.* keys set the dimension. A missing key, or one the family
-    lacks (a neighborhood without rho, an index past the dimension), is a
+    A key outside the file's `model_keys`, or one of them missing, is a
     FormatError; a tree file without a neighborhood predates the key and
     holds an 8-neighbor model.
     """
-    kv = read_key_values(path, "model", _model_value, FormatError)
-    m = sum(key.startswith("mean.0.") for key in kv)
-    if m == 0:
-        raise FormatError(f"{path}: no mean.0.* keys")
-    for key in kv:
-        indices = key.split(".")[2:]  # a mean's or covariance's indices after the class
-        if any(int(i) >= m for i in indices) or key == "neighborhood" and "rho" not in kv:
-            raise FormatError(f"{path}: unknown key {key!r}")
-
-    def value(key: str) -> float:
+    kv = read_key_values(path, "model", lambda texts: model_keys(*_file_shape(texts)),
+                         lambda key, val: float(val), FormatError)
+    dim, tree = _file_shape(kv)
+    if tree:
+        kv.setdefault("neighborhood", 8.0)
+    keys = model_keys(dim, tree)
+    for key in keys:
         if key not in kv:
             raise FormatError(f"{path}: missing model key {key!r}")
-        return kv[key]
-
-    components = tuple(
-        GaussianParams(np.array([value(f"mean.{c}.{k}") for k in range(m)]),
-                       np.array([[value(f"cov.{c}.{i}.{j}") for j in range(m)] for i in range(m)]))
-        for c in (0, 1)
-    )
-    if "rho" not in kv:
-        return GmmModel(pi1=value("pi1"), components=components)
-    neighborhood = kv.get("neighborhood", 8.0)
-    if neighborhood not in (4.0, 8.0):
-        raise FormatError(f"{path}: neighborhood must be 4 or 8, got {neighborhood:g}")
-    return HmtModel(pi1=value("pi1"), components=components, rho=kv["rho"], neighborhood=int(neighborhood))
+    blocks = np.array([kv[key] for key in keys[-2 * dim * (dim + 1):]]).reshape(2, -1)
+    components = tuple(GaussianParams(b[:dim], b[dim:].reshape(dim, dim)) for b in blocks)
+    if not tree:
+        return GmmModel(pi1=kv["pi1"], components=components)
+    if kv["neighborhood"] not in (4.0, 8.0):
+        raise FormatError(f"{path}: neighborhood must be 4 or 8, got {kv['neighborhood']:g}")
+    return HmtModel(pi1=kv["pi1"], components=components, rho=kv["rho"], neighborhood=int(kv["neighborhood"]))

@@ -146,19 +146,14 @@ def gmm_loglik(model, scene, labels, use_elevation: bool) -> float:
     term ln pi_y N_y(x).
     """
     feats = scene.feature_matrix(use_elevation)
-    lp = [
+    lp = np.stack([
         _log(1.0 - model.pi1) + log_pdf(model.components[0], feats),
         _log(model.pi1) + log_pdf(model.components[1], feats),
-    ]
+    ])
     flat, cls = labels.flat_indices(scene.width, scene.height)
-    labeled = np.zeros(feats.shape[0], dtype=bool)
-    labeled[flat] = True
-    total = 0.0
-    for i in np.flatnonzero(~labeled):
-        total += _logsumexp(np.array([lp[0][i], lp[1][i]]))
-    for i, y in zip(flat, cls):
-        total += float(lp[int(y)][int(i)])
-    return total
+    unlabeled = np.ones(feats.shape[0], dtype=bool)
+    unlabeled[flat] = False
+    return float(np.logaddexp(lp[0, unlabeled], lp[1, unlabeled]).sum()) + float(lp[cls, flat].sum())
 
 
 def random_tree_instance(

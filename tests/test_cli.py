@@ -593,7 +593,8 @@ def test_predict_rejects_unknown_model_keys(workdir, tmp_path, capsys, method, e
     assert f"unknown key '{named}'" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("flag, value", [("--ratios", "0.01,x"), ("--seeds", "1,two"), ("--seeds", "1,-1")])
+@pytest.mark.parametrize("flag, value", [("--ratios", "0.01,x"), ("--seeds", "1,two"), ("--seeds", "1,-1"),
+                                         ("--ratios", "2"), ("--ratios", "-1"), ("--ratios", "nan,0.01")])
 def test_sweep_labels_rejects_a_bad_list_as_usage_error(workdir, tmp_path, flag, value):
     argv = {"--ratios": "0.05", "--seeds": "1", flag: value}
     with pytest.raises(SystemExit) as exc:
@@ -601,6 +602,25 @@ def test_sweep_labels_rejects_a_bad_list_as_usage_error(workdir, tmp_path, flag,
                   "--ratios", argv["--ratios"], "--seeds", argv["--seeds"],
                   "--out", str(tmp_path)])
     assert exc.value.code == 2
+
+
+@pytest.mark.parametrize("line", ["neighborhood=5", "method=foo"])
+@pytest.mark.parametrize("verb", ["train", "compare", "eval"])
+def test_a_bad_config_value_fails_before_any_work(workdir, tmp_path, capsys, verb, line):
+    """A config value outside its flag's choices is a data error naming its
+    line, raised before any output is written."""
+    cfgfile = tmp_path / "run.cfg"
+    cfgfile.write_text(f"tol=1e-3\n{line}\n")
+    out = tmp_path / "out"
+    scene = str(workdir / "scene.sgrid")
+    argv = {
+        "train": ["--scene", scene, "--labels", str(workdir / "labels.txt")],
+        "compare": ["--scene", scene, "--labels", str(workdir / "labels.txt")],
+        "eval": ["--pred", scene, "--score", scene, "--truth", scene],
+    }[verb]
+    assert cli.main([verb, *argv, "--config", str(cfgfile), "--out", str(out)]) == 3
+    assert f"{cfgfile}:2: bad value for {line.split('=')[0]}" in capsys.readouterr().err
+    assert not out.exists() or not any(out.iterdir())
 
 
 @pytest.mark.parametrize("verb", ["synth", "train", "compare", "verify"])
@@ -676,8 +696,17 @@ def test_spec_pairs_must_agree_in_length(tmp_path):
             cli.parse_scene_spec(str(spec))
 
 
-def test_every_run_setting_has_a_config_cast():
-    assert set(cli._CONFIG_CASTS) == {f.name for f in fields(cli.RunConfig)}
+def test_every_run_setting_has_a_config_cast(tmp_path):
+    """Every RunConfig field has a cast and is reachable by a flag of some verb
+    and by its config key."""
+    flags = {action.dest for verb in cli.build_parser()._subparsers._group_actions[0].choices.values()
+             for action in verb._actions}
+    for f in fields(cli.RunConfig):
+        assert callable(f.metadata["cast"]) and f.name in flags, f.name
+        value = {"ratio": "0.5"}.get(f.name, str(f.default))
+        cfgfile = tmp_path / "run.cfg"
+        cfgfile.write_text(f"{f.name}={value}\n")
+        assert cli.load_config(str(cfgfile)) == {f.name: f.metadata["cast"](value)}, f.name
 
 
 def test_predict_tree_model_on_an_unfit_scene_is_a_data_error(workdir, tmp_path, capsys):

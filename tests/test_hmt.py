@@ -1,4 +1,5 @@
 import dataclasses
+import re
 import warnings
 
 import numpy as np
@@ -23,6 +24,8 @@ from floodem.hmt import (
     load_model,
     m_step,
     map_decode,
+    model_keys,
+    model_values,
     save_model,
 )
 from floodem.oracle import assignment_log_joint, expected_complete_loglik, pairwise_from_marginals
@@ -768,6 +771,54 @@ def test_model_file_keeps_the_neighborhood(tmp_path, small_scene):
     assert load_model(str(path)).neighborhood == 8
     path.write_text("\n".join(lines).replace("neighborhood=4", "neighborhood=6"))
     with pytest.raises(FormatError):
+        load_model(str(path))
+
+
+@settings(derandomize=True, max_examples=60, deadline=None, database=None)
+@given(
+    dim=st.integers(1, 4),
+    tree=st.booleans(),
+    seed=st.integers(0, 2**32 - 1),
+    foreign=st.sampled_from(["mean.0.01", "mean.0.{dim}", "mean.2.0", "cov.1.{dim}.0", "cov.0.0",
+                             "cov.0.0.00", "rh0", "pi", "pi1.0", "Rho", "mean.0.-1", "neighbourhood"]),
+)
+def test_model_file_round_trip_and_key_list(tmp_path_factory, dim, tree, seed, foreign):
+    """save_model then load_model is bit-exact for both families at dims 1-4;
+    a file missing one key names it, and a foreign key is named with its line.
+    Only two keys differ: without a neighborhood a tree file predates the key
+    and holds an 8-neighbor model, and without rho the file is a mixture whose
+    neighborhood key is foreign."""
+    rng = np.random.default_rng(seed)
+    comps = []
+    for _ in range(2):
+        a = rng.normal(size=(dim, dim))
+        comps.append(GaussianParams(rng.normal(size=dim) * 10.0 ** rng.uniform(-3, 3, size=dim),
+                                    a @ a.T + np.eye(dim)))
+    fit = {"pi1": float(rng.uniform()), "components": tuple(comps)}
+    model = (HmtModel(rho=float(rng.uniform(1e-3, 1.0)), neighborhood=int(rng.choice([4, 8])), **fit)
+             if tree else GmmModel(**fit))
+    path = tmp_path_factory.mktemp("model") / "m.txt"
+    save_model(model, str(path))
+    loaded = load_model(str(path))
+    assert type(loaded) is type(model)
+    assert np.array_equal(model_values(loaded), model_values(model))
+
+    lines = path.read_text().splitlines()
+    keys = model_keys(dim, tree)
+    assert [line.split("=")[0] for line in lines] == keys
+    for i, key in enumerate(keys):
+        path.write_text("\n".join(lines[:i] + lines[i + 1:]) + "\n")
+        if key == "neighborhood":
+            assert load_model(str(path)).neighborhood == 8
+            continue
+        named = "unknown key 'neighborhood'" if key == "rho" else f"missing model key '{key}'"
+        with pytest.raises(FormatError, match=re.escape(named)):
+            load_model(str(path))
+
+    foreign = foreign.format(dim=dim)
+    at = int(rng.integers(0, len(lines) + 1))
+    path.write_text("\n".join(lines[:at] + [f"{foreign}=1"] + lines[at:]) + "\n")
+    with pytest.raises(FormatError, match=re.escape(f"{path}:{at + 1}: unknown key '{foreign}'")):
         load_model(str(path))
 
 
