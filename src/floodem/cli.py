@@ -11,7 +11,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -22,12 +22,15 @@ from .grid import (
     RasterScene,
     SceneSpec,
     generate_scene,
+    listed,
     load_labels,
     load_scene,
-    read_key_values,
+    natural,
+    read_settings,
     sample_labels,
     save_labels,
     save_scene,
+    setting,
     write_lines,
 )
 
@@ -51,64 +54,32 @@ def fraction(val: str) -> float:
     return p
 
 
-def natural(val: str) -> int:
-    """The cast of a sweep seed, a non-negative int."""
-    n = int(val)
-    if n < 0:
-        raise ValueError(f"{val!r} is negative")
-    return n
-
-
-def _setting(default, cast, help=None, choices=None):
-    """A RunConfig field with the one description of its flag and its config
-    key: the cast of their text, the values allowed, and the flag's help."""
-    return field(default=default, metadata={"cast": cast, "choices": choices, "help": help})
-
-
 @dataclass
 class RunConfig:
     """Hyperparameters and I/O paths of one run."""
 
-    method: str = _setting("gmm", str, choices=METHODS)
-    scene: str | None = _setting(None, str)
-    labels: str | None = _setting(None, str, "label file (row,col,class lines)")
-    ratio: float | None = _setting(None, fraction, "labeled fraction to sample")
-    seed: int = _setting(0, int, "label sampling seed")
-    tol: float = _setting(1e-5, float, "convergence threshold (default 1e-5)")
-    cutoff: float = _setting(0.5, probability, "mixture models' class cutoff (default 0.5); "
-                             "a tree model's classes are its MAP labeling")
-    rho: float = _setting(0.99, float, "initial transition strength (default 0.99)")
-    pi: float = _setting(0.5, float, "initial flood prior (default 0.5)")
-    neighborhood: int = _setting(8, int, choices=(4, 8))
-    max_iter: int = _setting(100, int)
-    out: str = _setting(".", str, "output directory")
+    method: str = setting("gmm", str, choices=METHODS)
+    scene: str | None = setting(None, str)
+    labels: str | None = setting(None, str, "label file (row,col,class lines)")
+    ratio: float | None = setting(None, fraction, "labeled fraction to sample")
+    seed: int = setting(0, natural, "label sampling seed")
+    tol: float = setting(1e-5, float, "convergence threshold (default 1e-5)")
+    cutoff: float = setting(0.5, probability, "mixture models' class cutoff (default 0.5); "
+                            "a tree model's classes are its MAP labeling")
+    rho: float = setting(0.99, float, "initial transition strength (default 0.99)")
+    pi: float = setting(0.5, float, "initial flood prior (default 0.5)")
+    neighborhood: int = setting(8, int, choices=(4, 8))
+    max_iter: int = setting(100, int)
+    out: str = setting(".", str, "output directory")
 
 
 _SETTINGS = {f.name: f.metadata for f in fields(RunConfig)}
 
 
-def _checked(key: str, val: str):
-    """``val`` cast for the setting ``key``; a value outside its choices is a ValueError."""
-    setting = _SETTINGS[key]
-    value = setting["cast"](val)
-    if setting["choices"] and value not in setting["choices"]:
-        raise ValueError(f"{value!r} is not one of {setting['choices']}")
-    return value
-
-
-def _listed(cast):
-    """The cast of a comma-separated list of ``cast``'s values."""
-    def cast_list(text: str) -> list:
-        return [cast(val) for val in text.split(",")]
-
-    cast_list.__name__ = f"{cast.__name__} list"  # argparse names it in a usage error
-    return cast_list
-
-
 def load_config(path: str) -> dict:
     """Parse a key=value config file, each value checked as its flag is;
     unknown keys and bad values carry line numbers."""
-    return read_key_values(path, "config", lambda texts: _SETTINGS, _checked, SpecError)
+    return read_settings(path, "config", RunConfig, SpecError)
 
 
 def _given_settings(args: argparse.Namespace) -> dict:
@@ -125,51 +96,14 @@ def _resolve_config(args: argparse.Namespace) -> RunConfig:
     return RunConfig(**_given_settings(args))
 
 
-# --- scene-spec files for synth ---
-
-_SPEC_VECTORS = ("mean0", "mean1", "obstacle_mean", "var0", "var1", "obstacle_var")
-# The cast of every spec-file key; vars may be one value or a diagonal list.
-_SPEC_CASTS = {
-    "width": int,
-    "height": int,
-    "features": int,
-    "ramp_height": float,
-    "bump_amplitude": float,
-    "bump_periods": float,
-    "obstacle_fraction": float,
-    "noise_sigma": float,
-    "labels_per_class": int,
-    "seed": int,
-    "water_level": lambda val: None if val == "median" else float(val),
-    **dict.fromkeys(_SPEC_VECTORS, lambda val: [float(p) for p in val.split(",")]),
-}
-_SPEC_FIELDS = {"features": "n_features", "seed": "rng_seed"}  # the SceneSpec names that differ
-
-
 def parse_scene_spec(path: str) -> SceneSpec:
-    """Build a SceneSpec from a key=value file; vars may be scalar or a diagonal list."""
-    raw = read_key_values(path, "spec", lambda texts: _SPEC_CASTS, lambda key, val: _SPEC_CASTS[key](val),
-                          SpecError)
-    kwargs = {_SPEC_FIELDS.get(k, k): v for k, v in raw.items() if k not in _SPEC_VECTORS}
-    m = kwargs.get("n_features", 3)
-
-    def as_cov(entry):
-        return np.diag(entry if len(entry) > 1 else entry * m)
-
-    for a, b, name, make in (("mean0", "mean1", "class_means", np.array),
-                             ("var0", "var1", "class_covs", as_cov)):
-        if (a in raw) != (b in raw):
-            raise SpecError(f"{path}: {a} and {b} must be given together")
-        if a in raw:
-            pair = [make(raw[a]), make(raw[b])]
-            if pair[0].shape != pair[1].shape:
-                raise SpecError(f"{path}: {a} and {b} differ in length")
-            kwargs[name] = np.stack(pair)
-    if "obstacle_mean" in raw:
-        kwargs["obstacle_mean"] = np.array(raw["obstacle_mean"])
-    if "obstacle_var" in raw:
-        kwargs["obstacle_cov"] = as_cov(raw["obstacle_var"])
-    return SceneSpec(**kwargs)
+    """Build a SceneSpec from a key=value file whose keys are its fields; a
+    value out of range, or a pair given by half, is an error naming ``path``."""
+    given = read_settings(path, "spec", SceneSpec, SpecError)
+    try:
+        return SceneSpec(**given)
+    except SpecError as exc:
+        raise SpecError(f"{path}: {exc}") from None
 
 
 # --- grid files: single-channel scenes holding a prediction or score plane ---
@@ -290,7 +224,7 @@ def _out_path(cfg_out: str, name: str) -> str:
 def cmd_synth(args, parser) -> int:
     spec = parse_scene_spec(args.spec)
     if args.seed is not None:
-        spec.rng_seed = args.seed
+        spec.seed = args.seed
     scene, labels = generate_scene(spec)
     save_scene(scene, args.out_scene)
     save_labels(labels, args.out_labels)
@@ -439,7 +373,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = subs.add_parser("synth", help="generate a synthetic scene + labels")
     p.add_argument("--spec", required=True, help="scene spec file (key=value)")
-    p.add_argument("--seed", type=int, default=None, help="override the spec seed")
+    p.add_argument("--seed", type=natural, default=None, help="override the spec seed")
     p.add_argument("--out-scene", required=True)
     p.add_argument("--out-labels", required=True)
     p.set_defaults(func=cmd_synth)
@@ -469,15 +403,15 @@ def build_parser() -> argparse.ArgumentParser:
     # No abbreviations: --ratio and --seed, which this verb does not take, would
     # otherwise silently stand for --ratios and --seeds.
     p = subs.add_parser("sweep-labels", help="avg F across label ratios and seeds", allow_abbrev=False)
-    p.add_argument("--ratios", required=True, type=_listed(_SETTINGS["ratio"]["cast"]),
+    p.add_argument("--ratios", required=True, type=listed(_SETTINGS["ratio"]["cast"]),
                    help="comma-separated label ratios")
-    p.add_argument("--seeds", required=True, type=_listed(natural), help="comma-separated sampling seeds")
+    p.add_argument("--seeds", required=True, type=listed(natural), help="comma-separated sampling seeds")
     _add_run_flags(p, ("scene", *_FIT_KEYS, "cutoff", "out"))
     p.set_defaults(func=cmd_sweep_labels)
 
     p = subs.add_parser("verify", help="run the oracle-equivalence suite")
     p.add_argument("--trees", type=int, default=100)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=natural, default=0)
     p.set_defaults(func=cmd_verify)
 
     return parser

@@ -10,7 +10,8 @@ Scene file layout (little-endian):
 
 Label files are plain text, one "row,col,class" per line, '#' comments allowed.
 Every text input (labels, configs, scene specs, models) goes through
-``read_lines``, the key=value ones through ``read_key_values``; text outputs
+``read_lines``, the key=value ones through ``read_key_values`` (configs and
+specs through ``read_settings``, from their dataclass's fields); text outputs
 go through ``write_lines``.
 """
 
@@ -18,7 +19,7 @@ from __future__ import annotations
 
 import math
 import struct
-from dataclasses import dataclass
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -109,6 +110,43 @@ def read_key_values(path: str, what: str, keys, cast, error: type[Exception]) ->
     return values
 
 
+def natural(val: str) -> int:
+    """The cast of a seed, a non-negative int. argparse names the cast in its
+    usage error, so the name is a plain word."""
+    n = int(val)
+    if n < 0:
+        raise ValueError(f"{val!r} is negative")
+    return n
+
+
+def listed(cast):
+    """The cast of a comma-separated list of ``cast``'s values."""
+    def cast_list(text: str) -> list:
+        return [cast(val) for val in text.split(",")]
+
+    cast_list.__name__ = f"{cast.__name__} list"  # argparse names it in a usage error
+    return cast_list
+
+
+def setting(default, cast, help=None, choices=None):
+    """A dataclass field describing its key (and flag) once: cast, choices, help."""
+    return field(default=default, metadata={"cast": cast, "choices": choices, "help": help})
+
+
+def read_settings(path: str, what: str, cls, error: type[Exception]) -> dict:
+    """Keyword arguments of the dataclass ``cls`` from a key=value file, each
+    value cast as its `setting` field says and checked against its choices."""
+    settings = {f.name: f.metadata for f in fields(cls)}
+
+    def checked(key: str, val: str):
+        value = settings[key]["cast"](val)
+        if settings[key]["choices"] and value not in settings[key]["choices"]:
+            raise ValueError(f"{value!r} is not one of {settings[key]['choices']}")
+        return value
+
+    return read_key_values(path, what, lambda texts: settings, checked, error)
+
+
 @dataclass
 class RasterScene:
     """Dense multi-channel float raster with optional elevation tag and truth grid."""
@@ -197,81 +235,79 @@ class LabelSet:
         return idx, cls
 
 
-# Default per-class feature distributions for the generator: class 0's means
-# run evenly from 40 to 50 over the features, class 1's sit 50 higher. The
-# obstacle distribution is shared by both classes and centered between them,
-# which is the whole point: those pixels are indistinguishable from
-# non-spatial features alone.
-_DEFAULT_STD = 15.0
-_DEFAULT_OBSTACLE_STD = 12.0
-_DEFAULT_NOISE_SIGMA = 6.0
-
-
 @dataclass
 class SceneSpec:
-    """Parameters of the synthetic flood scene.
+    """Parameters of the synthetic flood scene, one field per spec-file key.
 
     Elevation is a diagonal ramp of height ``ramp_height`` plus a sinusoidal
     bump field of amplitude ``bump_amplitude`` (``bump_periods`` full periods
-    across each axis). Truth is the sub-level set of ``water_level``; when
-    ``water_level`` is None the median elevation is used. ``noise_sigma``
-    models per-channel sensor error: it is added to every stored channel,
-    elevation included, while truth always comes from the clean terrain.
+    across each axis). Truth is the sub-level set of ``water_level`` (spec
+    text ``median``, or None: the median elevation). Class c's ``features``
+    channels are Gaussian with mean ``mean<c>`` and diagonal variances
+    ``var<c>``, obstacle pixels' with ``obstacle_mean``/``obstacle_var``; a
+    variance may be one value for all features, and the class means (and
+    variances) come in pairs. ``noise_sigma`` models per-channel sensor
+    error: it is added to every stored channel, elevation included, while
+    truth always comes from the clean terrain.
     """
 
-    width: int = 128
-    height: int = 128
-    n_features: int = 3
-    ramp_height: float = 100.0
-    bump_amplitude: float = 8.0
-    bump_periods: float = 3.0
-    water_level: float | None = None
-    class_means: np.ndarray | None = None  # (2, n_features)
-    class_covs: np.ndarray | None = None  # (2, n_features, n_features)
-    obstacle_mean: np.ndarray | None = None
-    obstacle_cov: np.ndarray | None = None
-    obstacle_fraction: float = 0.0
-    noise_sigma: float = _DEFAULT_NOISE_SIGMA
-    labels_per_class: int = 100
-    rng_seed: int = 0
+    width: int = setting(128, int)
+    height: int = setting(128, int)
+    features: int = setting(3, int)
+    ramp_height: float = setting(100.0, float)
+    bump_amplitude: float = setting(8.0, float)
+    bump_periods: float = setting(3.0, float)
+    water_level: float | None = setting(None, lambda val: None if val == "median" else float(val))
+    mean0: np.ndarray | None = setting(None, listed(float))
+    mean1: np.ndarray | None = setting(None, listed(float))
+    var0: np.ndarray | None = setting(None, listed(float))
+    var1: np.ndarray | None = setting(None, listed(float))
+    obstacle_mean: np.ndarray | None = setting(None, listed(float))
+    obstacle_var: np.ndarray | None = setting(None, listed(float))
+    obstacle_fraction: float = setting(0.0, float)
+    noise_sigma: float = setting(6.0, float)
+    labels_per_class: int = setting(100, int)
+    seed: int = setting(0, natural)
 
     def __post_init__(self) -> None:
-        if self.width < 1 or self.height < 1 or self.n_features < 1:
-            raise SpecError("width, height, and n_features must be positive")
+        if self.width < 1 or self.height < 1 or self.features < 1:
+            raise SpecError("width, height, and features must be positive")
         if not 0.0 <= self.obstacle_fraction <= 1.0:
             raise SpecError(f"obstacle_fraction {self.obstacle_fraction} outside [0, 1]")
         if self.noise_sigma < 0.0:
             raise SpecError("noise_sigma must be non-negative")
         if self.labels_per_class < 1:
             raise SpecError("labels_per_class must be positive")
-        m = self.n_features
-        if self.class_means is None:
-            lo = np.linspace(40.0, 50.0, m)
-            self.class_means = np.stack([lo, lo + 50.0])
-        self.class_means = np.asarray(self.class_means, dtype=float)
-        if self.class_covs is None:
-            self.class_covs = np.stack([np.eye(m) * _DEFAULT_STD**2] * 2)
-        self.class_covs = np.asarray(self.class_covs, dtype=float)
-        if self.obstacle_mean is None:
-            self.obstacle_mean = self.class_means.mean(axis=0)
-        self.obstacle_mean = np.asarray(self.obstacle_mean, dtype=float)
-        if self.obstacle_cov is None:
-            self.obstacle_cov = np.eye(m) * _DEFAULT_OBSTACLE_STD**2
-        self.obstacle_cov = np.asarray(self.obstacle_cov, dtype=float)
+        for a, b in (("mean0", "mean1"), ("var0", "var1")):
+            if (getattr(self, a) is None) != (getattr(self, b) is None):
+                raise SpecError(f"{a} and {b} must be given together")
+        # Defaults: class 0's means run evenly from 40 to 50 over the features,
+        # class 1's sit 50 higher. The obstacle distribution is shared by both
+        # classes and centered between them, which is the whole point: those
+        # pixels are indistinguishable from non-spatial features alone.
+        lo = np.linspace(40.0, 50.0, self.features)
+        self.mean0 = self._vector("mean0", lo)
+        self.mean1 = self._vector("mean1", lo + 50.0)
+        self.obstacle_mean = self._vector("obstacle_mean", (self.mean0 + self.mean1) / 2)
+        self.var0 = self._vector("var0", 15.0**2)
+        self.var1 = self._vector("var1", 15.0**2)
+        self.obstacle_var = self._vector("obstacle_var", 12.0**2)
 
-        if self.class_means.shape != (2, m):
-            raise SpecError(f"class_means shape {self.class_means.shape} != (2, {m})")
-        if self.class_covs.shape != (2, m, m):
-            raise SpecError(f"class_covs shape {self.class_covs.shape} != (2, {m}, {m})")
-        if self.obstacle_mean.shape != (m,):
-            raise SpecError(f"obstacle_mean shape {self.obstacle_mean.shape} != ({m},)")
-        if self.obstacle_cov.shape != (m, m):
-            raise SpecError(f"obstacle_cov shape {self.obstacle_cov.shape} != ({m}, {m})")
-        for cov in (*self.class_covs, self.obstacle_cov):
-            try:
-                np.linalg.cholesky(cov)
-            except np.linalg.LinAlgError as exc:
-                raise SpecError("feature covariance is not positive definite") from exc
+    def _vector(self, name: str, default) -> np.ndarray:
+        """Field ``name``, or ``default`` if it is None, as one finite float per
+        feature; a variance may be one value for all, and must be positive."""
+        given = getattr(self, name)
+        vec = np.atleast_1d(np.asarray(default if given is None else given, dtype=float))
+        variance = "var" in name
+        if variance and vec.size == 1:
+            vec = np.full(self.features, vec[0])
+        if vec.shape != (self.features,):
+            raise SpecError(f"{name} has {vec.size} entries for {self.features} features")
+        if not np.all(np.isfinite(vec)):
+            raise SpecError(f"{name} must be finite, got {vec.tolist()}")
+        if variance and not np.all(vec > 0.0):
+            raise SpecError(f"{name} must be positive, got {vec.tolist()}")
+        return vec
 
     def elevation_grid(self) -> np.ndarray:
         rr, cc = np.meshgrid(
@@ -297,11 +333,11 @@ def generate_scene(spec: SceneSpec) -> tuple[RasterScene, LabelSet]:
     shared obstacle distribution. Sensor noise of scale ``noise_sigma`` is
     then added to every stored channel, elevation included. Labels are drawn
     uniformly from non-obstacle pixels of each class. Fully deterministic for
-    a fixed ``rng_seed``.
+    a fixed ``seed``.
     """
-    if spec.rng_seed < 0:
-        raise SpecError(f"seed must be non-negative, got {spec.rng_seed}")
-    rng = np.random.default_rng(spec.rng_seed)
+    if spec.seed < 0:
+        raise SpecError(f"seed must be non-negative, got {spec.seed}")
+    rng = np.random.default_rng(spec.seed)
     elev = spec.elevation_grid()
     if spec.water_level is None:
         level = float(np.median(elev))
@@ -314,7 +350,7 @@ def generate_scene(spec: SceneSpec) -> tuple[RasterScene, LabelSet]:
     truth = (elev < level).astype(np.uint8)
     flat_truth = truth.ravel()
     n = flat_truth.size
-    m = spec.n_features
+    m = spec.features
 
     clean: list[np.ndarray] = []
     obstacles: list[np.ndarray] = []
@@ -332,12 +368,12 @@ def generate_scene(spec: SceneSpec) -> tuple[RasterScene, LabelSet]:
     features = np.empty((n, m))
     for cls in (0, 1):
         features[clean[cls]] = rng.multivariate_normal(
-            spec.class_means[cls], spec.class_covs[cls], size=clean[cls].size
+            (spec.mean0, spec.mean1)[cls], np.diag((spec.var0, spec.var1)[cls]), size=clean[cls].size
         )
     all_obstacles = np.concatenate(obstacles)
     if all_obstacles.size:
         features[all_obstacles] = rng.multivariate_normal(
-            spec.obstacle_mean, spec.obstacle_cov, size=all_obstacles.size
+            spec.obstacle_mean, np.diag(spec.obstacle_var), size=all_obstacles.size
         )
 
     data = np.concatenate([features.T.reshape(m, spec.height, spec.width), elev[None]], axis=0)

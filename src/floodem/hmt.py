@@ -468,12 +468,17 @@ def load_model(path: str) -> GmmModel:
     FormatError; a tree file without a neighborhood predates the key and
     holds an 8-neighbor model.
     """
-    kv = read_key_values(path, "model", lambda texts: model_keys(*_file_shape(texts)),
-                         lambda key, val: float(val), FormatError)
-    dim, tree = _file_shape(kv)
+    dim = tree = keys = None
+
+    def file_keys(texts: dict) -> list[str]:
+        nonlocal dim, tree, keys
+        dim, tree = _file_shape(texts)
+        keys = model_keys(dim, tree)
+        return keys
+
+    kv = read_key_values(path, "model", file_keys, lambda key, val: float(val), FormatError)
     if tree:
         kv.setdefault("neighborhood", 8.0)
-    keys = model_keys(dim, tree)
     for key in keys:
         if key not in kv:
             raise FormatError(f"{path}: missing model key {key!r}")

@@ -275,7 +275,7 @@ def run_verify(n_trees: int = 100, seed: int = 0, out=None) -> bool:
     emit(worst_lift <= 1e-9, "lifted Gaussian fits and densities match the Cholesky path",
          f"{n_fits} fits, max rel err {worst_lift:.3g}")
 
-    spec = SceneSpec(width=16, height=16, obstacle_fraction=0.2, labels_per_class=8, rng_seed=seed)
+    spec = SceneSpec(width=16, height=16, obstacle_fraction=0.2, labels_per_class=8, seed=seed)
     scene, labels = generate_scene(spec)
     _, trace = gmm.em_fit(scene, labels, use_elevation=False)
     logliks = [gmm_loglik(m, scene, labels, use_elevation=False) for m in trace.models]

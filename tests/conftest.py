@@ -8,7 +8,7 @@ from floodem import grid
 def small_scene():
     """20x20 obstacle scene plus its generated labels."""
     spec = grid.SceneSpec(
-        width=20, height=20, obstacle_fraction=0.2, labels_per_class=10, rng_seed=42
+        width=20, height=20, obstacle_fraction=0.2, labels_per_class=10, seed=42
     )
     return grid.generate_scene(spec)
 

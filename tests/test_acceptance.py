@@ -38,7 +38,7 @@ def tree_instances():
 def canonical():
     """Train and evaluate all three methods once on the canonical scene."""
     start = time.monotonic()
-    spec = SceneSpec(width=128, height=128, obstacle_fraction=0.3, rng_seed=7)
+    spec = SceneSpec(width=128, height=128, obstacle_fraction=0.3, seed=7)
     scene, _ = generate_scene(spec)
     labels = sample_labels(scene, 1e-3, rng_seed=7)
     results = {}
@@ -112,7 +112,7 @@ def test_criterion_3_em_objectives_non_decreasing():
     for k in range(10):
         spec = SceneSpec(
             width=32, height=32, obstacle_fraction=0.15 + 0.02 * k,
-            labels_per_class=8, rng_seed=100 + k,
+            labels_per_class=8, seed=100 + k,
         )
         scene, labels = generate_scene(spec)
 
@@ -138,7 +138,7 @@ def test_criterion_3_em_objectives_non_decreasing():
 
 
 def test_criterion_4_supervised_fixed_point():
-    spec = SceneSpec(width=16, height=16, labels_per_class=5, rng_seed=21)
+    spec = SceneSpec(width=16, height=16, labels_per_class=5, seed=21)
     scene, _ = generate_scene(spec)
     labels = sample_labels(scene, 1.0, rng_seed=0)
     _, trace = gmm.em_fit(scene, labels, use_elevation=True, max_iter=4, tol=0.0)

@@ -7,7 +7,7 @@ import pytest
 
 from floodem import cli, gaussian, hmt, oracle
 from floodem.errors import SpecError
-from floodem.grid import RasterScene, load_scene, save_scene
+from floodem.grid import RasterScene, SceneSpec, generate_scene, load_scene, save_scene
 
 pytestmark = pytest.mark.filterwarnings("ignore::UserWarning")
 
@@ -624,18 +624,31 @@ def test_a_bad_config_value_fails_before_any_work(workdir, tmp_path, capsys, ver
 
 
 @pytest.mark.parametrize("verb", ["synth", "train", "compare", "verify"])
-def test_negative_seed_is_a_data_error(workdir, tmp_path, capsys, verb):
-    # the check runs before any random generator is built, so no numpy traceback
+def test_negative_seed_is_a_data_error(workdir, tmp_path, capsys, monkeypatch, verb):
+    """Every seed goes through one non-negative cast, before any random
+    generator is built: a flag is a usage error, and a config or spec value
+    a data error naming its line."""
+    def no_generator(*args):
+        raise AssertionError("a random generator was built")
+
+    monkeypatch.setattr(np.random, "default_rng", no_generator)
     scene = str(workdir / "scene.sgrid")
     argv = {
-        "synth": ["--spec", str(workdir / "spec.txt"), "--out-scene", str(tmp_path / "s.sgrid"),
-                  "--out-labels", str(tmp_path / "l.txt")],
+        "synth": ["--out-scene", str(tmp_path / "s.sgrid"), "--out-labels", str(tmp_path / "l.txt")],
         "train": ["--method", "gmm", "--scene", scene, "--ratio", "0.01", "--out", str(tmp_path)],
         "compare": ["--scene", scene, "--ratio", "0.01", "--out", str(tmp_path)],
         "verify": [],
     }[verb]
-    assert cli.main([verb, *argv, "--seed", "-1"]) == 3
-    assert "seed must be non-negative, got -1" in capsys.readouterr().err
+    given = tmp_path / "given.txt"
+    given.write_text("width=16\nseed=-1\n" if verb == "synth" else "tol=1e-3\nseed=-1\n")
+    with pytest.raises(SystemExit) as exc:
+        cli.main([verb, *argv, "--seed", "-1"] + ["--spec", str(workdir / "spec.txt")] * (verb == "synth"))
+    assert exc.value.code == 2
+    assert "--seed" in capsys.readouterr().err
+    if verb != "verify":
+        assert cli.main([verb, *argv, "--spec" if verb == "synth" else "--config", str(given)]) == 3
+        assert f"{given}:2: bad value for seed" in capsys.readouterr().err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["given.txt"]
 
 
 @pytest.mark.parametrize("trees", [0, -3])
@@ -689,11 +702,49 @@ def test_train_warns_when_em_stops_at_the_cap(workdir, tmp_path, capsys):
 
 
 def test_spec_pairs_must_agree_in_length(tmp_path):
-    for text in ("mean0=1,2,3\nmean1=1,2\n", "var0=1,2\nvar1=1\n", "mean0=1,2,3\n"):
+    for text in ("mean0=1,2,3\nmean1=1,2\n", "var0=1,2\nvar1=1\n", "mean0=1,2,3\n",
+                 "var0=0\nvar1=1\n", "obstacle_var=1,2\n", "features=3\nobstacle_mean=1,2\n"):
         spec = tmp_path / "spec.txt"
         spec.write_text("width=16\nheight=16\n" + text)
-        with pytest.raises(SpecError):
+        with pytest.raises(SpecError, match=f"^{spec}: "):
             cli.parse_scene_spec(str(spec))
+
+
+# Every spec-file key with its default written out.
+_SPEC_DEFAULTS = """
+width=128
+height=128
+features=3
+ramp_height=100
+bump_amplitude=8
+bump_periods=3
+water_level=median
+mean0=40,45,50
+mean1=90,95,100
+var0=225
+var1=225
+obstacle_mean=65,70,75
+obstacle_var=144
+obstacle_fraction=0
+noise_sigma=6
+labels_per_class=100
+seed=0
+"""
+
+
+def test_every_spec_key_is_a_scene_spec_field(tmp_path):
+    """The SceneSpec fields are the spec file's keys, each with a cast, and a
+    spec that writes out every default builds the scene SceneSpec() does."""
+    keys = [line.split("=")[0] for line in _SPEC_DEFAULTS.split()]
+    assert sorted(f.name for f in fields(SceneSpec)) == sorted(keys)
+    assert all(callable(f.metadata["cast"]) for f in fields(SceneSpec))
+    spec = tmp_path / "spec.txt"
+    spec.write_text(_SPEC_DEFAULTS)
+    (read, read_labels), (default, labels) = (generate_scene(s) for s in (cli.parse_scene_spec(str(spec)),
+                                                                           SceneSpec()))
+    np.testing.assert_array_equal(read.data, default.data)
+    np.testing.assert_array_equal(read.truth, default.truth)
+    assert read_labels.entries == labels.entries
 
 
 def test_every_run_setting_has_a_config_cast(tmp_path):

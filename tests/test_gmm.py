@@ -106,7 +106,7 @@ def test_em_default_hyperparameters():
 
 
 def test_fully_labeled_scene_is_fixed_point_after_one_step():
-    spec = SceneSpec(width=12, height=12, labels_per_class=5, rng_seed=8)
+    spec = SceneSpec(width=12, height=12, labels_per_class=5, seed=8)
     scene, _ = generate_scene(spec)
     labels = sample_labels(scene, 1.0, rng_seed=0)
     _, trace = em_fit(scene, labels, use_elevation=True, max_iter=4, tol=0.0)
@@ -125,7 +125,7 @@ def test_fully_labeled_scene_is_fixed_point_after_one_step():
 
 
 def test_loglik_monotone_against_oracle():
-    spec = SceneSpec(width=20, height=10, obstacle_fraction=0.2, labels_per_class=10, rng_seed=2)
+    spec = SceneSpec(width=20, height=10, obstacle_fraction=0.2, labels_per_class=10, seed=2)
     scene, labels = generate_scene(spec)
     _, trace = em_fit(scene, labels, use_elevation=False)
     logliks = [oracle.gmm_loglik(m, scene, labels, use_elevation=False) for m in trace.models]
@@ -135,7 +135,7 @@ def test_loglik_monotone_against_oracle():
 
 
 def test_trace_matches_oracle_loglik():
-    spec = SceneSpec(width=10, height=10, labels_per_class=5, rng_seed=4)
+    spec = SceneSpec(width=10, height=10, labels_per_class=5, seed=4)
     scene, labels = generate_scene(spec)
     model, trace = em_fit(scene, labels, use_elevation=False, max_iter=5)
     assert trace.logliks[-1] == pytest.approx(
@@ -168,7 +168,7 @@ def test_infer_cutoff_zero_floods_everything(small_scene):
 
 
 def test_converged_parameters_permutation_invariant():
-    spec = SceneSpec(width=12, height=12, obstacle_fraction=0.2, labels_per_class=8, rng_seed=6)
+    spec = SceneSpec(width=12, height=12, obstacle_fraction=0.2, labels_per_class=8, seed=6)
     scene, labels = generate_scene(spec)
     model, _ = em_fit(scene, labels, use_elevation=False)
 

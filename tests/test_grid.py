@@ -147,11 +147,9 @@ def test_round_trip_random_scenes(tmp_path, rng):
 
 def test_generate_separable_scene_is_perfectly_classifiable():
     spec = SceneSpec(
-        width=24, height=24, n_features=1,
-        class_means=np.array([[0.0], [100.0]]),
-        class_covs=np.array([[[25.0]], [[25.0]]]),
+        width=24, height=24, features=1, mean0=[0.0], mean1=[100.0], var0=[25.0], var1=[25.0],
         obstacle_fraction=0.0, noise_sigma=0.0,
-        labels_per_class=10, rng_seed=11,
+        labels_per_class=10, seed=11,
     )
     scene, labels = generate_scene(spec)
     model, _ = gmm.em_fit(scene, labels, use_elevation=False)
@@ -162,11 +160,9 @@ def test_generate_separable_scene_is_perfectly_classifiable():
 def test_obstacle_pixels_share_distribution_across_classes():
     # classes far from the obstacle cloud so obstacle pixels are identifiable
     spec = SceneSpec(
-        width=64, height=64, n_features=1, obstacle_fraction=0.3, noise_sigma=0.0,
-        class_means=np.array([[0.0], [200.0]]),
-        class_covs=np.array([[[1.0]], [[1.0]]]),
-        obstacle_mean=np.array([100.0]), obstacle_cov=np.array([[1.0]]),
-        labels_per_class=20, rng_seed=5,
+        width=64, height=64, features=1, obstacle_fraction=0.3, noise_sigma=0.0,
+        mean0=[0.0], mean1=[200.0], var0=[1.0], var1=[1.0], obstacle_mean=[100.0], obstacle_var=[1.0],
+        labels_per_class=20, seed=5,
     )
     scene, _ = generate_scene(spec)
     feats = scene.feature_matrix(use_elevation=False)[:, 0]
@@ -179,7 +175,7 @@ def test_obstacle_pixels_share_distribution_across_classes():
 
 
 def test_generate_deterministic_per_seed():
-    spec = SceneSpec(width=16, height=16, obstacle_fraction=0.25, labels_per_class=5, rng_seed=42)
+    spec = SceneSpec(width=16, height=16, obstacle_fraction=0.25, labels_per_class=5, seed=42)
     s1, l1 = generate_scene(spec)
     s2, l2 = generate_scene(spec)
     np.testing.assert_array_equal(s1.data, s2.data)
@@ -188,10 +184,10 @@ def test_generate_deterministic_per_seed():
 
 
 def test_truth_depends_only_on_elevation():
-    base = SceneSpec(width=16, height=16, labels_per_class=5, rng_seed=9)
+    base = SceneSpec(width=16, height=16, labels_per_class=5, seed=9)
     other = SceneSpec(
-        width=16, height=16, labels_per_class=5, rng_seed=9,
-        class_means=np.array([[0.0, 0.0, 0.0], [5.0, 5.0, 5.0]]),
+        width=16, height=16, labels_per_class=5, seed=9,
+        mean0=[0.0, 0.0, 0.0], mean1=[5.0, 5.0, 5.0],
         obstacle_fraction=0.5, noise_sigma=20.0,
     )
     s1, _ = generate_scene(base)
@@ -208,7 +204,7 @@ def test_water_level_out_of_range_rejected():
 def test_negative_seed_rejected():
     # the CLI sets the seed after the spec is built, so generate_scene checks it
     spec = SceneSpec(width=8, height=8)
-    spec.rng_seed = -1
+    spec.seed = -1
     with pytest.raises(SpecError, match="seed must be non-negative"):
         generate_scene(spec)
 
@@ -216,12 +212,13 @@ def test_negative_seed_rejected():
 def test_spec_invariants():
     with pytest.raises(SpecError):
         SceneSpec(obstacle_fraction=1.5)
-    with pytest.raises(SpecError):
-        SceneSpec(class_covs=np.stack([-np.eye(3)] * 2))
+    for var0, var1 in (([-1.0], [1.0]), ([1.0, 0.0, 1.0], [1.0]), ([1.0], [np.nan]), ([np.inf], [1.0])):
+        with pytest.raises(SpecError, match="var"):
+            SceneSpec(var0=var0, var1=var1)
 
 
 def test_sample_labels_ratio_one_labels_everything():
-    spec = SceneSpec(width=10, height=10, labels_per_class=5, rng_seed=1)
+    spec = SceneSpec(width=10, height=10, labels_per_class=5, seed=1)
     scene, _ = generate_scene(spec)
     labels = sample_labels(scene, 1.0, rng_seed=0)
     assert len(labels) == 100
@@ -230,7 +227,7 @@ def test_sample_labels_ratio_one_labels_everything():
 
 
 def test_sample_labels_count_and_balance():
-    spec = SceneSpec(width=100, height=100, rng_seed=2)
+    spec = SceneSpec(width=100, height=100, seed=2)
     scene, _ = generate_scene(spec)
     labels = sample_labels(scene, 0.001, rng_seed=0)
     assert len(labels) == 10
@@ -238,7 +235,7 @@ def test_sample_labels_count_and_balance():
 
 
 def test_sample_labels_deterministic():
-    spec = SceneSpec(width=20, height=20, rng_seed=3)
+    spec = SceneSpec(width=20, height=20, seed=3)
     scene, _ = generate_scene(spec)
     a = sample_labels(scene, 0.05, rng_seed=7)
     b = sample_labels(scene, 0.05, rng_seed=7)

@@ -469,7 +469,7 @@ def test_em_fit_requires_two_labels_per_class(small_scene):
 
 
 def test_em_fit_expected_loglik_monotone():
-    spec = SceneSpec(width=8, height=8, obstacle_fraction=0.2, labels_per_class=5, rng_seed=12)
+    spec = SceneSpec(width=8, height=8, obstacle_fraction=0.2, labels_per_class=5, seed=12)
     scene, labels = generate_scene(spec)
     _, trace = em_fit(scene, labels)
     models = trace.models
@@ -722,8 +722,8 @@ def test_invariants_hold_at_512_without_the_oracle():
     probabilities. The canonical scene at 512² has a shallow forest with wide
     levels; the smooth one at 256² is about 94 levels deep, with many
     children per parent."""
-    for spec in (SceneSpec(width=512, height=512, obstacle_fraction=0.3, rng_seed=7),
-                 SceneSpec(width=256, height=256, obstacle_fraction=0.3, noise_sigma=0.0, rng_seed=7)):
+    for spec in (SceneSpec(width=512, height=512, obstacle_fraction=0.3, seed=7),
+                 SceneSpec(width=256, height=256, obstacle_fraction=0.3, noise_sigma=0.0, seed=7)):
         scene, _ = generate_scene(spec)
         labels = sample_labels(scene, 1e-3, rng_seed=7)
         model, trace = em_fit(scene, labels)
