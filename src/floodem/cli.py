@@ -16,7 +16,7 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from . import gmm, hmt, metrics, oracle
-from .errors import DataError, DimError, FloodemError, InitError, IoError, SpecError
+from .errors import DataError, FloodemError, InitError, IoError, SpecError
 from .grid import (
     LabelSet,
     RasterScene,
@@ -148,10 +148,8 @@ def _train(method: str, scene: RasterScene, labels: LabelSet, cfg: RunConfig, ru
     """(model, trace) of ``method``; warns on stderr, naming the method and ``run``,
     when EM stops at the iteration cap rather than at ``tol``."""
     if method in ("gmm", "gmm-elev"):
-        use_elev = method == "gmm-elev"
-        if use_elev and scene.elevation_channel is None:
-            raise DataError("gmm-elev needs a scene with an elevation channel")
-        fit = gmm.em_fit(scene, labels, use_elevation=use_elev, max_iter=cfg.max_iter, tol=cfg.tol)
+        fit = gmm.em_fit(scene, labels, use_elevation=method == "gmm-elev", max_iter=cfg.max_iter,
+                         tol=cfg.tol)
     else:
         fit = hmt.em_fit(scene, labels, max_iter=cfg.max_iter, tol=cfg.tol, rho_init=cfg.rho,
                          pi_init=cfg.pi, neighborhood=cfg.neighborhood)
@@ -163,18 +161,6 @@ def _train(method: str, scene: RasterScene, labels: LabelSet, cfg: RunConfig, ru
     return fit
 
 
-def _gmm_use_elevation(model: hmt.GmmModel, scene: RasterScene) -> bool:
-    """Recover the channel selection from the model dimension."""
-    if model.dim == scene.channels:
-        return True
-    if scene.elevation_channel is not None and model.dim == scene.channels - 1:
-        return False
-    raise DimError(
-        f"model dimension {model.dim} fits neither all {scene.channels} channels "
-        "nor the channels without elevation"
-    )
-
-
 def _predict(model, scene: RasterScene, cfg: RunConfig) -> tuple[np.ndarray, np.ndarray]:
     """(class grid, flood-score grid) for either model family."""
     if isinstance(model, hmt.HmtModel):
@@ -183,8 +169,7 @@ def _predict(model, scene: RasterScene, cfg: RunConfig) -> tuple[np.ndarray, np.
         scores = hmt.e_step(model, tree, feats).reshape(scene.height, scene.width)
         classes = hmt.map_decode(model, tree, feats).reshape(scene.height, scene.width)
         return classes, scores
-    use_elev = _gmm_use_elevation(model, scene)
-    scores = gmm.score_grid(model, scene, use_elev)
+    scores = gmm.score_grid(model, scene)
     classes = (scores >= cfg.cutoff).astype(np.uint8)
     return classes, scores
 

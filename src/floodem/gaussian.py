@@ -14,7 +14,7 @@ matrix-vector product over contiguous rows.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import InitVar, dataclass, field
 
 import numpy as np
 
@@ -89,16 +89,18 @@ class GaussianParams:
     """Mean vector and positive-definite covariance of one class's feature distribution.
 
     The covariance is symmetrized on construction and, if Cholesky fails on
-    the symmetrized matrix, repaired with `regularize`. The factor is cached
-    so per-pixel density evaluation is a single triangular multiply.
+    the symmetrized matrix, repaired with `regularize`; with ``repair=False``
+    that failure is a DataError instead. The factor is cached so per-pixel
+    density evaluation is a single triangular multiply.
     """
 
     mean: np.ndarray
     cov: np.ndarray
+    repair: InitVar[bool] = True
     _chol_inv: np.ndarray = field(init=False, repr=False, compare=False)
     _log_norm: float = field(init=False, repr=False, compare=False)
 
-    def __post_init__(self) -> None:
+    def __post_init__(self, repair: bool) -> None:
         self.mean = np.asarray(self.mean, dtype=float).reshape(-1)
         cov = np.asarray(self.cov, dtype=float)
         m = self.mean.size
@@ -110,6 +112,8 @@ class GaussianParams:
         try:
             chol = np.linalg.cholesky(cov)
         except np.linalg.LinAlgError:
+            if not repair:
+                raise DataError("covariance is not positive definite") from None
             cov = regularize(cov, _base_epsilon(cov, self.mean))
             chol = np.linalg.cholesky(cov)
         self.cov = cov

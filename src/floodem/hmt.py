@@ -12,9 +12,9 @@ Parentless nodes carry the Bernoulli prior (pi0, pi1). Emissions are
 per-class Gaussians. `GmmModel` is the prior and the emissions, `HmtModel`
 the mixture plus rho; `save_model` and `load_model` write and read both, and
 `init_from_labels` fits the initial mixture to the labeled pixels.
-`forest_em` is the EM; its `EmTrace` keeps every model it visits. On the
-edgeless forest, where every node is a root, the same EM is the two-class
-mixture of `floodem.gmm`.
+`forest_em` is the EM; its `EmTrace` keeps the model after each EM map. On
+the edgeless forest, where every node is a root, the same EM is the two-class
+mixture of `floodem.gmm`, and there it is accelerated by SQUAREM.
 
 Inference is exact: sum-product for the node marginals and max-sum for the
 MAP labeling are one upward sweep that differs only in how it combines a
@@ -128,10 +128,12 @@ class FlowTree:
 
 @dataclass(kw_only=True)
 class GmmModel:
-    """The two-class mixture: a root prior ``pi1`` (pi0 derived) and per-class emission Gaussians."""
+    """The two-class mixture: a root prior ``pi1`` (pi0 derived), per-class
+    emission Gaussians, and whether the features include the elevation channel."""
 
     pi1: float
     components: tuple[GaussianParams, GaussianParams]
+    use_elevation: bool = False
 
     def __post_init__(self):
         if not 0.0 <= self.pi1 <= 1.0:  # NaN fails every comparison
@@ -153,6 +155,7 @@ class HmtModel(GmmModel):
 
     rho: float
     neighborhood: int = 8
+    use_elevation: bool = field(default=False, init=False)  # the elevation builds the forest instead
 
     def __post_init__(self):
         super().__post_init__()
@@ -209,7 +212,7 @@ def init_from_labels(scene: RasterScene, labels: LabelSet, use_elevation: bool) 
         if pts.shape[0] < 2:
             raise InitError(f"class {c} has {pts.shape[0]} labeled samples, need at least 2")
         comps.append(weighted_mle(pts, np.ones(pts.shape[0])))
-    return GmmModel(pi1=float(np.mean(cls)), components=(comps[0], comps[1]))
+    return GmmModel(pi1=float(np.mean(cls)), components=(comps[0], comps[1]), use_elevation=use_elevation)
 
 
 def build_flow_tree(elevation: np.ndarray, neighborhood: int = 8) -> FlowTree:
@@ -353,45 +356,117 @@ def _max_rel_change(old, new) -> float:
     return float(np.max(np.abs(model_values(new) - a) / (np.abs(a) + 1e-12)))
 
 
+class _EmMap:
+    """The EM map of one fit, in two halves: `maximize` updates a model from
+    the E-step held, and `expect` replaces that E-step with a model's own,
+    returning its log likelihood. The features and the clamped labels are put
+    in the forest's layout once, and the messages stay in it, so every level
+    is a slice and no map reorders anything."""
+
+    def __init__(self, tree: FlowTree, scene: RasterScene, clamped: LabelSet, use_elevation: bool):
+        self.tree = tree
+        self.features = Lifted(scene.feature_matrix(use_elevation)[tree.order])
+        flat, self.cls = clamped.flat_indices(scene.width, scene.height)
+        self.at = tree.position[flat]
+        self.u = None
+
+    def expect(self, model: GmmModel) -> float:
+        """The clamped upward pass of ``model``: a clamped pixel's other class
+        gets zero likelihood. The messages it keeps are the only (2, N) array
+        alive: the last E-step's are freed first."""
+        self.u = None
+        u = _log_emissions(model, self.tree, self.features)
+        u[1 - self.cls, self.at] = -np.inf
+        loglik = _upward(model, self.tree, u)
+        self.u = u
+        return loglik
+
+    def maximize(self, model: GmmModel, it: int) -> GmmModel:
+        """The downward pass of the E-step held, then `m_step`; a collapse names map ``it``."""
+        try:
+            return m_step(_downward(self.tree, self.u), self.tree.up, self.features, model)
+        except DegenerateError as exc:
+            raise DegenerateError(f"{exc} (iteration {it})") from exc
+
+
+def _squarem_jump(theta0: GmmModel, theta1: GmmModel, theta2: GmmModel) -> GmmModel | None:
+    """SQUAREM's extrapolation (Varadhan & Roland 2008, scheme S3) from two EM
+    maps theta0 -> theta1 -> theta2, on the `model_values` vector: theta0 -
+    2 alpha r + alpha^2 v, with r = theta1 - theta0, v = theta2 - 2 theta1 +
+    theta0 and alpha = min(-|r| / |v|, -1). None where alpha = -1, whose
+    point is theta2 itself, or where the point is not a valid model. Entries
+    no map changes (use_elevation, the neighborhood) have r = v = 0 and stay."""
+    x0, x1, x2 = (model_values(m) for m in (theta0, theta1, theta2))
+    r = x1 - x0
+    v = (x2 - x1) - r  # exactly -r when theta2 = theta1, so a fixed point gives alpha = -1
+    norm_r, norm_v = float(np.linalg.norm(r)), float(np.linalg.norm(v))
+    if not 0.0 < norm_v < norm_r:
+        return None
+    alpha = -norm_r / norm_v
+    try:
+        return model_from_values(x0 - 2.0 * alpha * r + alpha * alpha * v, theta0.dim,
+                                 isinstance(theta0, HmtModel))
+    except DataError:
+        return None
+
+
 def forest_em(model: GmmModel, tree: FlowTree, scene: RasterScene, clamped: LabelSet, *,
-              use_elevation: bool, max_iter: int, tol: float):
+              max_iter: int, tol: float):
     """Transductive EM of ``model`` over ``tree``, one node per pixel; returns (model, EmTrace).
 
-    The ``clamped`` pixels are hard evidence: their other class gets zero
-    likelihood. The trace keeps every model visited. EM stops once an update
-    moves every parameter by less than ``tol`` (relative), or after
-    ``max_iter`` updates. Features and clamps are put in the forest's layout
-    once, and messages and marginals stay in it, so every level is a slice
-    and no iteration reorders anything.
+    The features are the scene's channels, the elevation channel among them
+    where ``model.use_elevation``. The ``clamped`` pixels are hard evidence:
+    their other class gets zero likelihood. Trace row k is the model after k
+    EM maps, and the fit stops once a plain map moves every parameter by less
+    than ``tol`` (relative), or after ``max_iter`` maps.
+
+    A forest with edges runs plain EM: each row is the map of the one before,
+    so the expected complete log likelihood never drops between rows. The
+    edgeless forest (the mixtures) runs SQUAREM cycles of two maps: the
+    second map's output theta2 is replaced by the extrapolated `_squarem_jump`
+    where that is a valid model whose log likelihood is at least theta1's.
+    Its E-step takes the place of theta2's, so a cycle costs the E-steps and
+    M-steps of two maps either way, and the log likelihood never drops
+    between rows.
     """
     if max_iter < 0:
         raise SpecError(f"max_iter must be non-negative, got {max_iter}")
     if not 0.0 <= tol < np.inf:  # NaN fails every comparison
         raise SpecError(f"tol must be finite and non-negative, got {tol}")
-    features = Lifted(scene.feature_matrix(use_elevation)[tree.order])
-    flat, cls = clamped.flat_indices(scene.width, scene.height)
-    at = tree.position[flat]
+    em = _EmMap(tree, scene, clamped, model.use_elevation)
     trace = EmTrace()
-    for it in range(max_iter + 1):
-        u = _log_emissions(model, tree, features)
-        u[1 - cls, at] = -np.inf
-        loglik = _upward(model, tree, u)
-        maxrel = _max_rel_change(trace.models[-1], model) if it > 0 else float("nan")
-        trace.models.append(model)
+
+    def record(new: GmmModel, loglik: float, plain: bool = True) -> bool:
+        """Append ``new`` as the next row; True once the fit stops there."""
+        maxrel = _max_rel_change(trace.models[-1], new) if trace.models else float("nan")
+        trace.models.append(new)
         trace.logliks.append(loglik)
         trace.max_rel_changes.append(maxrel)
-        if it > 0 and maxrel < tol:
+        if plain and maxrel < tol:
             trace.stop_reason = "tol"
-            break
-        if it == max_iter:
+        elif len(trace.models) > max_iter:
             trace.stop_reason = "max_iter"
-            break
-        # The downward pass runs only here, when an update follows.
-        try:
-            new = m_step(_downward(tree, u), tree.up, features, model)
-        except DegenerateError as exc:
-            raise DegenerateError(f"{exc} (iteration {it + 1})") from exc
-        model, u = new, None  # free the E-step's arrays before the next one
+        return trace.stop_reason is not None
+
+    done = record(model, em.expect(model))
+    while not done:
+        start = model
+        model = em.maximize(start, len(trace.models))
+        loglik = em.expect(model)
+        done = record(model, loglik)
+        if done or tree.has_edges:
+            continue
+        theta2 = em.maximize(model, len(trace.models))
+        jump = _squarem_jump(start, model, theta2) if _max_rel_change(model, theta2) >= tol else None
+        if jump is not None:
+            try:
+                jump_loglik = em.expect(jump)
+            except DataError:  # zero likelihood somewhere; theta2's own E-step would say so if it were real
+                jump_loglik = -np.inf
+            if jump_loglik >= loglik:
+                model, done = jump, record(jump, jump_loglik, plain=False)
+                continue
+        model, done = theta2, record(theta2, em.expect(theta2))
     return model, trace
 
 
@@ -410,7 +485,7 @@ def em_fit(
     tree = build_flow_tree(scene.elevation(), neighborhood)
     components = init_from_labels(scene, labels, use_elevation=False).components
     model = HmtModel(rho=rho_init, pi1=pi_init, components=components, neighborhood=neighborhood)
-    return forest_em(model, tree, scene, LabelSet([]), use_elevation=False, max_iter=max_iter, tol=tol)
+    return forest_em(model, tree, scene, LabelSet([]), max_iter=max_iter, tol=tol)
 
 
 def map_decode(model: GmmModel, tree: FlowTree, features: np.ndarray) -> np.ndarray:
@@ -431,8 +506,10 @@ def map_decode(model: GmmModel, tree: FlowTree, features: np.ndarray) -> np.ndar
 
 def model_keys(dim: int, tree: bool) -> list[str]:
     """The keys of a model file in file order: rho and the neighborhood for a
-    tree model, pi1, then each class's mean and row-major covariance."""
-    keys = ["rho", "neighborhood"] * tree + ["pi1"]
+    tree model, use_elevation for a mixture, pi1, then each class's mean and
+    row-major covariance."""
+    keys = ["rho", "neighborhood"] if tree else ["use_elevation"]
+    keys.append("pi1")
     for c in (0, 1):
         keys += [f"mean.{c}.{i}" for i in range(dim)]
         keys += [f"cov.{c}.{i}.{j}" for i in range(dim) for j in range(dim)]
@@ -441,8 +518,28 @@ def model_keys(dim: int, tree: bool) -> list[str]:
 
 def model_values(model: GmmModel) -> np.ndarray:
     """The parameter vector of ``model``, in the order of `model_keys`."""
-    head = [model.rho, model.neighborhood] if isinstance(model, HmtModel) else []
+    head = [model.rho, model.neighborhood] if isinstance(model, HmtModel) else [model.use_elevation]
     return np.concatenate([head + [model.pi1], *(np.r_[g.mean, g.cov.ravel()] for g in model.components)])
+
+
+def model_from_values(values, dim: int, tree: bool) -> GmmModel:
+    """The model whose `model_values` are ``values``, for the family and the
+    dimension given. An invalid model is a DataError and is never repaired:
+    a covariance must pass Cholesky as it stands, pi1 lie in [0, 1], rho in
+    (0, 1], the neighborhood be 4 or 8 and use_elevation 0 or 1."""
+    values = np.asarray(values, dtype=float)
+    head, blocks = np.split(values, [values.size - 2 * dim * (dim + 1)])
+    components = tuple(GaussianParams(b[:dim], b[dim:].reshape(dim, dim), repair=False)
+                       for b in blocks.reshape(2, -1))
+    if not tree:
+        use_elevation, pi1 = head
+        if use_elevation not in (0.0, 1.0):
+            raise DataError(f"use_elevation must be 0 or 1, got {use_elevation:g}")
+        return GmmModel(pi1=float(pi1), components=components, use_elevation=bool(use_elevation))
+    rho, neighborhood, pi1 = head
+    if neighborhood not in (4.0, 8.0):
+        raise DataError(f"neighborhood must be 4 or 8, got {neighborhood:g}")
+    return HmtModel(pi1=float(pi1), components=components, rho=float(rho), neighborhood=int(neighborhood))
 
 
 def save_model(model: GmmModel, path: str) -> None:
@@ -462,11 +559,12 @@ def _file_shape(kv: dict) -> tuple[int, bool]:
 
 
 def load_model(path: str) -> GmmModel:
-    """The model a file holds: a tree model if it has a rho key, else a mixture.
+    """The model a file holds, built by `model_from_values`: a tree model if it
+    has a rho key, else a mixture.
 
-    A key outside the file's `model_keys`, or one of them missing, is a
-    FormatError; a tree file without a neighborhood predates the key and
-    holds an 8-neighbor model.
+    A key outside the file's `model_keys`, one of them missing, or a model
+    `model_from_values` rejects is a FormatError; a tree file without a
+    neighborhood predates the key and holds an 8-neighbor model.
     """
     dim = tree = keys = None
 
@@ -482,10 +580,7 @@ def load_model(path: str) -> GmmModel:
     for key in keys:
         if key not in kv:
             raise FormatError(f"{path}: missing model key {key!r}")
-    blocks = np.array([kv[key] for key in keys[-2 * dim * (dim + 1):]]).reshape(2, -1)
-    components = tuple(GaussianParams(b[:dim], b[dim:].reshape(dim, dim)) for b in blocks)
-    if not tree:
-        return GmmModel(pi1=kv["pi1"], components=components)
-    if kv["neighborhood"] not in (4.0, 8.0):
-        raise FormatError(f"{path}: neighborhood must be 4 or 8, got {kv['neighborhood']:g}")
-    return HmtModel(pi1=kv["pi1"], components=components, rho=kv["rho"], neighborhood=int(kv["neighborhood"]))
+    try:
+        return model_from_values([kv[key] for key in keys], dim, tree)
+    except DataError as exc:
+        raise FormatError(f"{path}: {exc}") from None

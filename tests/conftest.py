@@ -16,3 +16,11 @@ def small_scene():
 @pytest.fixture()
 def rng():
     return np.random.default_rng(1234)
+
+
+@pytest.fixture(scope="session")
+def acceptance_fixture():
+    """The canonical 128x128 scene (obstacle fraction 0.3, seed 7) with its
+    ratio-1e-3 labels of seed 7."""
+    scene, _ = grid.generate_scene(grid.SceneSpec(width=128, height=128, obstacle_fraction=0.3, seed=7))
+    return scene, grid.sample_labels(scene, 1e-3, rng_seed=7)

@@ -44,7 +44,7 @@ def canonical():
     results = {}
     for method, use_elev in (("gmm", False), ("gmm-elev", True)):
         model, _ = gmm.em_fit(scene, labels, use_elevation=use_elev)
-        scores = gmm.score_grid(model, scene, use_elevation=use_elev)
+        scores = gmm.score_grid(model, scene)
         pred = (scores >= 0.5).astype(np.uint8)
         results[method] = {
             "avg_f": metrics.class_report(pred, scene.truth).avg_f,

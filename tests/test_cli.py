@@ -776,6 +776,36 @@ def test_predict_tree_model_on_an_unfit_scene_is_a_data_error(workdir, tmp_path,
         assert "error:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("method, flag", [("gmm", "use_elevation=0"), ("gmm-elev", "use_elevation=1")])
+def test_mixture_model_file_records_its_channels(workdir, tmp_path, method, flag):
+    run = tmp_path / "run"
+    assert _train_and_predict(workdir, run, method) == 0
+    assert flag in (run / "model.txt").read_text().splitlines()
+
+
+@pytest.mark.parametrize("method, trained_on", [("gmm", "four"), ("gmm-elev", "three")])
+def test_predict_rejects_a_mixture_on_a_scene_of_other_channels(workdir, tmp_path, capsys, method, trained_on):
+    """A gmm model of a 4-feature scene has the dimension of a 3-feature scene
+    with elevation, and a gmm-elev model of the 3-feature scene that of the
+    4-feature scene without it. The model file says which channels it reads,
+    so neither swap is taken for a fit: each is a data error with no grid."""
+    spec = tmp_path / "four.txt"
+    spec.write_text("width=24\nheight=24\nfeatures=4\nobstacle_fraction=0.25\nlabels_per_class=20\nseed=9\n")
+    assert cli.main(["synth", "--spec", str(spec), "--out-scene", str(tmp_path / "four.sgrid"),
+                     "--out-labels", str(tmp_path / "four.txt")]) == 0
+    scenes = {"three": (workdir / "scene.sgrid", workdir / "labels.txt"),
+              "four": (tmp_path / "four.sgrid", tmp_path / "four.txt")}
+    (scene, labels), (other, _) = scenes[trained_on], scenes[{"three": "four", "four": "three"}[trained_on]]
+    run = tmp_path / "run"
+    assert cli.main(["train", "--method", method, "--scene", str(scene), "--labels", str(labels),
+                     "--out", str(run)]) == 0
+    capsys.readouterr()
+    assert cli.main(["predict", "--model", str(run / "model.txt"), "--scene", str(other),
+                     "--out", str(run)]) == 3
+    assert "does not match emission dimension" in capsys.readouterr().err
+    assert not list(run.glob("*.sgrid"))
+
+
 def test_train_into_an_unusable_out_fails_before_em(workdir, tmp_path, capsys):
     blocker = tmp_path / "afile"
     blocker.write_text("not a directory\n")

@@ -23,7 +23,7 @@ def _line_scene(values, truth=None):
 
 def _posterior(model, values):
     """Flood posteriors of the pixels of a line scene, through the mixture's E-step."""
-    return score_grid(model, _line_scene(values), use_elevation=False)[0]
+    return score_grid(model, _line_scene(values))[0]
 
 
 def test_init_from_labels_two_point_means():
@@ -152,7 +152,7 @@ def test_prior_complement_exact(small_scene):
 def test_infer_cutoff_half_is_joint_argmax(small_scene):
     scene, labels = small_scene
     model, _ = em_fit(scene, labels, use_elevation=True, max_iter=10)
-    pred = (score_grid(model, scene, use_elevation=True) >= 0.5).astype(np.uint8)
+    pred = (score_grid(model, scene) >= 0.5).astype(np.uint8)
     feats = scene.feature_matrix(True)
     from floodem.gaussian import log_pdf
 
@@ -164,7 +164,7 @@ def test_infer_cutoff_half_is_joint_argmax(small_scene):
 def test_infer_cutoff_zero_floods_everything(small_scene):
     scene, labels = small_scene
     model = init_from_labels(scene, labels, use_elevation=True)
-    assert (score_grid(model, scene, use_elevation=True) >= 0.0).all()
+    assert (score_grid(model, scene) >= 0.0).all()
 
 
 def test_converged_parameters_permutation_invariant():
@@ -239,6 +239,24 @@ def test_em_rejects_negative_max_iter(small_scene):
     for tol in (float("nan"), float("inf"), -1.0):  # tol=0 stays valid: it forces the cap
         with pytest.raises(SpecError, match="tol"):
             em_fit(scene, labels, use_elevation=False, tol=tol)
+
+
+def test_accelerated_mixture_reaches_the_fixed_point(acceptance_fixture):
+    """SQUAREM on the acceptance fixture: gmm-elev stops on tol within the
+    default cap, where plain EM stops at the cap. Rows stay models the oracle
+    scores as the trace does, never worse than the row before, and one more
+    plain map from the result moves every parameter by less than tol."""
+    scene, labels = acceptance_fixture
+    model, trace = em_fit(scene, labels, use_elevation=True)
+    assert trace.stop_reason == "tol" and len(trace.models) - 1 < 100
+    assert model.use_elevation
+    for a, b in zip(trace.logliks, trace.logliks[1:]):
+        assert b >= a
+    for m, loglik in zip(trace.models, trace.logliks):
+        assert loglik == pytest.approx(oracle.gmm_loglik(m, scene, labels, use_elevation=True), rel=1e-6)
+    tree = hmt.FlowTree.edgeless(scene.n_pixels)
+    _, after = hmt.forest_em(model, tree, scene, labels, max_iter=1, tol=0.0)
+    assert len(after.models) == 2 and after.max_rel_changes[1] < 1e-5
 
 
 def test_run_em_numbers_the_failing_update(small_scene, monkeypatch):

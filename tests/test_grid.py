@@ -153,7 +153,7 @@ def test_generate_separable_scene_is_perfectly_classifiable():
     )
     scene, labels = generate_scene(spec)
     model, _ = gmm.em_fit(scene, labels, use_elevation=False)
-    pred = (gmm.score_grid(model, scene, use_elevation=False) >= 0.5).astype(np.uint8)
+    pred = (gmm.score_grid(model, scene) >= 0.5).astype(np.uint8)
     assert metrics.class_report(pred, scene.truth).avg_f == 1.0
 
 

@@ -24,6 +24,7 @@ from floodem.hmt import (
     load_model,
     m_step,
     map_decode,
+    model_from_values,
     model_keys,
     model_values,
     save_model,
@@ -486,6 +487,56 @@ def test_em_fit_expected_loglik_monotone():
         assert b >= a - 1e-8
 
 
+def test_tree_fit_stays_plain_em(acceptance_fixture):
+    """On a forest with edges every row is the plain EM map of the row before:
+    `m_step` of its marginals. No extrapolated row, which could lower the
+    expected complete log likelihood between rows, gets in."""
+    scene, labels = acceptance_fixture
+    _, trace = em_fit(scene, labels)
+    tree = build_flow_tree(scene.elevation())
+    feats = scene.feature_matrix(use_elevation=False)
+    assert trace.stop_reason == "tol" and len(trace.models) >= 3
+    for old, new in zip(trace.models, trace.models[1:]):
+        mapped = m_step(e_step(old, tree, feats), tree.parent, feats, old)
+        np.testing.assert_allclose(model_values(mapped), model_values(new), rtol=1e-9, atol=0.0)
+
+
+def test_model_from_values_inverts_model_values(rng):
+    """Both families round-trip exactly through the one inverse."""
+    for dim in (1, 3):
+        comps = []
+        for _ in range(2):
+            a = rng.normal(size=(dim, dim))
+            comps.append(GaussianParams(rng.normal(size=dim) * 50.0, a @ a.T + np.eye(dim)))
+        for model in (GmmModel(pi1=0.3, components=tuple(comps), use_elevation=True),
+                      GmmModel(pi1=1.0, components=tuple(comps)),
+                      HmtModel(rho=0.75, pi1=0.0, components=tuple(comps), neighborhood=4)):
+            back = model_from_values(model_values(model), dim, isinstance(model, HmtModel))
+            assert type(back) is type(model) and back.use_elevation == model.use_elevation
+            assert np.array_equal(model_values(back), model_values(model))
+
+
+@pytest.mark.parametrize("tree, key, value, named", [
+    (False, "cov.0.0.0", -1.0, "positive definite"),
+    (True, "cov.1.0.0", 0.0, "positive definite"),
+    (False, "pi1", 1.5, "pi1"),
+    (False, "pi1", -1e-9, "pi1"),
+    (True, "rho", 0.0, "rho"),
+    (True, "rho", 1.0 + 1e-9, "rho"),
+    (False, "use_elevation", 0.5, "use_elevation"),
+    (True, "neighborhood", 6.0, "neighborhood"),
+])
+def test_model_from_values_rejects_without_repair(tree, key, value, named):
+    """An invalid vector is a DataError: a covariance that fails Cholesky is
+    not jittered into a valid one, and no parameter is clipped into range."""
+    g = GaussianParams(np.zeros(1), np.eye(1))
+    model = HmtModel(rho=0.5, pi1=0.5, components=(g, g)) if tree else GmmModel(pi1=0.5, components=(g, g))
+    values = model_values(model)
+    values[model_keys(1, tree).index(key)] = value
+    with pytest.raises(DataError, match=named):
+        model_from_values(values, 1, tree)
+
+
 def test_em_fit_trace_first_row_is_initialization(small_scene):
     scene, labels = small_scene
     _, trace = em_fit(scene, labels, max_iter=3)
@@ -532,7 +583,7 @@ def _clamped_fit(scene, labels, max_iter):
     components = init_from_labels(scene, labels, use_elevation=False).components
     model = HmtModel(rho=0.99, pi1=0.5, components=components)
     tree = build_flow_tree(scene.elevation())
-    return forest_em(model, tree, scene, labels, use_elevation=False, max_iter=max_iter, tol=1e-5)
+    return forest_em(model, tree, scene, labels, max_iter=max_iter, tol=1e-5)
 
 
 def test_clamped_labels_pin_posteriors(small_scene):
@@ -738,7 +789,7 @@ def test_invariants_hold_at_512_without_the_oracle():
         assert not np.any((dec[nonroot] == 1) & (dec[tree.parent[nonroot]] == 0))
         mixture, mixture_trace = gmm.em_fit(scene, labels, use_elevation=True)
         assert np.all(np.isfinite(trace.logliks + mixture_trace.logliks))
-        scores = gmm.score_grid(mixture, scene, use_elevation=True)
+        scores = gmm.score_grid(mixture, scene)
         assert np.all((scores >= 0.0) & (scores <= 1.0))
 
 
@@ -824,8 +875,12 @@ def test_model_file_round_trip_and_key_list(tmp_path_factory, dim, tree, seed, f
 
 def test_load_model_requires_rho(tmp_path):
     path = tmp_path / "m.txt"
-    path.write_text("pi1=0.5\nmean.0.0=0\nmean.1.0=1\ncov.0.0.0=1\ncov.1.0.0=1\n")
+    path.write_text("use_elevation=1\npi1=0.5\nmean.0.0=0\nmean.1.0=1\ncov.0.0.0=1\ncov.1.0.0=1\n")
     # without rho the file holds a mixture, and the one reader says so by its type
     model = load_model(str(path))
-    assert type(model) is GmmModel and model.pi1 == 0.5
+    assert type(model) is GmmModel and model.pi1 == 0.5 and model.use_elevation
+    # a mixture file must say which channels it reads
+    path.write_text("pi1=0.5\nmean.0.0=0\nmean.1.0=1\ncov.0.0.0=1\ncov.1.0.0=1\n")
+    with pytest.raises(FormatError, match=re.escape("missing model key 'use_elevation'")):
+        load_model(str(path))
 
