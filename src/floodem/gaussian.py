@@ -1,20 +1,19 @@
 """Multivariate Gaussian numerics shared by both EM variants.
 
-Everything runs through a Cholesky factor in log space: feature values in the
-target rasters are large enough that raw densities underflow, and posterior
-collapse during EM can leave near-singular covariance estimates.
+Densities are taken in log space, since raw densities of the target rasters'
+feature values underflow. `GaussianParams` refuses a covariance that fails
+Cholesky; `weighted_mle`, the one weighted fit, is the one place a
+covariance is jittered, as posterior collapse can leave near-singular fits.
 
-EM evaluates and refits the same Gaussians over the same points in every
-iteration, so it first lifts the points once (`Lifted`) to
-Phi = [1, z, z_i z_j for i <= j], z = x - (mean of the points), stored one
-row per statistic. A log density is linear in Phi, and a weighted fit needs
-only Phi @ w, so on a lifted input both `log_pdf` and `weighted_mle` are one
-matrix-vector product over contiguous rows.
+Fits run on the lift (`Lifted`) Phi = [1, z, z_i z_j for i <= j],
+z = x - (mean of the points), one contiguous row per statistic: a fit needs
+only Phi @ w and a log density is linear in Phi, so EM lifts its points
+once. `log_pdf` keeps the Cholesky path for raw points, for prediction and MAP.
 """
 
 from __future__ import annotations
 
-from dataclasses import InitVar, dataclass, field
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -65,11 +64,17 @@ class Lifted:
     statistic: a row of ones, the centred points z = x - ``center``, then
     z_i * z_j for i <= j in row-major order. Centring on the points' mean
     keeps the raw second moments close to the covariances they stand for.
-    ``shape`` is the (n, m) of the points, like a point array's.
+    ``shape`` is the (n, m) of the points, like a point array's; (n,) points
+    are n one-dimensional points.
     """
 
     def __init__(self, points: np.ndarray) -> None:
-        pts = np.asarray(points, dtype=float)
+        try:
+            pts = np.asarray(points, dtype=float)
+        except ValueError as exc:
+            raise DimError("points do not share a common dimension") from exc
+        if pts.ndim not in (0, 2) and pts.size:  # row k of any other shape is point k
+            pts = pts.reshape(len(pts), -1)
         if pts.ndim != 2 or pts.shape[0] == 0:
             raise DimError(f"cannot lift points of shape {pts.shape}; need a non-empty (n, m) array")
         n, m = pts.shape
@@ -88,19 +93,18 @@ class Lifted:
 class GaussianParams:
     """Mean vector and positive-definite covariance of one class's feature distribution.
 
-    The covariance is symmetrized on construction and, if Cholesky fails on
-    the symmetrized matrix, repaired with `regularize`; with ``repair=False``
-    that failure is a DataError instead. The factor is cached so per-pixel
-    density evaluation is a single triangular multiply.
+    The covariance is symmetrized on construction; one that then fails
+    Cholesky is a DataError, never repaired here (`weighted_mle` jitters its
+    fits). The factor is cached so per-pixel density evaluation is a single
+    triangular multiply.
     """
 
     mean: np.ndarray
     cov: np.ndarray
-    repair: InitVar[bool] = True
     _chol_inv: np.ndarray = field(init=False, repr=False, compare=False)
     _log_norm: float = field(init=False, repr=False, compare=False)
 
-    def __post_init__(self, repair: bool) -> None:
+    def __post_init__(self) -> None:
         self.mean = np.asarray(self.mean, dtype=float).reshape(-1)
         cov = np.asarray(self.cov, dtype=float)
         m = self.mean.size
@@ -112,10 +116,7 @@ class GaussianParams:
         try:
             chol = np.linalg.cholesky(cov)
         except np.linalg.LinAlgError:
-            if not repair:
-                raise DataError("covariance is not positive definite") from None
-            cov = regularize(cov, _base_epsilon(cov, self.mean))
-            chol = np.linalg.cholesky(cov)
+            raise DataError("covariance is not positive definite") from None
         self.cov = cov
         self._chol_inv = np.linalg.inv(chol)
         self._log_norm = -0.5 * m * _LOG_2PI - float(np.sum(np.log(np.diag(chol))))
@@ -154,42 +155,28 @@ def log_pdf(g: GaussianParams, x: np.ndarray | Lifted) -> np.ndarray | float:
 
 
 def weighted_mle(points: np.ndarray | Lifted, weights: np.ndarray) -> GaussianParams:
-    """Weighted maximum-likelihood Gaussian fit.
+    """Weighted maximum-likelihood Gaussian fit, read from the lift.
 
-    Mean is the weighted average; covariance is the weighted outer-product
-    average around that mean, then jittered through `regularize` so the
-    result always factorizes. On a `Lifted` input both come from phi @ w.
+    Raw points are lifted on entry. The mean and the covariance, the weighted
+    average and outer-product average around it, both come from phi @ w; the
+    covariance is then jittered through `regularize` so the result always
+    factorizes.
     """
-    if isinstance(points, Lifted):
-        pts = points
-    else:
-        try:
-            pts = np.asarray(points, dtype=float)
-        except ValueError as exc:
-            raise DimError("points do not share a common dimension") from exc
-        if pts.ndim != 2:
-            pts = np.atleast_2d(pts.reshape(len(pts), -1))
+    lift = points if isinstance(points, Lifted) else Lifted(points)
     w = np.asarray(weights, dtype=float).reshape(-1)
-    if w.shape[0] != pts.shape[0]:
-        raise DimError(f"{pts.shape[0]} points but {w.shape[0]} weights")
+    if w.shape[0] != lift.shape[0]:
+        raise DimError(f"{lift.shape[0]} points but {w.shape[0]} weights")
     if np.any(w < 0):
         raise DataError("negative weight")
     total = float(w.sum())
     if not total > 0.0:
         raise DegenerateError("total weight is zero")
-    if isinstance(pts, Lifted):
-        m = pts.shape[1]
-        moments = (pts.phi @ w) / total
-        offset = moments[1 : 1 + m]
-        mean = pts.center + offset
-        cov = np.empty((m, m))
-        cov[pts.pairs] = moments[1 + m :]
-        cov.T[pts.pairs] = moments[1 + m :]
-        cov -= np.outer(offset, offset)
-    else:
-        mean = (w @ pts) / total
-        centered = pts - mean
-        cov = (centered * w[:, None]).T @ centered / total
-        cov = (cov + cov.T) / 2.0
-    cov = regularize(cov, _base_epsilon(cov, mean))
-    return GaussianParams(mean, cov)
+    m = lift.shape[1]
+    moments = (lift.phi @ w) / total
+    offset = moments[1 : 1 + m]
+    mean = lift.center + offset
+    cov = np.empty((m, m))
+    cov[lift.pairs] = moments[1 + m :]
+    cov.T[lift.pairs] = moments[1 + m :]
+    cov -= np.outer(offset, offset)
+    return GaussianParams(mean, regularize(cov, _base_epsilon(cov, mean)))

@@ -100,7 +100,7 @@ class FlowTree:
         """Nodes by depth, deepest level first; the last group is the roots."""
         return np.split(self.order, self.starts[1:])
 
-    @property
+    @cached_property
     def position(self) -> np.ndarray:
         """Each node's index in ``order``."""
         position = np.empty_like(self.order)
@@ -529,8 +529,7 @@ def model_from_values(values, dim: int, tree: bool) -> GmmModel:
     (0, 1], the neighborhood be 4 or 8 and use_elevation 0 or 1."""
     values = np.asarray(values, dtype=float)
     head, blocks = np.split(values, [values.size - 2 * dim * (dim + 1)])
-    components = tuple(GaussianParams(b[:dim], b[dim:].reshape(dim, dim), repair=False)
-                       for b in blocks.reshape(2, -1))
+    components = tuple(GaussianParams(b[:dim], b[dim:].reshape(dim, dim)) for b in blocks.reshape(2, -1))
     if not tree:
         use_elevation, pi1 = head
         if use_elevation not in (0.0, 1.0):

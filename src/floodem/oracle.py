@@ -1,13 +1,13 @@
 """Brute-force references that certify the EM code paths on small instances,
 and `run_verify`, the suite behind `floodem verify` that runs them.
 
-Every reference re-derives probabilities from first principles. The only
-piece shared with the production paths is the Gaussian log density; sums,
-normalizations, transition tables, and the MAP search are coded separately
-so a bug cannot hide on both sides of a comparison. `run_verify` checks
-`floodem.hmt`'s E-step, M-step and MAP decoding against these references,
-the lifted Gaussian fits against the Cholesky path, and the mixture EM's
-likelihood for monotonicity.
+Every reference re-derives probabilities from first principles, Gaussian
+densities and fits included (`log_density`, `raw_weighted_mle`), so a bug
+cannot hide on both sides of a comparison; production's `log_pdf` and
+`weighted_mle` are called only on the lift they are checked on. `run_verify`
+checks `floodem.hmt`'s E-step, M-step and MAP decoding against these
+references, the lifted Gaussian fits and densities against the raw-point
+ones, and the mixture EM's likelihood for monotonicity.
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ import numpy as np
 
 from . import gmm, hmt
 from .errors import CapError, SpecError
-from .gaussian import GaussianParams, Lifted, log_pdf, weighted_mle
+from .gaussian import GaussianParams, Lifted, _base_epsilon, log_pdf, regularize, weighted_mle
 from .grid import SceneSpec, generate_scene
 
 MAX_NODES = 20
@@ -36,9 +36,30 @@ def _logsumexp(values: np.ndarray) -> float:
     return m + float(np.log(np.sum(np.exp(values - m))))
 
 
+def log_density(g: GaussianParams, points: np.ndarray) -> np.ndarray:
+    """ln N(x; mean, cov) of each row x of the (n, m) ``points``, from the log
+    determinant and a linear solve."""
+    z = np.asarray(points, dtype=float) - g.mean
+    _, log_det = np.linalg.slogdet(g.cov)
+    maha = np.einsum("ij,ji->i", z, np.linalg.solve(g.cov, z.T))
+    return -0.5 * (g.dim * np.log(2.0 * np.pi) + log_det + maha)
+
+
+def raw_weighted_mle(points: np.ndarray, weights: np.ndarray) -> GaussianParams:
+    """The weighted Gaussian fit from the raw (n, m) points: the weighted mean,
+    and the weighted outer-product average around it, jittered by the rule
+    `weighted_mle` follows (`regularize` from `_base_epsilon`)."""
+    pts, w = np.asarray(points, dtype=float), np.asarray(weights, dtype=float)
+    mean = (w @ pts) / w.sum()
+    centered = pts - mean
+    cov = (centered * w[:, None]).T @ centered / w.sum()
+    cov = (cov + cov.T) / 2.0
+    return GaussianParams(mean, regularize(cov, _base_epsilon(cov, mean)))
+
+
 def _class_log_densities(model, features) -> np.ndarray:
     """(2, N) log densities, class c in row c."""
-    return np.stack([log_pdf(g, features) for g in model.components])
+    return np.stack([log_density(g, features) for g in model.components])
 
 
 def _log_tables(model) -> tuple[np.ndarray, np.ndarray]:
@@ -146,10 +167,7 @@ def gmm_loglik(model, scene, labels, use_elevation: bool) -> float:
     term ln pi_y N_y(x).
     """
     feats = scene.feature_matrix(use_elevation)
-    lp = np.stack([
-        _log(1.0 - model.pi1) + log_pdf(model.components[0], feats),
-        _log(model.pi1) + log_pdf(model.components[1], feats),
-    ])
+    lp = _class_log_densities(model, feats) + [[_log(1.0 - model.pi1)], [_log(model.pi1)]]
     flat, cls = labels.flat_indices(scene.width, scene.height)
     unlabeled = np.ones(feats.shape[0], dtype=bool)
     unlabeled[flat] = False
@@ -193,13 +211,13 @@ def random_tree_instance(
 
 
 def _lift_error(points: np.ndarray, weights: np.ndarray) -> float:
-    """Worst disagreement between the lifted and the raw-point Gaussian paths:
-    the weighted fit's mean in units of |mean| + sd and its covariance in units
-    of sd_i * sd_j, and the fit's log densities in units of 1 + |log density|."""
+    """Worst disagreement of the lifted fit and density with the raw-point
+    references: the mean in units of |mean| + sd, the covariance in units of
+    sd_i * sd_j, and the log densities in units of 1 + |log density|."""
     lift = Lifted(points)
-    ref, fit = weighted_mle(points, weights), weighted_mle(lift, weights)
+    ref, fit = raw_weighted_mle(points, weights), weighted_mle(lift, weights)
     sd = np.sqrt(np.diag(ref.cov))
-    ref_lp = log_pdf(ref, points)
+    ref_lp = log_density(ref, points)
     return max(
         float(np.max(np.abs(fit.mean - ref.mean) / (np.abs(ref.mean) + sd))),
         float(np.max(np.abs(fit.cov - ref.cov) / np.outer(sd, sd))),
@@ -281,5 +299,6 @@ def run_verify(n_trees: int = 100, seed: int = 0, out=None) -> bool:
     logliks = [gmm_loglik(m, scene, labels, use_elevation=False) for m in trace.models]
     drops = [b - a for a, b in zip(logliks, logliks[1:]) if b < a - 1e-8]
     emit(not drops, "mixture EM log likelihood is non-decreasing",
-         f"{len(logliks)} iterations, worst drop {min(drops) if drops else 0.0:.3g}")
+         f"{len(trace.models) - 1} EM maps, stop {trace.stop_reason}, "
+         f"worst drop {min(drops) if drops else 0.0:.3g}")
     return all_ok

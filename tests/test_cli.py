@@ -481,6 +481,31 @@ def test_verify_catches_a_corrupted_lift(monkeypatch):
     assert "FAIL lifted Gaussian" in sink.getvalue()
 
 
+def test_verify_catches_a_fit_bug_the_lift_and_raw_points_would_share(monkeypatch):
+    """The lift line's reference is the oracle's own raw-point fit, so a bug in
+    `weighted_mle` cannot cancel out of the comparison."""
+    real = gaussian.weighted_mle
+
+    def corrupted(points, weights):
+        g = real(points, weights)
+        return gaussian.GaussianParams(g.mean * (1.0 + 1e-6), g.cov)
+
+    for module in (gaussian, hmt, oracle):
+        monkeypatch.setattr(module, "weighted_mle", corrupted)
+    sink = io.StringIO()
+    assert oracle.run_verify(n_trees=10, seed=0, out=sink) is False
+    assert "FAIL lifted Gaussian" in sink.getvalue()
+
+
+def test_verify_mixture_line_counts_em_maps_and_names_the_stop():
+    """Trace row 0 is the initial model, so 100 maps are 101 rows; the 16x16
+    fit stops at the cap, and the line says so."""
+    sink = io.StringIO()
+    assert oracle.run_verify(n_trees=1, seed=0, out=sink) is True
+    assert ("ok   mixture EM log likelihood is non-decreasing "
+            "(100 EM maps, stop max_iter, worst drop 0)\n") in sink.getvalue()
+
+
 def test_config_file_with_flag_override(workdir, tmp_path):
     cfgfile = tmp_path / "run.cfg"
     cfgfile.write_text(

@@ -5,6 +5,7 @@ import pytest
 
 from floodem.errors import DataError, DegenerateError, DimError
 from floodem.gaussian import GaussianParams, Lifted, log_pdf, regularize, weighted_mle
+from floodem.oracle import log_density, raw_weighted_mle
 
 
 def test_log_pdf_standard_normal_at_mode():
@@ -49,9 +50,10 @@ def test_log_pdf_dim_mismatch():
 
 
 def test_weighted_mle_two_points_unit_weights():
-    est = weighted_mle(np.array([[0.0], [2.0]]), np.array([1.0, 1.0]))
-    assert est.mean[0] == pytest.approx(1.0, abs=1e-15)
-    assert est.cov[0, 0] == pytest.approx(1.0 + 1e-9, abs=1e-15)
+    for points in ([[0.0], [2.0]], [0.0, 2.0]):  # (n,) points are n one-dimensional points
+        est = weighted_mle(np.array(points), np.array([1.0, 1.0]))
+        assert est.mean[0] == pytest.approx(1.0, abs=1e-15)
+        assert est.cov[0, 0] == pytest.approx(1.0 + 1e-9, abs=1e-15)
 
 
 def test_weighted_mle_zero_weight_removes_point():
@@ -85,6 +87,8 @@ def test_weighted_mle_errors():
         weighted_mle(np.array([[1.0], [2.0]]), np.array([0.0, 0.0]))
     with pytest.raises(DimError):
         weighted_mle(np.array([[1.0], [2.0]]), np.array([1.0]))
+    with pytest.raises(DimError, match="common dimension"):
+        weighted_mle([[1.0, 2.0], [3.0]], np.ones(2))
     with pytest.raises(DataError):
         weighted_mle(np.array([[1.0], [2.0]]), np.array([1.0, -1.0]))
 
@@ -125,11 +129,16 @@ def test_regularize_rank_one_escalates_until_cholesky_passes():
             np.linalg.cholesky(cov + smaller * np.eye(2))
 
 
-def test_gaussian_params_symmetrizes_and_repairs():
+def test_gaussian_params_symmetrizes():
     g = GaussianParams(np.zeros(2), np.array([[2.0, 0.3], [0.1, 2.0]]))
     np.testing.assert_array_equal(g.cov, g.cov.T)
-    singular = GaussianParams(np.zeros(2), np.array([[1.0, 1.0], [1.0, 1.0]]))
-    np.linalg.cholesky(singular.cov)
+
+
+@pytest.mark.parametrize("cov", [[[1.0, 1.0], [1.0, 1.0]], [[1.0, 0.0], [0.0, -1e-12]]])
+def test_gaussian_params_rejects_a_covariance_cholesky_fails(cov):
+    # Only weighted_mle jitters a covariance; a given one is used as it stands.
+    with pytest.raises(DataError, match="positive definite"):
+        GaussianParams(np.zeros(2), np.array(cov))
 
 
 def _scaled_points(rng, n, m, offset, scale):
@@ -159,12 +168,12 @@ def test_lifted_path_matches_raw_points(m):
             pts = _scaled_points(rng, 300, m, offset, scale)
             w = rng.uniform(size=300) ** 4  # soft weights concentrated like EM responsibilities
             lift = Lifted(pts)
-            raw, lifted = weighted_mle(pts, w), weighted_mle(lift, w)
+            raw, lifted = raw_weighted_mle(pts, w), weighted_mle(lift, w)
             sd = np.sqrt(np.diag(raw.cov))
             assert np.max(np.abs(lifted.mean - raw.mean) / (np.abs(raw.mean) + sd)) <= 1e-12
             assert np.max(np.abs(lifted.cov - raw.cov) / np.outer(sd, sd)) <= 1e-10
-            for g in (raw, weighted_mle(pts, rng.uniform(size=300))):
-                ref = log_pdf(g, pts)
+            for g in (raw, raw_weighted_mle(pts, rng.uniform(size=300))):
+                ref = log_density(g, pts)
                 assert np.max(np.abs(log_pdf(g, lift) - ref) / (1.0 + np.abs(ref))) <= 1e-10
 
 
@@ -172,10 +181,11 @@ def test_lifted_path_matches_raw_points(m):
 def test_lifted_constant_channel_gets_the_same_jitter(rng, value):
     pts = np.column_stack([rng.normal(size=(40, 2)), np.full(40, value)])
     w = rng.uniform(size=40)
-    raw, lifted = weighted_mle(pts, w), weighted_mle(Lifted(pts), w)
+    raw, lifted = raw_weighted_mle(pts, w), weighted_mle(Lifted(pts), w)
     jitter = 1e-9 * np.trace(np.cov(pts[:, :2].T, aweights=w, bias=True)) / 3.0
-    # The raw path's variance keeps the square of its mean's rounding error
-    # (about 1e-20 at 1e6), so only the lifted one is the jitter to the last bits.
+    # The raw-point reference's variance keeps the square of its mean's
+    # rounding error (about 1e-20 at 1e6), so only the lifted one is the
+    # jitter to the last bits.
     assert lifted.cov[2, 2] == pytest.approx(jitter, rel=1e-12, abs=0.0)
     assert raw.cov[2, 2] == pytest.approx(jitter, rel=1e-9, abs=0.0)
     sd = np.sqrt(np.diag(raw.cov))
@@ -186,11 +196,12 @@ def test_lifted_constant_channel_gets_the_same_jitter(rng, value):
 @pytest.mark.parametrize("value", [0.1, 3.0, 1e6 + 0.1])
 def test_constant_one_channel_fit_gets_the_absolute_floor(rng, value):
     # The pre-jitter variance is rounding noise of the mean, so the jitter
-    # must not scale with it: both paths land on the absolute floor.
+    # must not scale with it: the lift and the raw-point reference both land
+    # on the absolute floor.
     pts = np.full((50, 1), value)
     for _ in range(50):
         w = rng.uniform(size=50)
-        for fit in (weighted_mle(pts, w), weighted_mle(Lifted(pts), w)):
+        for fit in (raw_weighted_mle(pts, w), weighted_mle(Lifted(pts), w)):
             assert fit.cov[0, 0] == pytest.approx(1e-9, rel=1e-9, abs=0.0)
             assert fit.mean[0] == pytest.approx(value, rel=1e-15, abs=0.0)
 

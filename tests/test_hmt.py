@@ -145,12 +145,11 @@ def test_tiny_dem_parents_match_a_per_pixel_scan(rng):
                 np.testing.assert_array_equal(tree.roots, np.arange(flat.size))
 
 
-def _clamped_log_pdf(model, clamp_idx, clamp_cls):
-    """log_pdf with the clamped pixels' other class set to zero likelihood."""
-    from floodem.gaussian import log_pdf
+def _clamped(density, model, clamp_idx, clamp_cls):
+    """``density`` with the clamped pixels' other class set to zero likelihood."""
 
     def clamped(params, feats):
-        out = log_pdf(params, feats)
+        out = density(params, feats)
         cls = 0 if params is model.components[0] else 1
         out[clamp_idx[clamp_cls != cls]] = -np.inf
         return out
@@ -161,6 +160,7 @@ def _clamped_log_pdf(model, clamp_idx, clamp_cls):
 def test_tiny_dem_inference_matches_enumeration(rng, monkeypatch):
     from floodem import hmt
 
+    log_pdf, log_density = hmt.log_pdf, oracle.log_density
     for k, elev in enumerate(_tiny_dems(rng, 42, 12)):
         for nb in (4, 8):
             tree = build_flow_tree(elev, neighborhood=nb)
@@ -174,9 +174,8 @@ def test_tiny_dem_inference_matches_enumeration(rng, monkeypatch):
                 flood = elev.ravel() <= np.median(elev)
                 clamp_idx = rng.choice(tree.n_nodes, size=3, replace=False)
                 clamp_cls = flood[clamp_idx].astype(np.int64)
-            clamped = _clamped_log_pdf(model, clamp_idx, clamp_cls)
-            monkeypatch.setattr(hmt, "log_pdf", clamped)
-            monkeypatch.setattr(oracle, "log_pdf", clamped)
+            monkeypatch.setattr(hmt, "log_pdf", _clamped(log_pdf, model, clamp_idx, clamp_cls))
+            monkeypatch.setattr(oracle, "log_density", _clamped(log_density, model, clamp_idx, clamp_cls))
             om, op, _, ov = oracle.enumerate_joint(model, tree, feats)
             marginal = e_step(model, tree, feats)
             np.testing.assert_allclose(marginal, om, atol=1e-9)
