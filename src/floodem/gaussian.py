@@ -42,6 +42,11 @@ def regularize(cov: np.ndarray, epsilon: float) -> np.ndarray:
     Always adds at least ``epsilon`` even when ``cov`` is already positive
     definite, so repair is deterministic rather than conditional.
     """
+    return _jitter(cov, epsilon)[0]
+
+
+def _jitter(cov: np.ndarray, epsilon: float) -> tuple[np.ndarray, np.ndarray]:
+    """`regularize`'s ``cov + e*I`` and the Cholesky factor that accepted it."""
     cov = np.asarray(cov, dtype=float)
     if not np.all(np.isfinite(cov)):
         raise DataError("covariance contains non-finite entries")
@@ -50,11 +55,9 @@ def regularize(cov: np.ndarray, epsilon: float) -> np.ndarray:
     while True:
         candidate = cov + eps * eye
         try:
-            np.linalg.cholesky(candidate)
+            return candidate, np.linalg.cholesky(candidate)
         except np.linalg.LinAlgError:
             eps *= 10.0
-        else:
-            return candidate
 
 
 class Lifted:
@@ -117,9 +120,22 @@ class GaussianParams:
             chol = np.linalg.cholesky(cov)
         except np.linalg.LinAlgError:
             raise DataError("covariance is not positive definite") from None
+        self._factor(cov, chol)
+
+    @classmethod
+    def _factored(cls, mean: np.ndarray, cov: np.ndarray, chol: np.ndarray) -> "GaussianParams":
+        """The Gaussian of a finite (m,) float ``mean`` and an exactly symmetric
+        ``cov`` whose Cholesky factor ``chol`` is known: what the checked
+        constructor builds from them, without factorizing ``cov`` again."""
+        g = cls.__new__(cls)
+        g.mean = mean
+        g._factor(cov, chol)
+        return g
+
+    def _factor(self, cov: np.ndarray, chol: np.ndarray) -> None:
         self.cov = cov
         self._chol_inv = np.linalg.inv(chol)
-        self._log_norm = -0.5 * m * _LOG_2PI - float(np.sum(np.log(np.diag(chol))))
+        self._log_norm = -0.5 * self.dim * _LOG_2PI - float(np.sum(np.log(np.diag(chol))))
 
     @property
     def dim(self) -> int:
@@ -137,12 +153,13 @@ def _theta(g: GaussianParams, lifted: Lifted) -> np.ndarray:
     return np.concatenate([[g._log_norm - 0.5 * float(d @ prec_d)], prec_d, quad[lifted.pairs]])
 
 
-def log_pdf(g: GaussianParams, x: np.ndarray | Lifted) -> np.ndarray | float:
-    """Log density ln N(x; mean, cov), for a single vector, a (n, m) batch or a `Lifted` batch."""
+def log_pdf(g: GaussianParams, x: np.ndarray | Lifted, out: np.ndarray | None = None) -> np.ndarray | float:
+    """Log density ln N(x; mean, cov), for a single vector, a (n, m) batch or a
+    `Lifted` batch; a batch's densities go into ``out`` where one is given."""
     if isinstance(x, Lifted):
         if x.shape[1] != g.dim:
             raise DimError(f"point dimension {x.shape} does not match Gaussian dimension {g.dim}")
-        return _theta(g, x) @ x.phi
+        return np.matmul(_theta(g, x), x.phi, out=out)
     x = np.asarray(x, dtype=float)
     single = x.ndim == 1
     pts = np.atleast_2d(x)
@@ -150,7 +167,7 @@ def log_pdf(g: GaussianParams, x: np.ndarray | Lifted) -> np.ndarray | float:
         raise DimError(f"point dimension {x.shape} does not match Gaussian dimension {g.dim}")
     z = (pts - g.mean) @ g._chol_inv.T
     maha = np.einsum("ij,ij->i", z, z)
-    out = g._log_norm - 0.5 * maha
+    out = np.subtract(g._log_norm, 0.5 * maha, out=out)
     return float(out[0]) if single else out
 
 
@@ -179,4 +196,6 @@ def weighted_mle(points: np.ndarray | Lifted, weights: np.ndarray) -> GaussianPa
     cov[lift.pairs] = moments[1 + m :]
     cov.T[lift.pairs] = moments[1 + m :]
     cov -= np.outer(offset, offset)
-    return GaussianParams(mean, regularize(cov, _base_epsilon(cov, mean)))
+    # The jitter's accepted factor is the one the checked constructor would
+    # compute: the covariance is exactly symmetric, so it factorizes once.
+    return GaussianParams._factored(mean, *_jitter(cov, _base_epsilon(cov, mean)))

@@ -242,15 +242,24 @@ def build_flow_tree(elevation: np.ndarray, neighborhood: int = 8) -> FlowTree:
 
 
 def _log_emissions(
-    model: GmmModel, tree: FlowTree, features: np.ndarray | Lifted, rows=slice(None)
+    model: GmmModel, tree: FlowTree, features: np.ndarray | Lifted, rows: np.ndarray | None = None
 ) -> np.ndarray:
-    """(2, N) log densities: class c in row c, the nodes listed in ``rows`` order."""
+    """(2, N) log densities: class c in row c, the nodes listed in ``rows``
+    order, or in node order, where each row is written in place (EM's
+    E-step). Reordered rows (prediction, MAP decoding) are stacked: with the
+    (2, N) array allocated first, a 256x256 gmm-elev prediction faulted in
+    6 MB of fresh pages per call under glibc's malloc."""
     shape = np.shape(features)
     if len(shape) != 2 or shape[1] != model.dim:
         raise DimError(f"features shape {shape} does not match emission dimension {model.dim}")
     if shape[0] != tree.n_nodes:
         raise DimError(f"{shape[0]} feature rows for {tree.n_nodes} tree nodes")
-    return np.stack([log_pdf(g, features)[rows] for g in model.components])
+    if rows is not None:
+        return np.stack([log_pdf(g, features)[rows] for g in model.components])
+    u = np.empty((2, shape[0]))
+    for g, row in zip(model.components, u):
+        log_pdf(g, features, out=row)
+    return u
 
 
 def _logaddexp(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -338,7 +347,8 @@ def m_step(marginal: np.ndarray, parent: np.ndarray, features: np.ndarray | Lift
     rho, or a mixture's lack of one, alone.
     """
     root = parent < 0
-    components = (weighted_mle(features, 1.0 - marginal), weighted_mle(features, marginal))
+    lift = features if isinstance(features, Lifted) else Lifted(features)
+    components = (weighted_mle(lift, 1.0 - marginal), weighted_mle(lift, marginal))
     update = {"pi1": float(np.sum(marginal, where=root)) / np.count_nonzero(root), "components": components}
     if not root.all():
         den = float(marginal[parent[~root]].sum())
@@ -350,10 +360,9 @@ def m_step(marginal: np.ndarray, parent: np.ndarray, features: np.ndarray | Lift
     return replace(model, **update)
 
 
-def _max_rel_change(old, new) -> float:
-    """Largest relative change of any entry of the `model_values` vector."""
-    a = model_values(old)
-    return float(np.max(np.abs(model_values(new) - a) / (np.abs(a) + 1e-12)))
+def _max_rel_change(old: np.ndarray, new: np.ndarray) -> float:
+    """Largest relative change of any entry from the `model_values` vector ``old`` to ``new``."""
+    return float(np.max(np.abs(new - old) / (np.abs(old) + 1e-12)))
 
 
 class _EmMap:
@@ -389,23 +398,24 @@ class _EmMap:
             raise DegenerateError(f"{exc} (iteration {it})") from exc
 
 
-def _squarem_jump(theta0: GmmModel, theta1: GmmModel, theta2: GmmModel) -> GmmModel | None:
+def _squarem_jump(like: GmmModel, x0: np.ndarray, x1: np.ndarray, x2: np.ndarray):
     """SQUAREM's extrapolation (Varadhan & Roland 2008, scheme S3) from two EM
-    maps theta0 -> theta1 -> theta2, on the `model_values` vector: theta0 -
+    maps theta0 -> theta1 -> theta2, given as `model_values` vectors: theta0 -
     2 alpha r + alpha^2 v, with r = theta1 - theta0, v = theta2 - 2 theta1 +
-    theta0 and alpha = min(-|r| / |v|, -1). None where alpha = -1, whose
-    point is theta2 itself, or where the point is not a valid model. Entries
-    no map changes (use_elevation, the neighborhood) have r = v = 0 and stay."""
-    x0, x1, x2 = (model_values(m) for m in (theta0, theta1, theta2))
+    theta0 and alpha = min(-|r| / |v|, -1). Returns the point as (model,
+    vector), in the family and dimension of ``like``; None where alpha = -1,
+    whose point is theta2 itself, or where the point is not a valid model.
+    Entries no map changes (use_elevation, the neighborhood) have r = v = 0
+    and stay."""
     r = x1 - x0
     v = (x2 - x1) - r  # exactly -r when theta2 = theta1, so a fixed point gives alpha = -1
     norm_r, norm_v = float(np.linalg.norm(r)), float(np.linalg.norm(v))
     if not 0.0 < norm_v < norm_r:
         return None
     alpha = -norm_r / norm_v
+    x = x0 - 2.0 * alpha * r + alpha * alpha * v
     try:
-        return model_from_values(x0 - 2.0 * alpha * r + alpha * alpha * v, theta0.dim,
-                                 isinstance(theta0, HmtModel))
+        return model_from_values(x, like.dim, isinstance(like, HmtModel)), x
     except DataError:
         return None
 
@@ -422,12 +432,14 @@ def forest_em(model: GmmModel, tree: FlowTree, scene: RasterScene, clamped: Labe
 
     A forest with edges runs plain EM: each row is the map of the one before,
     so the expected complete log likelihood never drops between rows. The
-    edgeless forest (the mixtures) runs SQUAREM cycles of two maps: the
-    second map's output theta2 is replaced by the extrapolated `_squarem_jump`
-    where that is a valid model whose log likelihood is at least theta1's.
-    Its E-step takes the place of theta2's, so a cycle costs the E-steps and
-    M-steps of two maps either way, and the log likelihood never drops
-    between rows.
+    edgeless forest (the mixtures) runs SQUAREM cycles: two maps theta0 ->
+    theta1 -> theta2, whose second output is replaced by the extrapolated
+    `_squarem_jump` where that is a valid model whose log likelihood is at
+    least theta1's. The jump's E-step takes the place of theta2's, so it
+    costs no extra map. One plain map from an accepted jump stabilizes it;
+    that map's row can stop the fit, and the next cycle starts from it. A
+    rejected jump keeps theta2. Either way the log likelihood never drops
+    between rows. Each model's `model_values` vector is built once.
     """
     if max_iter < 0:
         raise SpecError(f"max_iter must be non-negative, got {max_iter}")
@@ -435,10 +447,12 @@ def forest_em(model: GmmModel, tree: FlowTree, scene: RasterScene, clamped: Labe
         raise SpecError(f"tol must be finite and non-negative, got {tol}")
     em = _EmMap(tree, scene, clamped, model.use_elevation)
     trace = EmTrace()
+    values = []  # each row's `model_values`
 
-    def record(new: GmmModel, loglik: float, plain: bool = True) -> bool:
-        """Append ``new`` as the next row; True once the fit stops there."""
-        maxrel = _max_rel_change(trace.models[-1], new) if trace.models else float("nan")
+    def record(new: GmmModel, x: np.ndarray, loglik: float, plain: bool = True) -> bool:
+        """Append ``new``, whose vector is ``x``, as the next row; True once the fit stops there."""
+        maxrel = _max_rel_change(values[-1], x) if values else float("nan")
+        values.append(x)
         trace.models.append(new)
         trace.logliks.append(loglik)
         trace.max_rel_changes.append(maxrel)
@@ -448,25 +462,32 @@ def forest_em(model: GmmModel, tree: FlowTree, scene: RasterScene, clamped: Labe
             trace.stop_reason = "max_iter"
         return trace.stop_reason is not None
 
-    done = record(model, em.expect(model))
+    x = model_values(model)
+    done = record(model, x, em.expect(model))
+    stabilize = False  # whether the next map is the one after an accepted jump
     while not done:
-        start = model
-        model = em.maximize(start, len(trace.models))
+        x0 = x
+        model = em.maximize(model, len(trace.models))
+        x = model_values(model)
         loglik = em.expect(model)
-        done = record(model, loglik)
-        if done or tree.has_edges:
+        done = record(model, x, loglik)
+        if done or tree.has_edges or stabilize:
+            stabilize = False
             continue
         theta2 = em.maximize(model, len(trace.models))
-        jump = _squarem_jump(start, model, theta2) if _max_rel_change(model, theta2) >= tol else None
+        x2 = model_values(theta2)
+        jump = _squarem_jump(model, x0, x, x2) if _max_rel_change(x, x2) >= tol else None
         if jump is not None:
             try:
-                jump_loglik = em.expect(jump)
+                jump_loglik = em.expect(jump[0])
             except DataError:  # zero likelihood somewhere; theta2's own E-step would say so if it were real
                 jump_loglik = -np.inf
             if jump_loglik >= loglik:
-                model, done = jump, record(jump, jump_loglik, plain=False)
+                (model, x), done = jump, record(*jump, jump_loglik, plain=False)
+                stabilize = True
                 continue
-        model, done = theta2, record(theta2, em.expect(theta2))
+        model, x = theta2, x2
+        done = record(model, x, em.expect(model))
     return model, trace
 
 
@@ -519,7 +540,8 @@ def model_keys(dim: int, tree: bool) -> list[str]:
 def model_values(model: GmmModel) -> np.ndarray:
     """The parameter vector of ``model``, in the order of `model_keys`."""
     head = [model.rho, model.neighborhood] if isinstance(model, HmtModel) else [model.use_elevation]
-    return np.concatenate([head + [model.pi1], *(np.r_[g.mean, g.cov.ravel()] for g in model.components)])
+    g0, g1 = model.components
+    return np.concatenate([head + [model.pi1], g0.mean, g0.cov.ravel(), g1.mean, g1.cov.ravel()])
 
 
 def model_from_values(values, dim: int, tree: bool) -> GmmModel:

@@ -93,6 +93,35 @@ def test_weighted_mle_errors():
         weighted_mle(np.array([[1.0], [2.0]]), np.array([1.0, -1.0]))
 
 
+def test_weighted_mle_factorizes_its_fit_once(rng, monkeypatch):
+    """The jitter's accepted Cholesky factor builds the fit: one factorization,
+    and the Gaussian the checked constructor makes from the same mean and
+    covariance, bit for bit."""
+    pts, w = rng.normal(size=(50, 3)) * [1.0, 5.0, 20.0], rng.uniform(0.1, 1.0, size=50)
+    calls, cholesky = [], np.linalg.cholesky
+
+    def counting(a):
+        calls.append(a)
+        return cholesky(a)
+
+    monkeypatch.setattr(np.linalg, "cholesky", counting)
+    g = weighted_mle(Lifted(pts), w)
+    assert len(calls) == 1
+    monkeypatch.undo()
+    ref = GaussianParams(g.mean, g.cov)
+    assert np.array_equal(g.mean, ref.mean) and np.array_equal(g.cov, ref.cov)
+    assert np.array_equal(g._chol_inv, ref._chol_inv) and g._log_norm == ref._log_norm
+
+
+def test_log_pdf_writes_into_out(rng):
+    g = GaussianParams(rng.normal(size=2), np.array([[2.0, 0.3], [0.3, 1.0]]))
+    pts = rng.normal(size=(20, 2))
+    for x in (pts, Lifted(pts)):
+        out = np.empty(20)
+        assert log_pdf(g, x, out=out) is out
+        np.testing.assert_array_equal(out, log_pdf(g, x))
+
+
 def test_weighted_mle_cov_always_factorizes(rng):
     # includes nearly-degenerate weight patterns
     for _ in range(25):

@@ -243,20 +243,47 @@ def test_em_rejects_negative_max_iter(small_scene):
 
 def test_accelerated_mixture_reaches_the_fixed_point(acceptance_fixture):
     """SQUAREM on the acceptance fixture: gmm-elev stops on tol within the
-    default cap, where plain EM stops at the cap. Rows stay models the oracle
-    scores as the trace does, never worse than the row before, and one more
-    plain map from the result moves every parameter by less than tol."""
+    default cap, where plain EM stops at the cap, and one more plain map from
+    the result moves every parameter by less than tol."""
     scene, labels = acceptance_fixture
     model, trace = em_fit(scene, labels, use_elevation=True)
     assert trace.stop_reason == "tol" and len(trace.models) - 1 < 100
     assert model.use_elevation
-    for a, b in zip(trace.logliks, trace.logliks[1:]):
-        assert b >= a
-    for m, loglik in zip(trace.models, trace.logliks):
-        assert loglik == pytest.approx(oracle.gmm_loglik(m, scene, labels, use_elevation=True), rel=1e-6)
     tree = hmt.FlowTree.edgeless(scene.n_pixels)
     _, after = hmt.forest_em(model, tree, scene, labels, max_iter=1, tol=0.0)
     assert len(after.models) == 2 and after.max_rel_changes[1] < 1e-5
+
+
+@pytest.mark.parametrize("use_elevation", [False, True])
+def test_squarem_stabilizes_each_accepted_jump(acceptance_fixture, monkeypatch, use_elevation):
+    """The row after an accepted jump is one plain EM map of it, and the next
+    cycle starts from that row, so accepted jumps lie at least three rows
+    apart. Rows stay models the oracle scores as the trace does, never worse
+    than the row before, and the fit takes at most max_iter maps."""
+    scene, labels = acceptance_fixture
+    jumps, real = [], hmt._squarem_jump
+
+    def spy(*args):
+        out = real(*args)
+        if out is not None:
+            jumps.append(out[0])
+        return out
+
+    monkeypatch.setattr(hmt, "_squarem_jump", spy)
+    _, trace = em_fit(scene, labels, use_elevation=use_elevation, max_iter=100)
+    monkeypatch.undo()
+    rows = [k for k, m in enumerate(trace.models) if any(m is j for j in jumps)]
+    assert rows and len(trace.models) - 1 <= 100
+    assert all(b - a >= 3 for a, b in zip(rows, rows[1:]))
+    tree = hmt.FlowTree.edgeless(scene.n_pixels)
+    for k in rows[:-1] if rows[-1] == len(trace.models) - 1 else rows:
+        _, plain = hmt.forest_em(trace.models[k], tree, scene, labels, max_iter=1, tol=0.0)
+        np.testing.assert_allclose(hmt.model_values(trace.models[k + 1]), hmt.model_values(plain.models[1]),
+                                   rtol=1e-9, atol=0.0)
+    for a, b in zip(trace.logliks, trace.logliks[1:]):
+        assert b >= a
+    for m, loglik in zip(trace.models, trace.logliks):
+        assert loglik == pytest.approx(oracle.gmm_loglik(m, scene, labels, use_elevation=use_elevation), rel=1e-6)
 
 
 def test_run_em_numbers_the_failing_update(small_scene, monkeypatch):

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from floodem import gmm, oracle
 from floodem.errors import DataError, FloodemError, FormatError, InitError, SpecError
-from floodem.gaussian import GaussianParams, regularize
+from floodem.gaussian import GaussianParams, Lifted, regularize
 from floodem.gmm import GmmModel
 from floodem.grid import LabelSet, RasterScene, SceneSpec, generate_scene, sample_labels
 from floodem.hmt import (
@@ -420,6 +420,24 @@ def test_m_step_moments_match_independent_formulas(rng):
         cov = regularize((cov + cov.T) / 2.0, 1e-9 * np.trace(cov) / 2.0)
         np.testing.assert_allclose(new.components[cls].mean, mean, atol=1e-12)
         np.testing.assert_allclose(new.components[cls].cov, cov, atol=1e-12)
+
+
+def test_m_step_lifts_raw_features_once(rng, monkeypatch):
+    """Both class fits of one `m_step` read one lift of raw features; a lift
+    passed in is used as it is."""
+    model, tree, feats = oracle.random_tree_instance(rng, 10, feature_dim=2)
+    marginal = e_step(model, tree, feats)
+    lifted, init = [], Lifted.__init__
+
+    def counting(self, points):
+        lifted.append(points)
+        init(self, points)
+
+    monkeypatch.setattr(Lifted, "__init__", counting)
+    m_step(marginal, tree.parent, feats, model)
+    assert len(lifted) == 1
+    m_step(marginal, tree.parent, Lifted(feats), model)
+    assert len(lifted) == 2
 
 
 def test_uninformative_emissions_with_hard_transition():
