@@ -7,8 +7,10 @@ covariance is jittered, as posterior collapse can leave near-singular fits.
 
 Fits run on the lift (`Lifted`) Phi = [1, z, z_i z_j for i <= j],
 z = x - (mean of the points), one contiguous row per statistic: a fit needs
-only Phi @ w and a log density is linear in Phi, so EM lifts its points
-once. `log_pdf` keeps the Cholesky path for raw points, for prediction and MAP.
+only the statistic sums Phi @ w, and a log density is linear in Phi, so EM
+lifts its points once. The lift keeps its column sums Phi @ 1, so the fit of
+weights 1 - w costs no second product: its sums are Phi @ 1 - Phi @ w.
+`log_pdf` keeps the Cholesky path for raw points, for prediction and MAP.
 """
 
 from __future__ import annotations
@@ -68,7 +70,8 @@ class Lifted:
     z_i * z_j for i <= j in row-major order. Centring on the points' mean
     keeps the raw second moments close to the covariances they stand for.
     ``shape`` is the (n, m) of the points, like a point array's; (n,) points
-    are n one-dimensional points.
+    are n one-dimensional points. ``sums`` is phi @ 1, the statistic sums of
+    unit weights.
     """
 
     def __init__(self, points: np.ndarray) -> None:
@@ -90,6 +93,7 @@ class Lifted:
         np.subtract(pts.T, self.center[:, None], out=z)
         for k, (i, j) in enumerate(zip(*self.pairs), start=1 + m):
             np.multiply(z[i], z[j], out=self.phi[k])
+        self.sums = self.phi.sum(axis=1)
 
 
 @dataclass
@@ -185,11 +189,17 @@ def weighted_mle(points: np.ndarray | Lifted, weights: np.ndarray) -> GaussianPa
         raise DimError(f"{lift.shape[0]} points but {w.shape[0]} weights")
     if np.any(w < 0):
         raise DataError("negative weight")
-    total = float(w.sum())
+    return _fit_sums(lift, lift.phi @ w)
+
+
+def _fit_sums(lift: Lifted, sums: np.ndarray) -> GaussianParams:
+    """`weighted_mle`'s fit from the statistic sums ``sums`` = phi @ w of some
+    weights w >= 0; ``sums[0]``, from phi's row of ones, is their total."""
+    total = float(sums[0])
     if not total > 0.0:
         raise DegenerateError("total weight is zero")
     m = lift.shape[1]
-    moments = (lift.phi @ w) / total
+    moments = sums / total
     offset = moments[1 : 1 + m]
     mean = lift.center + offset
     cov = np.empty((m, m))

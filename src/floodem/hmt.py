@@ -36,7 +36,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import DataError, DegenerateError, DimError, FormatError, InitError, IoError, SpecError
-from .gaussian import GaussianParams, Lifted, log_pdf, weighted_mle
+from .gaussian import GaussianParams, Lifted, _fit_sums, log_pdf, weighted_mle
 from .grid import LabelSet, RasterScene, neighbor_slices, read_key_values, write_lines
 
 
@@ -339,24 +339,43 @@ def m_step(marginal: np.ndarray, parent: np.ndarray, features: np.ndarray | Lift
     """Closed-form update of ``model`` from the marginals P(y_n=1 | X).
 
     ``marginal``, ``parent`` (each node's parent index, -1 at roots) and
-    ``features`` list the nodes in one order, whichever it is. pi1 is the
-    mean root marginal. On a forest with edges rho is the expected-count MLE
-    sum E[y_parent * y_n] / sum E[y_parent], which the structural zero turns
-    into sum m_n / sum m_parent(n); with no posterior mass on flooded parents
-    it is undefined and kept, with a warning. A forest without edges leaves
-    rho, or a mixture's lack of one, alone.
+    ``features`` list the nodes in one order, whichever it is. Class 1 is
+    fitted with weights m and class 0 with 1 - m. The two weightings sum to
+    one, so one product of the lift gives both fits: the lighter class's
+    statistic sums Phi @ w are computed, and the heavier class's are the
+    lift's column sums minus them. The heavier class carries at least half
+    the weight, so the difference cannot cancel badly, and a class with no
+    weight is the lighter one and fails its own fit.
+
+    pi1 is the mean root marginal. On a forest with edges rho is the
+    expected-count MLE sum E[y_parent * y_n] / sum E[y_parent], which the
+    structural zero turns into sum m_n / sum m_parent(n); with no posterior
+    mass on flooded parents it is undefined and kept, with a warning. A
+    forest without edges leaves rho, or a mixture's lack of one, alone.
     """
-    root = parent < 0
     lift = features if isinstance(features, Lifted) else Lifted(features)
-    components = (weighted_mle(lift, 1.0 - marginal), weighted_mle(lift, marginal))
+    n = lift.shape[0]
+    marginal, parent = np.asarray(marginal, dtype=float), np.asarray(parent)
+    if marginal.shape != (n,) or parent.shape != (n,):
+        raise DimError(f"{marginal.shape} marginals and {parent.shape} parents for {n} nodes")
+    if not (marginal.min() >= 0.0 and marginal.max() <= 1.0):  # NaN fails every comparison
+        raise DataError("marginals must lie in [0, 1]")
+    mass = float(marginal.sum())
+    flooded_lighter = mass <= 0.5 * n
+    sums = lift.phi @ (marginal if flooded_lighter else 1.0 - marginal)
+    light = _fit_sums(lift, sums)
+    heavy = _fit_sums(lift, lift.sums - sums)
+    components = (heavy, light) if flooded_lighter else (light, heavy)
+    if parent.max() < 0:  # every node a root
+        return replace(model, pi1=mass / n, components=components)
+    root = parent < 0
     update = {"pi1": float(np.sum(marginal, where=root)) / np.count_nonzero(root), "components": components}
-    if not root.all():
-        den = float(marginal[parent[~root]].sum())
-        if den == 0.0:
-            warnings.warn("no posterior mass on flooded parents; keeping previous rho", stacklevel=2)
-        else:
-            # the floor keeps the (0, 1] contract when flood mass vanishes
-            update["rho"] = max(min(float(np.sum(marginal, where=~root)) / den, 1.0), 1e-12)
+    den = float(marginal[parent[~root]].sum())
+    if den == 0.0:
+        warnings.warn("no posterior mass on flooded parents; keeping previous rho", stacklevel=2)
+    else:
+        # the floor keeps the (0, 1] contract when flood mass vanishes
+        update["rho"] = max(min(float(np.sum(marginal, where=~root)) / den, 1.0), 1e-12)
     return replace(model, **update)
 
 

@@ -6,8 +6,9 @@ densities and fits included (`log_density`, `raw_weighted_mle`), so a bug
 cannot hide on both sides of a comparison; production's `log_pdf` and
 `weighted_mle` are called only on the lift they are checked on. `run_verify`
 checks `floodem.hmt`'s E-step, M-step and MAP decoding against these
-references, the lifted Gaussian fits and densities against the raw-point
-ones, and the mixture EM's likelihood for monotonicity.
+references, the lifted Gaussian fits (`m_step`'s by-difference fit among
+them) and densities against the raw-point ones, and the mixture EM's
+likelihood for monotonicity.
 """
 
 from __future__ import annotations
@@ -210,19 +211,36 @@ def random_tree_instance(
 # --- the floodem verify suite ---
 
 
-def _lift_error(points: np.ndarray, weights: np.ndarray) -> float:
-    """Worst disagreement of the lifted fit and density with the raw-point
-    references: the mean in units of |mean| + sd, the covariance in units of
-    sd_i * sd_j, and the log densities in units of 1 + |log density|."""
-    lift = Lifted(points)
-    ref, fit = raw_weighted_mle(points, weights), weighted_mle(lift, weights)
+def _fit_error(fit: GaussianParams, ref: GaussianParams) -> float:
+    """The mean's disagreement in units of |mean| + sd and the covariance's
+    in units of sd_i * sd_j, sd from ``ref``."""
     sd = np.sqrt(np.diag(ref.cov))
-    ref_lp = log_density(ref, points)
     return max(
         float(np.max(np.abs(fit.mean - ref.mean) / (np.abs(ref.mean) + sd))),
         float(np.max(np.abs(fit.cov - ref.cov) / np.outer(sd, sd))),
+    )
+
+
+def _lift_error(points: np.ndarray, weights: np.ndarray) -> float:
+    """Worst disagreement of the lifted fits and density with the raw-point
+    references: `weighted_mle` of ``weights`` and its log densities, the
+    latter in units of 1 + |log density|, and both class fits of an edgeless
+    `m_step` whose marginals are ``weights`` and then 1 - ``weights``, so
+    that for weights with other than half the total each class is once fitted
+    directly and once by difference."""
+    lift = Lifted(points)
+    ref = raw_weighted_mle(points, weights)
+    ref_lp = log_density(ref, points)
+    worst = max(
+        _fit_error(weighted_mle(lift, weights), ref),
         float(np.max(np.abs(log_pdf(ref, lift) - ref_lp) / (1.0 + np.abs(ref_lp)))),
     )
+    edgeless = np.full(len(points), -1)
+    for marginal in (weights, 1.0 - weights):
+        refs = (raw_weighted_mle(points, 1.0 - marginal), raw_weighted_mle(points, marginal))
+        fits = hmt.m_step(marginal, edgeless, lift, hmt.GmmModel(pi1=0.5, components=refs)).components
+        worst = max(worst, *(_fit_error(f, r) for f, r in zip(fits, refs)))
+    return worst
 
 
 def run_verify(n_trees: int = 100, seed: int = 0, out=None) -> bool:
@@ -291,7 +309,7 @@ def run_verify(n_trees: int = 100, seed: int = 0, out=None) -> bool:
         pts = (rng.normal(size=(200, m)) @ mix) * scales + offsets
         worst_lift = max(worst_lift, _lift_error(pts, rng.uniform(size=200) ** 4))
     emit(worst_lift <= 1e-9, "lifted Gaussian fits and densities match the Cholesky path",
-         f"{n_fits} fits, max rel err {worst_lift:.3g}")
+         f"{n_fits} point sets, 5 fits each, max rel err {worst_lift:.3g}")
 
     spec = SceneSpec(width=16, height=16, obstacle_fraction=0.2, labels_per_class=8, seed=seed)
     scene, labels = generate_scene(spec)

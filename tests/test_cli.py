@@ -497,6 +497,21 @@ def test_verify_catches_a_fit_bug_the_lift_and_raw_points_would_share(monkeypatc
     assert "FAIL lifted Gaussian" in sink.getvalue()
 
 
+def test_verify_catches_a_broken_difference_fit(monkeypatch):
+    """`m_step` fits its heavier class from the lift's column sums minus the
+    lighter class's sums; the lift line checks that fit against the raw points."""
+    real = gaussian.Lifted.__init__
+
+    def corrupted(self, points):
+        real(self, points)
+        self.sums = self.sums * (1.0 + 1e-6)
+
+    monkeypatch.setattr(gaussian.Lifted, "__init__", corrupted)
+    sink = io.StringIO()
+    assert oracle.run_verify(n_trees=10, seed=0, out=sink) is False
+    assert "FAIL lifted Gaussian" in sink.getvalue()
+
+
 def test_verify_mixture_line_counts_em_maps_and_names_the_stop():
     """Trace row 0 is the initial model, so 100 maps are 101 rows; the 16x16
     fit stops at the cap, and the line says so."""

@@ -8,8 +8,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from floodem import gmm, oracle
-from floodem.errors import DataError, FloodemError, FormatError, InitError, SpecError
-from floodem.gaussian import GaussianParams, Lifted, regularize
+from floodem.errors import DataError, DegenerateError, DimError, FloodemError, FormatError, InitError, SpecError
+from floodem.gaussian import GaussianParams, Lifted, regularize, weighted_mle
 from floodem.gmm import GmmModel
 from floodem.grid import LabelSet, RasterScene, SceneSpec, generate_scene, sample_labels
 from floodem.hmt import (
@@ -438,6 +438,92 @@ def test_m_step_lifts_raw_features_once(rng, monkeypatch):
     assert len(lifted) == 1
     m_step(marginal, tree.parent, Lifted(feats), model)
     assert len(lifted) == 2
+
+
+class _CountingPhi(np.ndarray):
+    """A lift's phi that counts the matrix products it takes part in."""
+
+    products = 0
+
+    def __array_ufunc__(self, ufunc, method, *inputs, **kwargs):
+        if ufunc is np.matmul:
+            _CountingPhi.products += 1
+        return getattr(ufunc, method)(*(np.asarray(x) for x in inputs), **kwargs)
+
+
+def test_m_step_reads_the_lift_once(rng, monkeypatch):
+    """Both class fits come from one product of the lift, whether `m_step`
+    lifts raw features itself or is handed a `Lifted`, and whichever class
+    is the lighter one."""
+    model, tree, feats = oracle.random_tree_instance(rng, 10, feature_dim=2)
+    init = Lifted.__init__
+
+    def counting(self, points):
+        init(self, points)
+        self.phi = self.phi.view(_CountingPhi)
+
+    monkeypatch.setattr(Lifted, "__init__", counting)
+    marginal = rng.uniform(size=10) ** 4
+    for features in (feats, Lifted(feats)):
+        for m in (marginal, 1.0 - marginal):
+            _CountingPhi.products = 0
+            m_step(m, tree.parent, features, model)
+            assert _CountingPhi.products == 1
+
+
+@pytest.mark.parametrize("heavy_class", [0, 1])
+def test_m_step_fits_equal_two_weighted_fits(rng, heavy_class):
+    """The class fitted by difference matches its own `weighted_mle` fit, as
+    the class fitted directly does, with either class the lighter one."""
+    model, tree, feats = oracle.random_tree_instance(rng, 200, feature_dim=3)
+    feats = feats * [1.0, 1e-3, 1e3] + [10.0, -1e4, 1e5]
+    marginal = rng.uniform(size=200) ** 4
+    if heavy_class == 1:
+        marginal = 1.0 - marginal
+    assert (marginal.sum() > 100) == (heavy_class == 1)
+    new = m_step(marginal, tree.parent, feats, model)
+    for g, w in zip(new.components, (1.0 - marginal, marginal)):
+        want = weighted_mle(feats, w)
+        np.testing.assert_allclose(g.mean, want.mean, rtol=1e-12, atol=0.0)
+        scale = np.sqrt(np.outer(np.diag(want.cov), np.diag(want.cov)))
+        assert np.all(np.abs(g.cov - want.cov) <= 1e-12 * scale)
+
+
+@pytest.mark.parametrize("flooded", [0.0, 1.0])
+def test_m_step_refuses_a_class_with_no_weight(rng, flooded):
+    model, tree, feats = oracle.random_tree_instance(rng, 10, feature_dim=2)
+    with pytest.raises(DegenerateError, match="total weight is zero"):
+        m_step(np.full(10, flooded), tree.parent, feats, model)
+
+
+@pytest.mark.parametrize("pi1", [0.0, 1.0])
+def test_forest_em_names_the_map_whose_class_lost_all_weight(pi1):
+    """A prior that rules a class out leaves it no posterior weight, and the
+    first M-step's error names its map."""
+    scene, labels = generate_scene(SceneSpec(width=8, height=8, obstacle_fraction=0.2, labels_per_class=5, seed=12))
+    model = init_from_labels(scene, labels, use_elevation=False)
+    model = dataclasses.replace(model, pi1=pi1)
+    with pytest.raises(DegenerateError, match=r"total weight is zero \(iteration 1\)"):
+        forest_em(model, FlowTree.edgeless(64), scene, LabelSet([]), max_iter=5, tol=0.0)
+
+
+@pytest.mark.parametrize("bad", [-1e-12, 1.0 + 1e-12, np.nan])
+def test_m_step_refuses_a_marginal_outside_the_unit_interval(rng, bad):
+    model, tree, feats = oracle.random_tree_instance(rng, 10, feature_dim=2)
+    marginal = rng.uniform(size=10)
+    marginal[3] = bad
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        with pytest.raises(DataError, match=r"lie in \[0, 1\]"):
+            m_step(marginal, tree.parent, feats, model)
+
+
+def test_m_step_refuses_marginals_of_the_wrong_length(rng):
+    model, tree, feats = oracle.random_tree_instance(rng, 10, feature_dim=2)
+    with pytest.raises(DimError):
+        m_step(np.full(9, 0.5), tree.parent[:9], feats, model)
+    with pytest.raises(DimError):
+        m_step(np.full(10, 0.5), tree.parent[:9], feats, model)
 
 
 def test_uninformative_emissions_with_hard_transition():
