@@ -37,15 +37,6 @@ from .grid import (
 METHODS = ("gmm", "gmm-elev", "hmt")
 
 
-def probability(val: str) -> float:
-    """The cast of a setting that must lie in [0, 1], NaN excluded. argparse
-    names the cast in its usage error, so the name is a plain word."""
-    p = float(val)
-    if not 0.0 <= p <= 1.0:
-        raise ValueError(f"{val!r} is not in [0, 1]")
-    return p
-
-
 def fraction(val: str) -> float:
     """The cast of a label ratio, which must lie in (0, 1]."""
     p = float(val)
@@ -64,8 +55,6 @@ class RunConfig:
     ratio: float | None = setting(None, fraction, "labeled fraction to sample")
     seed: int = setting(0, natural, "label sampling seed")
     tol: float = setting(1e-5, float, "convergence threshold (default 1e-5)")
-    cutoff: float = setting(0.5, probability, "mixture models' class cutoff (default 0.5); "
-                            "a tree model's classes are its MAP labeling")
     rho: float = setting(0.99, float, "initial transition strength (default 0.99)")
     pi: float = setting(0.5, float, "initial flood prior (default 0.5)")
     neighborhood: int = setting(8, int, choices=(4, 8))
@@ -161,16 +150,18 @@ def _train(method: str, scene: RasterScene, labels: LabelSet, cfg: RunConfig, ru
     return fit
 
 
-def _predict(model, scene: RasterScene, cfg: RunConfig) -> tuple[np.ndarray, np.ndarray]:
-    """(class grid, flood-score grid) for either model family."""
+def _predict(model, scene: RasterScene) -> tuple[np.ndarray, np.ndarray]:
+    """(class grid, flood-score grid) for either model family, from the model
+    alone: a tree model's classes are its MAP labeling, a mixture's are flood
+    where the posterior reaches 1/2."""
     if isinstance(model, hmt.HmtModel):
-        feats = scene.feature_matrix(use_elevation=False)
+        feats = scene.feature_matrix(model.use_elevation)
         tree = hmt.build_flow_tree(scene.elevation(), model.neighborhood)
         scores = hmt.e_step(model, tree, feats).reshape(scene.height, scene.width)
         classes = hmt.map_decode(model, tree, feats).reshape(scene.height, scene.width)
         return classes, scores
     scores = gmm.score_grid(model, scene)
-    classes = (scores >= cfg.cutoff).astype(np.uint8)
+    classes = (scores >= 0.5).astype(np.uint8)
     return classes, scores
 
 
@@ -248,7 +239,7 @@ def cmd_predict(args, parser) -> int:
                         f"on the {model.neighborhood}-neighborhood flow forest")
     pred_path = _out_path(cfg.out, "pred.sgrid")
     score_path = _out_path(cfg.out, "score.sgrid")
-    classes, scores = _predict(model, scene, cfg)
+    classes, scores = _predict(model, scene)
     _save_grid(classes.astype(float), pred_path)
     _save_grid(scores, score_path)
     print(f"predicted flood fraction: {float(classes.mean()):.4f}")
@@ -289,7 +280,7 @@ def cmd_compare(args, parser) -> int:
             model, trace = _train(method, scene, labels, cfg)
             hmt.save_model(model, _out_path(cfg.out, f"model_{method}.txt"))
             trace.to_csv(_out_path(cfg.out, f"trace_{method}.csv"))
-            classes, scores = _predict(model, scene, cfg)
+            classes, scores = _predict(model, scene)
             _save_grid(classes.astype(float), _out_path(cfg.out, f"pred_{method}.sgrid"))
             _save_grid(scores, _out_path(cfg.out, f"score_{method}.sgrid"))
             report, curve, noise = _evaluate(
@@ -320,7 +311,7 @@ def cmd_sweep_labels(args, parser) -> int:
             for method in METHODS:
                 try:
                     model, _ = _train(method, scene, labels, cfg, f" at ratio {ratio:g}, seed {seed}")
-                    classes, _ = _predict(model, scene, cfg)
+                    classes, _ = _predict(model, scene)
                     avg_f = metrics.class_report(classes, scene.truth).avg_f
                     lines.append(f"{method},{ratio:g},{seed},{avg_f:.6f},")
                 except InitError as exc:
@@ -369,7 +360,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = subs.add_parser("predict", help="write class and score grids for a scene")
     p.add_argument("--model", required=True)
-    _add_run_flags(p, ("scene", "cutoff", "neighborhood", "out"))
+    _add_run_flags(p, ("scene", "neighborhood", "out"))
     p.set_defaults(func=cmd_predict)
 
     p = subs.add_parser("eval", help="score a prediction against truth")
@@ -382,7 +373,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_eval)
 
     p = subs.add_parser("compare", help="train and evaluate all three methods side by side")
-    _add_run_flags(p, ("scene", *_LABEL_KEYS, *_FIT_KEYS, "cutoff", "out"))
+    _add_run_flags(p, ("scene", *_LABEL_KEYS, *_FIT_KEYS, "out"))
     p.set_defaults(func=cmd_compare)
 
     # No abbreviations: --ratio and --seed, which this verb does not take, would
@@ -391,7 +382,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--ratios", required=True, type=listed(_SETTINGS["ratio"]["cast"]),
                    help="comma-separated label ratios")
     p.add_argument("--seeds", required=True, type=listed(natural), help="comma-separated sampling seeds")
-    _add_run_flags(p, ("scene", *_FIT_KEYS, "cutoff", "out"))
+    _add_run_flags(p, ("scene", *_FIT_KEYS, "out"))
     p.set_defaults(func=cmd_sweep_labels)
 
     p = subs.add_parser("verify", help="run the oracle-equivalence suite")

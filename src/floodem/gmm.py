@@ -13,14 +13,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import DataError
 from .grid import LabelSet, RasterScene
 from .hmt import EmTrace, FlowTree, GmmModel, e_step, forest_em, init_from_labels
-
-
-def _needs_elevation(use_elevation: bool, scene: RasterScene) -> None:
-    if use_elevation and scene.elevation_channel is None:
-        raise DataError("gmm-elev needs a scene with an elevation channel")
 
 
 def em_fit(
@@ -33,7 +27,6 @@ def em_fit(
 ) -> tuple[GmmModel, EmTrace]:
     """Run semi-supervised EM from `init_from_labels` until the max relative
     parameter change drops below tol; the labels are clamped throughout."""
-    _needs_elevation(use_elevation, scene)
     model = init_from_labels(scene, labels, use_elevation)
     return forest_em(model, FlowTree.edgeless(scene.n_pixels), scene, labels, max_iter=max_iter, tol=tol)
 
@@ -41,6 +34,5 @@ def em_fit(
 def score_grid(model: GmmModel, scene: RasterScene) -> np.ndarray:
     """Per-pixel flood posterior as a (height, width) grid: the E-step on the
     edgeless forest, over the channels ``model.use_elevation`` names."""
-    _needs_elevation(model.use_elevation, scene)
     marginal = e_step(model, FlowTree.edgeless(scene.n_pixels), scene.feature_matrix(model.use_elevation))
     return marginal.reshape(scene.height, scene.width)

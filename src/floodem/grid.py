@@ -184,12 +184,15 @@ class RasterScene:
     def n_pixels(self) -> int:
         return self.width * self.height
 
-    def feature_matrix(self, use_elevation: bool = True) -> np.ndarray:
+    def feature_matrix(self, use_elevation: bool) -> np.ndarray:
         """Pixel feature vectors, one row per pixel in row-major order.
 
-        With ``use_elevation=False`` the tagged elevation channel is dropped;
-        if no channel is tagged there is nothing to drop.
+        With ``use_elevation`` every channel is a feature, and a scene without
+        an elevation channel is a DataError; without it the tagged elevation
+        channel is dropped, and if no channel is tagged there is nothing to drop.
         """
+        if use_elevation:
+            self.elevation()
         if use_elevation or self.elevation_channel is None:
             chans = self.data
         else:

@@ -181,19 +181,14 @@ class EmTrace:
     stop_reason: str | None = None  # "tol" (converged) or "max_iter" (stopped at the cap)
 
     def to_csv(self, path: str) -> None:
-        """One row per model: its rho (tree models only), pi1, means and
-        covariance diagonals, log likelihood and max relative change."""
+        """One row per model: the iteration, the model's `model_values` under
+        its `model_keys`, its log likelihood and max relative change."""
         if not self.models:
             raise IoError("empty trace")
-        tree_model = isinstance(self.models[0], HmtModel)
-        dim = self.models[0].dim
-        cols = ["iter"] + ["rho"] * tree_model + ["pi1"]
-        cols += [f"{p}{c}.{k}" for p in ("mu", "sig") for c in (0, 1) for k in range(dim)]
-        lines = [",".join(cols + ["loglik", "maxrel"])]
+        keys = model_keys(self.models[0].dim, isinstance(self.models[0], HmtModel))
+        lines = [",".join(["iter", *keys, "loglik", "maxrel"])]
         for it, (model, loglik, maxrel) in enumerate(zip(self.models, self.logliks, self.max_rel_changes)):
-            g0, g1 = model.components
-            vals = [model.rho] if tree_model else []
-            vals += [model.pi1, *g0.mean, *g1.mean, *np.diag(g0.cov), *np.diag(g1.cov), loglik, maxrel]
+            vals = [*model_values(model), loglik, maxrel]
             lines.append(",".join([str(it)] + [f"{v:.17g}" for v in vals]))
         write_lines(path, "trace", lines)
 
@@ -603,20 +598,12 @@ def load_model(path: str) -> GmmModel:
     has a rho key, else a mixture.
 
     A key outside the file's `model_keys`, one of them missing, or a model
-    `model_from_values` rejects is a FormatError; a tree file without a
-    neighborhood predates the key and holds an 8-neighbor model.
+    `model_from_values` rejects is a FormatError.
     """
-    dim = tree = keys = None
-
-    def file_keys(texts: dict) -> list[str]:
-        nonlocal dim, tree, keys
-        dim, tree = _file_shape(texts)
-        keys = model_keys(dim, tree)
-        return keys
-
-    kv = read_key_values(path, "model", file_keys, lambda key, val: float(val), FormatError)
-    if tree:
-        kv.setdefault("neighborhood", 8.0)
+    kv = read_key_values(path, "model", lambda texts: model_keys(*_file_shape(texts)),
+                         lambda key, val: float(val), FormatError)
+    dim, tree = _file_shape(kv)
+    keys = model_keys(dim, tree)
     for key in keys:
         if key not in kv:
             raise FormatError(f"{path}: missing model key {key!r}")

@@ -43,7 +43,7 @@ def run(scene, labels, method: str) -> dict:
     """One method's train, predict and eval on ``labels``."""
     cfg = cli.RunConfig()
     model, trace = cli._train(method, scene, labels, cfg)
-    classes, scores = cli._predict(model, scene, cfg)
+    classes, scores = cli._predict(model, scene)
     report, curve, _ = cli._evaluate(classes, scores, scene.truth, None, cfg.neighborhood)
     return {
         "maps": len(trace.models) - 1,

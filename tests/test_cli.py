@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from floodem import cli, gaussian, hmt, oracle
-from floodem.errors import SpecError
+from floodem.errors import DataError, SpecError
 from floodem.grid import RasterScene, SceneSpec, generate_scene, load_scene, save_scene
 
 pytestmark = pytest.mark.filterwarnings("ignore::UserWarning")
@@ -108,16 +108,10 @@ def test_train_hmt_trace_starts_at_reference_defaults(workdir, tmp_path):
     assert rc == 0
     lines = (out / "trace.csv").read_text().splitlines()
     header = lines[0].split(",")
-    assert header[:3] == ["iter", "rho", "pi1"]
-    assert header == (
-        ["iter", "rho", "pi1"]
-        + [f"mu0.{k}" for k in range(3)] + [f"mu1.{k}" for k in range(3)]
-        + [f"sig0.{k}" for k in range(3)] + [f"sig1.{k}" for k in range(3)]
-        + ["loglik", "maxrel"]
-    )
-    first = lines[1].split(",")
-    assert float(first[1]) == 0.99
-    assert float(first[2]) == 0.5
+    assert header == ["iter", *hmt.model_keys(3, True), "loglik", "maxrel"]
+    first = dict(zip(header, lines[1].split(",")))
+    assert float(first["rho"]) == 0.99
+    assert float(first["pi1"]) == 0.5
 
 
 @pytest.mark.parametrize("method", ["gmm", "gmm-elev"])
@@ -138,7 +132,7 @@ def test_mixture_fits_write_no_rho(workdir, tmp_path, method):
     keys = [line.split("=")[0] for line in (out / "model.txt").read_text().splitlines()]
     assert "pi1" in keys and "rho" not in keys
     header = (out / "trace.csv").read_text().splitlines()[0].split(",")
-    assert header[:2] == ["iter", "pi1"] and "rho" not in header
+    assert header == ["iter", *keys, "loglik", "maxrel"]
 
 
 def test_train_gmm_trace_is_monotone(workdir, tmp_path):
@@ -153,7 +147,7 @@ def test_train_gmm_trace_is_monotone(workdir, tmp_path):
     )
     assert rc == 0
     lines = (out / "trace.csv").read_text().splitlines()
-    assert lines[0].split(",")[:2] == ["iter", "pi1"]
+    assert lines[0].split(",")[:3] == ["iter", "use_elevation", "pi1"]
     logliks = [float(row.split(",")[-2]) for row in lines[1:]]
     assert all(b >= a - 1e-8 for a, b in zip(logliks, logliks[1:]))
 
@@ -711,9 +705,12 @@ def test_negative_max_iter_is_a_data_error(workdir, tmp_path, capsys, verb):
         assert flag[2:].replace("-", "_") in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("value", ["nan", "inf", "2", "-1"])
+@pytest.mark.parametrize("value", ["nan", "inf", "2", "-1", "0.5"])
 @pytest.mark.parametrize("verb", ["predict", "compare", "sweep-labels"])
 def test_out_of_range_cutoff_is_rejected(workdir, tmp_path, capsys, verb, value):
+    """No verb takes a cutoff, in range or out of it: a model's classes are its
+    own posterior decision. The flag is a usage error, and the config key is
+    unknown, raised before any output."""
     scene = str(workdir / "scene.sgrid")
     argv = [verb, "--scene", scene, "--out", str(tmp_path)] + {
         "predict": ["--model", str(tmp_path / "model.txt")],
@@ -727,7 +724,7 @@ def test_out_of_range_cutoff_is_rejected(workdir, tmp_path, capsys, verb, value)
     cfgfile = tmp_path / "run.cfg"
     cfgfile.write_text(f"tol=1e-3\ncutoff={value}\n")
     assert cli.main([*argv, "--config", str(cfgfile)]) == 3
-    assert f"{cfgfile}:2: bad value for cutoff" in capsys.readouterr().err
+    assert f"{cfgfile}:2: unknown key 'cutoff'" in capsys.readouterr().err
     assert not any(tmp_path.glob("*.sgrid"))
 
 
@@ -814,6 +811,35 @@ def test_predict_tree_model_on_an_unfit_scene_is_a_data_error(workdir, tmp_path,
                    "--scene", str(tmp_path / "bad.sgrid"), "--out", str(run)]
         assert cli.main(predict) == 3
         assert "error:" in capsys.readouterr().err
+
+
+def test_a_scene_without_an_elevation_channel(workdir, tmp_path, capsys):
+    """gmm-elev reads the elevation channel as hmt builds its forest from it:
+    on a scene without one, both fail alike and write nothing."""
+    scene = load_scene(str(workdir / "scene.sgrid"))
+    flat = RasterScene(scene.width, scene.height, scene.channels, scene.data, truth=scene.truth)
+    with pytest.raises(DataError, match="scene has no elevation channel"):
+        flat.feature_matrix(True)
+    path = str(tmp_path / "flat.sgrid")
+    save_scene(flat, path)
+    capsys.readouterr()
+    bad = tmp_path / "bad"
+    assert cli.main(["train", "--method", "gmm-elev", "--scene", path,
+                     "--labels", str(workdir / "labels.txt"), "--out", str(bad)]) == 3
+    assert "error: scene has no elevation channel" in capsys.readouterr().err
+    assert not (bad / "model.txt").exists()
+    run = tmp_path / "run"
+    assert _train_and_predict(workdir, run, "gmm-elev") == 0
+    capsys.readouterr()
+    assert cli.main(["predict", "--model", str(run / "model.txt"), "--scene", path, "--out", str(bad)]) == 3
+    assert "error: scene has no elevation channel" in capsys.readouterr().err
+    assert not list(bad.glob("*.sgrid"))
+    assert cli.main(["compare", "--scene", path, "--labels", str(workdir / "labels.txt"),
+                     "--out", str(tmp_path / "cmp")]) == 1
+    err = capsys.readouterr().err
+    for method in ("gmm-elev", "hmt"):
+        assert f"{method}: FAILED (scene has no elevation channel)" in err
+    assert "gmm: FAILED" not in err
 
 
 @pytest.mark.parametrize("method, flag", [("gmm", "use_elevation=0"), ("gmm-elev", "use_elevation=1")])
@@ -908,7 +934,7 @@ def test_a_config_file_may_name_settings_the_verb_does_not_read(tmp_path, rng):
     truth[0, 0], truth[0, 1] = 0, 1
     _write_grids(tmp_path, truth, truth.astype(float), truth)
     cfgfile = tmp_path / "run.cfg"
-    cfgfile.write_text("method=hmt\nmax_iter=1\nrho=0.5\ncutoff=0.3\nneighborhood=4\n")
+    cfgfile.write_text("method=hmt\nmax_iter=1\nrho=0.5\nneighborhood=4\n")
     rc = cli.main(["eval", "--pred", str(tmp_path / "pred.sgrid"),
                    "--score", str(tmp_path / "score.sgrid"),
                    "--truth", str(tmp_path / "truth.sgrid"),

@@ -213,7 +213,7 @@ def test_model_serialization_round_trip_exact(tmp_path, small_scene):
 
 def test_load_model_rejects_tree_files(tmp_path):
     path = tmp_path / "m.txt"
-    path.write_text("rho=0.5\npi1=0.5\nmean.0.0=0\nmean.1.0=1\ncov.0.0.0=1\ncov.1.0.0=1\n")
+    path.write_text("rho=0.5\nneighborhood=8\npi1=0.5\nmean.0.0=0\nmean.1.0=1\ncov.0.0.0=1\ncov.1.0.0=1\n")
     # the one reader returns the family the file holds: a rho key means a tree model
     model = load_model(str(path))
     assert type(model) is HmtModel and model.rho == 0.5 and model.neighborhood == 8

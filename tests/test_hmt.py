@@ -15,6 +15,7 @@ from floodem.grid import LabelSet, RasterScene, SceneSpec, generate_scene, sampl
 from floodem.hmt import (
     FlowTree,
     _logaddexp,
+    _max_rel_change,
     HmtModel,
     build_flow_tree,
     e_step,
@@ -649,26 +650,50 @@ def test_em_fit_trace_first_row_is_initialization(small_scene):
     assert np.isnan(trace.max_rel_changes[0])
 
 
+def _fit(method, scene, labels, max_iter):
+    if method == "hmt":
+        return em_fit(scene, labels, max_iter=max_iter)
+    return gmm.em_fit(scene, labels, use_elevation=method == "gmm-elev", max_iter=max_iter)
+
+
 def test_trace_csv_rows_are_the_models_it_holds(small_scene, tmp_path):
     """The fitted model is the trace's last, and row k of the trace file is
-    models[k]: pi1, means, covariance diagonals, and rho for the tree only."""
+    models[k]: its `model_values` under the model file's keys, with rho for
+    the tree only."""
     scene, labels = small_scene
-    for fit, has_rho in ((lambda: gmm.em_fit(scene, labels, use_elevation=True, max_iter=5), False),
-                         (lambda: em_fit(scene, labels, max_iter=5), True)):
-        model, trace = fit()
+    for method in ("gmm-elev", "hmt"):
+        model, trace = _fit(method, scene, labels, max_iter=5)
         assert model is trace.models[-1]
         path = tmp_path / "trace.csv"
         trace.to_csv(str(path))
         header, *rows = path.read_text().splitlines()
-        assert ("rho" in header.split(",")) == has_rho
+        keys = model_keys(model.dim, method == "hmt")
+        assert header.split(",") == ["iter", *keys, "loglik", "maxrel"]
         assert len(rows) == len(trace.models)
         for k, (row, m) in enumerate(zip(rows, trace.models)):
             vals = [float(v) for v in row.split(",")]
             assert vals[0] == k
-            expect = [m.rho] if has_rho else []
-            expect += [m.pi1, *m.components[0].mean, *m.components[1].mean,
-                       *np.diag(m.components[0].cov), *np.diag(m.components[1].cov)]
-            assert vals[1 : len(expect) + 1] == expect
+            assert vals[1:-2] == list(model_values(m))
+
+
+@pytest.mark.parametrize("method", ["gmm", "gmm-elev", "hmt"])
+def test_a_trace_row_is_a_model_file(small_scene, tmp_path, method):
+    """The parameter columns of a trace row rebuild that row's model, and each
+    row's maxrel is `_max_rel_change` of its row and the one before, computed
+    from the file alone: every entry the stop rule reads is in the file."""
+    scene, labels = small_scene
+    model, trace = _fit(method, scene, labels, max_iter=100)
+    path = tmp_path / "trace.csv"
+    trace.to_csv(str(path))
+    _, *rows = path.read_text().splitlines()
+    table = np.array([[float(v) for v in row.split(",")] for row in rows])
+    params, maxrel = table[:, 1:-2], table[:, -1]
+    for x, m in zip(params, trace.models):
+        back = model_from_values(x, model.dim, method == "hmt")
+        assert type(back) is type(m) and np.array_equal(model_values(back), model_values(m))
+    assert np.isnan(maxrel[0])
+    for k in range(1, len(rows)):
+        assert maxrel[k] == _max_rel_change(params[k - 1], params[k])
 
 
 def test_em_fit_shares_the_driver_stop_rules(small_scene):
@@ -920,9 +945,9 @@ def test_model_file_keeps_the_neighborhood(tmp_path, small_scene):
     assert "neighborhood=4" in path.read_text().splitlines()
     assert load_model(str(path)).neighborhood == 4
     lines = path.read_text().splitlines()
-    # files written before the key existed hold 8-neighbor models
     path.write_text("\n".join(line for line in lines if not line.startswith("neighborhood=")))
-    assert load_model(str(path)).neighborhood == 8
+    with pytest.raises(FormatError, match=re.escape("missing model key 'neighborhood'")):
+        load_model(str(path))
     path.write_text("\n".join(lines).replace("neighborhood=4", "neighborhood=6"))
     with pytest.raises(FormatError):
         load_model(str(path))
@@ -939,9 +964,8 @@ def test_model_file_keeps_the_neighborhood(tmp_path, small_scene):
 def test_model_file_round_trip_and_key_list(tmp_path_factory, dim, tree, seed, foreign):
     """save_model then load_model is bit-exact for both families at dims 1-4;
     a file missing one key names it, and a foreign key is named with its line.
-    Only two keys differ: without a neighborhood a tree file predates the key
-    and holds an 8-neighbor model, and without rho the file is a mixture whose
-    neighborhood key is foreign."""
+    Only rho differs: without it the file is a mixture whose neighborhood key
+    is foreign."""
     rng = np.random.default_rng(seed)
     comps = []
     for _ in range(2):
@@ -962,9 +986,6 @@ def test_model_file_round_trip_and_key_list(tmp_path_factory, dim, tree, seed, f
     assert [line.split("=")[0] for line in lines] == keys
     for i, key in enumerate(keys):
         path.write_text("\n".join(lines[:i] + lines[i + 1:]) + "\n")
-        if key == "neighborhood":
-            assert load_model(str(path)).neighborhood == 8
-            continue
         named = "unknown key 'neighborhood'" if key == "rho" else f"missing model key '{key}'"
         with pytest.raises(FormatError, match=re.escape(named)):
             load_model(str(path))
