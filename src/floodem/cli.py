@@ -71,18 +71,15 @@ def load_config(path: str) -> dict:
     return read_settings(path, "config", RunConfig, SpecError)
 
 
-def _given_settings(args: argparse.Namespace) -> dict:
-    """Settings named in the config file or by a flag; flags win."""
+def _resolve_config(args: argparse.Namespace) -> RunConfig:
+    """The run settings: those named in the config file or by a flag, flags
+    winning, and the defaults for the rest."""
     given = load_config(args.config) if getattr(args, "config", None) else {}
     for key in _SETTINGS:
         flag = getattr(args, key, None)
         if flag is not None:
             given[key] = flag
-    return given
-
-
-def _resolve_config(args: argparse.Namespace) -> RunConfig:
-    return RunConfig(**_given_settings(args))
+    return RunConfig(**given)
 
 
 def parse_scene_spec(path: str) -> SceneSpec:
@@ -229,14 +226,9 @@ def cmd_train(args, parser) -> int:
 
 
 def cmd_predict(args, parser) -> int:
-    given = _given_settings(args)
-    cfg = RunConfig(**given)
+    cfg = _resolve_config(args)
     scene = _load_run_scene(cfg.scene, parser)
     model = hmt.load_model(args.model)
-    asked = given.get("neighborhood")
-    if isinstance(model, hmt.HmtModel) and asked not in (None, model.neighborhood):
-        raise DataError(f"neighborhood {asked} was given, but {args.model} was trained "
-                        f"on the {model.neighborhood}-neighborhood flow forest")
     pred_path = _out_path(cfg.out, "pred.sgrid")
     score_path = _out_path(cfg.out, "score.sgrid")
     classes, scores = _predict(model, scene)
@@ -360,7 +352,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = subs.add_parser("predict", help="write class and score grids for a scene")
     p.add_argument("--model", required=True)
-    _add_run_flags(p, ("scene", "neighborhood", "out"))
+    _add_run_flags(p, ("scene", "out"))
     p.set_defaults(func=cmd_predict)
 
     p = subs.add_parser("eval", help="score a prediction against truth")

@@ -10,7 +10,9 @@ z = x - (mean of the points), one contiguous row per statistic: a fit needs
 only the statistic sums Phi @ w, and a log density is linear in Phi, so EM
 lifts its points once. The lift keeps its column sums Phi @ 1, so the fit of
 weights 1 - w costs no second product: its sums are Phi @ 1 - Phi @ w.
-`log_pdf` keeps the Cholesky path for raw points, for prediction and MAP.
+`log_pdf` keeps the Cholesky path for raw points, for prediction and MAP:
+two raw densities cost less than a lift and its two products, and only the
+raw path keeps MAP's exact ties. Both paths read the points channel by channel.
 """
 
 from __future__ import annotations
@@ -85,11 +87,13 @@ class Lifted:
             raise DimError(f"cannot lift points of shape {pts.shape}; need a non-empty (n, m) array")
         n, m = pts.shape
         self.shape = (n, m)
-        self.center = pts.mean(axis=0)
         self.pairs = np.triu_indices(m)
         self.phi = np.empty((1 + m + self.pairs[0].size, n))
         self.phi[0] = 1.0
         z = self.phi[1 : 1 + m]
+        # The centre from each channel's running sum, the order a point-major
+        # mean adds in, so either layout of the points lifts to the same bits.
+        self.center = np.cumsum(pts.T, axis=1, out=z)[:, -1] / n
         np.subtract(pts.T, self.center[:, None], out=z)
         for k, (i, j) in enumerate(zip(*self.pairs), start=1 + m):
             np.multiply(z[i], z[j], out=self.phi[k])
@@ -159,7 +163,9 @@ def _theta(g: GaussianParams, lifted: Lifted) -> np.ndarray:
 
 def log_pdf(g: GaussianParams, x: np.ndarray | Lifted, out: np.ndarray | None = None) -> np.ndarray | float:
     """Log density ln N(x; mean, cov), for a single vector, a (n, m) batch or a
-    `Lifted` batch; a batch's densities go into ``out`` where one is given."""
+    `Lifted` batch; a batch's densities go into ``out`` where one is given.
+    A raw batch is read as its (m, n) transpose, z = L^-1 (x^T - mean) with
+    one contiguous row per coordinate: `RasterScene.feature_matrix`'s layout."""
     if isinstance(x, Lifted):
         if x.shape[1] != g.dim:
             raise DimError(f"point dimension {x.shape} does not match Gaussian dimension {g.dim}")
@@ -169,8 +175,8 @@ def log_pdf(g: GaussianParams, x: np.ndarray | Lifted, out: np.ndarray | None = 
     pts = np.atleast_2d(x)
     if pts.ndim != 2 or pts.shape[1] != g.dim:
         raise DimError(f"point dimension {x.shape} does not match Gaussian dimension {g.dim}")
-    z = (pts - g.mean) @ g._chol_inv.T
-    maha = np.einsum("ij,ij->i", z, z)
+    z = g._chol_inv @ np.subtract(pts.T, g.mean[:, None], order="C")
+    maha = np.einsum("ij,ij->j", z, z)
     out = np.subtract(g._log_norm, 0.5 * maha, out=out)
     return float(out[0]) if single else out
 

@@ -185,20 +185,21 @@ class RasterScene:
         return self.width * self.height
 
     def feature_matrix(self, use_elevation: bool) -> np.ndarray:
-        """Pixel feature vectors, one row per pixel in row-major order.
-
-        With ``use_elevation`` every channel is a feature, and a scene without
-        an elevation channel is a DataError; without it the tagged elevation
-        channel is dropped, and if no channel is tagged there is nothing to drop.
+        """Pixel feature vectors, one row per pixel in row-major order: the
+        read-only (N, m) transpose of a C-ordered (m, N) block of channels,
+        a view of ``data`` when every channel is kept. With ``use_elevation``
+        every channel is a feature, and a scene without an elevation channel
+        is a DataError; without it the tagged elevation channel is dropped,
+        and if no channel is tagged there is nothing to drop.
         """
         if use_elevation:
             self.elevation()
-        if use_elevation or self.elevation_channel is None:
-            chans = self.data
-        else:
-            keep = [c for c in range(self.channels) if c != self.elevation_channel]
-            chans = self.data[keep]
-        return np.ascontiguousarray(chans.reshape(chans.shape[0], -1).T)
+        chans = self.data
+        if not use_elevation and self.elevation_channel is not None:
+            chans = np.delete(chans, self.elevation_channel, axis=0)
+        feats = chans.reshape(chans.shape[0], -1).T
+        feats.flags.writeable = False
+        return feats
 
     def elevation(self) -> np.ndarray:
         if self.elevation_channel is None:

@@ -37,7 +37,7 @@ import numpy as np
 
 from .errors import DataError, DegenerateError, DimError, FormatError, InitError, IoError, SpecError
 from .gaussian import GaussianParams, Lifted, _fit_sums, log_pdf, weighted_mle
-from .grid import LabelSet, RasterScene, neighbor_slices, read_key_values, write_lines
+from .grid import NEIGHBOR_OFFSETS, LabelSet, RasterScene, neighbor_slices, read_key_values, write_lines
 
 
 @dataclass(eq=False)
@@ -76,7 +76,8 @@ class FlowTree:
             jump[live] = jump[up]
         else:
             raise DataError("parent links contain a cycle")
-        order = np.argsort(-depth, kind="stable")
+        top = depth.max(initial=0)  # deepest first, stably; a 16-bit key gets numpy's radix sort
+        order = np.argsort((top - depth).astype(np.uint16 if top < 1 << 16 else np.int64), kind="stable")
         starts = np.flatnonzero(np.r_[True, np.diff(depth[order]) != 0])
         return cls(parent=parent, order=order, starts=starts)
 
@@ -222,18 +223,17 @@ def build_flow_tree(elevation: np.ndarray, neighborhood: int = 8) -> FlowTree:
     if not np.all(np.isfinite(elev)):
         raise DataError("elevation contains non-finite values")
     h, w = elev.shape
-    flat_index = np.arange(h * w, dtype=np.int64).reshape(h, w)
-    best_elev = np.full((h, w), np.inf)
-    best_idx = np.full((h, w), -1, dtype=np.int64)
+    lowest = np.full((h, w), np.inf)  # each pixel's lowest neighbor elevation so far,
+    code = np.zeros((h, w), dtype=np.uint8)  # and the offset it lies at
     # Offsets are scanned in row-major order, and only a strictly smaller
     # elevation replaces the incumbent, so equal-elevation ties keep the
     # smallest flat index automatically.
-    for dst, src in neighbor_slices(elev.shape, neighborhood):
-        nb_elev, best = elev[src], best_elev[dst]
-        lower = (nb_elev < elev[dst]) & (nb_elev < best)
-        best[lower] = nb_elev[lower]
-        best_idx[dst][lower] = flat_index[src][lower]
-    return FlowTree.from_parents(best_idx.ravel())
+    for k, (dst, src) in enumerate(neighbor_slices(elev.shape, neighborhood)):
+        lower = elev[src] < lowest[dst]
+        np.copyto(lowest[dst], elev[src], where=lower)
+        np.copyto(code[dst], k, where=lower)
+    step = np.array([dr * w + dc for dr, dc in NEIGHBOR_OFFSETS[neighborhood]])
+    return FlowTree.from_parents(np.where(lowest < elev, np.arange(h * w).reshape(h, w) + step[code], -1))
 
 
 def _log_emissions(
@@ -388,7 +388,7 @@ class _EmMap:
 
     def __init__(self, tree: FlowTree, scene: RasterScene, clamped: LabelSet, use_elevation: bool):
         self.tree = tree
-        self.features = Lifted(scene.feature_matrix(use_elevation)[tree.order])
+        self.features = Lifted(np.take(scene.feature_matrix(use_elevation).T, tree.order, axis=1).T)
         flat, self.cls = clamped.flat_indices(scene.width, scene.height)
         self.at = tree.position[flat]
         self.u = None

@@ -211,7 +211,9 @@ def test_predict_hmt_respects_monotone_flood(workdir, tmp_path):
             p = tree.parent[p]
 
 
-def test_predict_hmt_uses_the_saved_neighborhood(workdir, tmp_path, capsys):
+def test_predict_hmt_uses_the_saved_neighborhood(workdir, tmp_path):
+    """A tree model decodes on the forest it was trained on; a config file
+    naming another neighborhood is accepted, and predict does not read it."""
     run = tmp_path / "run"
     scene_path = str(workdir / "scene.sgrid")
     model_path = str(run / "model.txt")
@@ -224,7 +226,10 @@ def test_predict_hmt_uses_the_saved_neighborhood(workdir, tmp_path, capsys):
             "--out", str(run),
         ]
     )
-    predict = ["predict", "--model", model_path, "--scene", scene_path, "--out", str(run)]
+    cfgfile = tmp_path / "run.cfg"
+    cfgfile.write_text("neighborhood=8\n")
+    predict = ["predict", "--model", model_path, "--scene", scene_path, "--config", str(cfgfile),
+               "--out", str(run)]
     assert cli.main(predict) == 0
     pred = cli._load_grid(str(run / "pred.sgrid")).ravel()
     scene = load_scene(scene_path)
@@ -234,10 +239,22 @@ def test_predict_hmt_uses_the_saved_neighborhood(workdir, tmp_path, capsys):
     on_8 = hmt.map_decode(model, hmt.build_flow_tree(scene.elevation(), 8), feats)
     assert np.any(on_4 != on_8)  # the test can tell the two forests apart
     np.testing.assert_array_equal(pred, on_4)
-    assert cli.main(predict + ["--neighborhood", "4"]) == 0
-    capsys.readouterr()
-    assert cli.main(predict + ["--neighborhood", "8"]) == 3
-    assert "neighborhood" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("method", ["hmt", "gmm"])
+def test_predict_takes_no_neighborhood_flag(workdir, tmp_path, method):
+    """The model file alone says which forest a model decodes on, so the flag
+    is a usage error for either family, before any grid is written."""
+    run = tmp_path / "run"
+    train = ["train", "--method", method, "--scene", str(workdir / "scene.sgrid"),
+             "--labels", str(workdir / "labels.txt"), "--out", str(run)]
+    assert cli.main(train) == 0
+    out = tmp_path / "out"
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["predict", "--model", str(run / "model.txt"), "--scene", str(workdir / "scene.sgrid"),
+                  "--neighborhood", "4", "--out", str(out)])
+    assert exc.value.code == 2
+    assert not out.exists()
 
 
 def _write_grids(tmp_path, pred, score, truth):

@@ -206,6 +206,24 @@ def test_lifted_path_matches_raw_points(m):
                 assert np.max(np.abs(log_pdf(g, lift) - ref) / (1.0 + np.abs(ref))) <= 1e-10
 
 
+def test_log_pdf_and_the_lift_read_either_point_layout_alike(rng):
+    """Point-major (C-ordered) and feature-major (F-ordered) copies of the
+    same points give the same densities and the same lift."""
+    pts = _scaled_points(rng, 500, 3, 1e3, 10.0)
+    point_major, feature_major = np.ascontiguousarray(pts), np.asfortranarray(pts)
+    g = raw_weighted_mle(pts, rng.uniform(size=500))
+    np.testing.assert_allclose(log_pdf(g, feature_major), log_pdf(g, point_major), rtol=1e-12, atol=0.0)
+    a, b = Lifted(point_major), Lifted(feature_major)
+    np.testing.assert_allclose(b.center, a.center, rtol=1e-15, atol=0.0)
+    np.testing.assert_allclose(b.phi, a.phi, rtol=1e-12, atol=1e-12 * np.abs(a.phi).max())
+    # (1, 1) sits midway between means (0, 0) and (2, 2) of one covariance:
+    # an exact tie in either layout.
+    tie = np.ones((6, 2))
+    g0, g2 = GaussianParams(np.zeros(2), np.eye(2)), GaussianParams(np.full(2, 2.0), np.eye(2))
+    for x in (np.ascontiguousarray(tie), np.asfortranarray(tie)):
+        np.testing.assert_array_equal(log_pdf(g0, x), log_pdf(g2, x))
+
+
 @pytest.mark.parametrize("value", [0.1, 3.0, 1e6 + 0.1])
 def test_lifted_constant_channel_gets_the_same_jitter(rng, value):
     pts = np.column_stack([rng.normal(size=(40, 2)), np.full(40, value)])

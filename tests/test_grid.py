@@ -157,6 +157,25 @@ def test_generate_separable_scene_is_perfectly_classifiable():
     assert metrics.class_report(pred, scene.truth).avg_f == 1.0
 
 
+def test_feature_matrix_is_the_transpose_of_a_channel_block(small_scene):
+    """(N, m) to every caller, feature-major underneath: each channel is one
+    contiguous row of the transpose, and all channels are a read-only view."""
+    scene, _ = small_scene
+    n = scene.width * scene.height
+    every = scene.feature_matrix(True)
+    assert every.shape == (n, scene.channels)
+    assert every.T.flags.c_contiguous
+    assert np.shares_memory(every, scene.data) and not every.flags.writeable
+    with pytest.raises(ValueError):
+        every[0, 0] = 1.0
+    np.testing.assert_array_equal(every, scene.data.reshape(scene.channels, n).T)
+    kept = scene.feature_matrix(False)
+    keep = [c for c in range(scene.channels) if c != scene.elevation_channel]
+    assert kept.shape == (n, len(keep))
+    assert kept.T.flags.c_contiguous and not kept.flags.writeable
+    np.testing.assert_array_equal(kept, scene.data[keep].reshape(len(keep), n).T)
+
+
 def test_obstacle_pixels_share_distribution_across_classes():
     # classes far from the obstacle cloud so obstacle pixels are identifiable
     spec = SceneSpec(

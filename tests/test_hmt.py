@@ -146,6 +146,46 @@ def test_tiny_dem_parents_match_a_per_pixel_scan(rng):
                 np.testing.assert_array_equal(tree.roots, np.arange(flat.size))
 
 
+def _reference_depth(parent):
+    """Each node's number of links to its root, by walking them."""
+    depth = np.zeros(parent.size, dtype=np.int64)
+    for node in range(parent.size):
+        p = parent[node]
+        while p >= 0:
+            depth[node] += 1
+            p = parent[p]
+    return depth
+
+
+@pytest.mark.parametrize("shape", [(23, 17), (17, 23), (1, 40), (40, 1), (9, 9)])
+def test_mid_size_dem_parents_and_layout_match_the_references(rng, shape):
+    """Beyond the enumeration sizes: integer DEMs full of ties, on grids
+    whose offsets differ from one row to the next (non-square) or vanish
+    (strips). The layout is the stable depth order, deepest level first."""
+    for trial in range(4):
+        elev = rng.integers(0, 4 + 6 * trial, size=shape).astype(float)
+        for nb in (4, 8):
+            tree = build_flow_tree(elev, neighborhood=nb)
+            _assert_valid(tree)
+            np.testing.assert_array_equal(tree.parent, _reference_parents(elev, nb))
+            depth = _reference_depth(tree.parent)
+            np.testing.assert_array_equal(tree.order, np.argsort(-depth, kind="stable"))
+            assert tree.starts.size == depth.max() + 1
+
+
+@pytest.mark.parametrize("n", [2**16, 70_000])
+def test_a_chain_deeper_than_a_16_bit_depth_key(n):
+    """A 1 x n ramp is one chain of n levels: the depth key fits 16 bits at
+    n = 2^16 and does not at 70,000; either way the layout is the chain
+    from its deepest pixel to its root, one node per level."""
+    tree = build_flow_tree(np.arange(float(n))[None], neighborhood=8)
+    np.testing.assert_array_equal(tree.parent, np.arange(-1, n - 1))
+    np.testing.assert_array_equal(tree.order, np.arange(n)[::-1])
+    np.testing.assert_array_equal(tree.starts, np.arange(n))
+    assert len(tree.level_groups()) == n
+    np.testing.assert_array_equal(tree.roots, [0])
+
+
 def _clamped(density, model, clamp_idx, clamp_cls):
     """``density`` with the clamped pixels' other class set to zero likelihood."""
 
@@ -858,6 +898,11 @@ def test_decode_ties_go_to_dry():
     tree = build_flow_tree(elev)
     assert set(np.flatnonzero(tree.parent < 0)) - set(tree.parent.tolist())  # childless roots
     np.testing.assert_array_equal(map_decode(model, tree, np.ones((24, 1))), np.zeros(24))
+    # the same tie in two dimensions, from points laid out as
+    # `RasterScene.feature_matrix` lays them out: the transpose of a channel block
+    pair = (GaussianParams(np.zeros(2), np.eye(2)), GaussianParams(np.full(2, 2.0), np.eye(2)))
+    np.testing.assert_array_equal(map_decode(dataclasses.replace(model, components=pair), tree, np.ones((2, 24)).T),
+                                  np.zeros(24))
     # a root that clearly floods, over a tied leaf
     chain = FlowTree.from_parents(np.array([-1, 0]))
     np.testing.assert_array_equal(map_decode(model, chain, np.array([[10.0], [1.0]])), [1, 0])
