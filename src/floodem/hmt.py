@@ -57,25 +57,26 @@ class FlowTree:
 
     @classmethod
     def from_parents(cls, parent: np.ndarray) -> "FlowTree":
+        """The forest of ``parent`` (-1 at roots) in stable depth order. Depths come
+        from pointer doubling over N + 1 nodes, the last a sentinel root (depth 0,
+        jumping to itself) for every -1: depth[i] counts the edges from i to jump[i],
+        which climbs 2^k links in round k over the whole array, with no compaction.
+        As depths are below N < 2^bit_length(N), a node that has not reached the
+        sentinel after that many rounds lies on a cycle or hangs off one."""
         parent = np.asarray(parent, dtype=np.int64).reshape(-1)
         n = parent.size
         if np.any((parent < -1) | (parent >= n)) or np.any(parent == np.arange(n)):
             raise DataError("invalid parent index")
-        # Pointer doubling: depth[i] counts the edges from i to jump[i], and
-        # jump[i] climbs 2^k links per round until it falls off a root. Depths
-        # are below N < 2^bit_length(N), so a node still jumping after that
-        # many rounds lies on a cycle.
-        depth = (parent >= 0).astype(np.int64)
-        jump = parent.copy()
+        depth = np.append(parent >= 0, 0).astype(np.int64)
+        jump = np.append(np.where(parent >= 0, parent, n), n)
         for _ in range(n.bit_length() + 1):
-            live = np.flatnonzero(jump >= 0)
-            if live.size == 0:
+            if jump.min() == n:
                 break
-            up = jump[live]
-            depth[live] += depth[up]
-            jump[live] = jump[up]
+            depth += depth[jump]
+            jump = jump[jump]
         else:
             raise DataError("parent links contain a cycle")
+        depth = depth[:n]
         top = depth.max(initial=0)  # deepest first, stably; a 16-bit key gets numpy's radix sort
         order = np.argsort((top - depth).astype(np.uint16 if top < 1 << 16 else np.int64), kind="stable")
         starts = np.flatnonzero(np.r_[True, np.diff(depth[order]) != 0])
@@ -280,26 +281,28 @@ def _upward(model: GmmModel, tree: FlowTree, u: np.ndarray, combine=_logaddexp) 
     that flooded parent (under max-sum the message is the larger term, so the
     better class reads 0). Each root's column becomes its log posterior of
     y_n (under max-sum, relative to its best class). Returns the log evidence
-    (the MAP log joint under max-sum), all per-level shifts telescoped back in.
+    (the MAP log joint under max-sum), all per-node shifts telescoped back in:
+    they land in one buffer, summed and checked once after the loop.
     """
     total = 0.0
-    stay = model.log_transition()[:, 1:] if tree.has_edges else None  # log P(y_n | wet parent)
-    for s, e, pe, rel in tree.schedule:
-        level = u[:, s:e]
-        shift = np.maximum(level[0], level[1])
-        total += float(shift.sum())  # -inf if any node has zero likelihood in both classes
+    if tree.has_edges:
+        shifts = np.empty(tree.starts[-1])
+        stay = model.log_transition()[:, 1:]  # log P(y_n | wet parent)
+        # A column is nan where its parent cannot be wet, or where the check below fails.
+        with np.errstate(invalid="ignore"):
+            for s, e, pe, rel in tree.schedule:
+                level = u[:, s:e]
+                level -= np.maximum(level[0], level[1], out=shifts[s:e])
+                # One bincount per row adds the level into its parents' level. By
+                # the structural zero a node's message to a dry parent is its own u0.
+                u[0, e:pe] += np.bincount(rel, level[0], pe - e)
+                level += stay
+                to_wet = combine(level[0], level[1])
+                u[1, e:pe] += np.bincount(rel, to_wet, pe - e)
+                level -= to_wet
+        total = float(shifts.sum())
         if not np.isfinite(total):
             raise DataError("contradictory clamped evidence: a node has zero likelihood in both classes")
-        level -= shift
-        # One bincount per row adds the level into its parents' level. By the
-        # structural zero a node's message to a dry parent is its own u0.
-        u[0, e:pe] += np.bincount(rel, level[0], pe - e)
-        level += stay
-        to_wet = combine(level[0], level[1])
-        u[1, e:pe] += np.bincount(rel, to_wet, pe - e)
-        # Where the parent cannot be wet, to_wet is -inf and the column nan.
-        with np.errstate(invalid="ignore"):
-            level -= to_wet
     roots = u[:, tree.starts[-1]:]
     roots += [[_safe_log(model.pi0)], [_safe_log(model.pi1)]]
     z = combine(roots[0], roots[1])
@@ -312,14 +315,17 @@ def _upward(model: GmmModel, tree: FlowTree, u: np.ndarray, combine=_logaddexp) 
 
 def _downward(tree: FlowTree, u: np.ndarray) -> np.ndarray:
     """Root-to-leaf pass over `_upward`'s ``u``: the marginals in layout order.
-    m_n = m_p * P(y_n=1 | y_p=1, X) is all the structural zero leaves to compute."""
+    m_n = m_p * P(y_n=1 | y_p=1, X) is all the structural zero leaves to compute:
+    a level is one gather and one multiply by the factors exp(min(u1, 0)), taken
+    in one pass and 0 where nan (the parent cannot be wet, so m_p = 0)."""
     marginal = np.empty(tree.n_nodes)
     r = tree.starts[-1]
     np.exp(u[1, r:], out=marginal[r:])
+    if r:
+        factor = np.exp(np.minimum(u[1, :r], 0.0, out=marginal[:r]), out=marginal[:r])
+        factor[np.isnan(factor)] = 0.0
     for s, e, _, _ in reversed(tree.schedule):
-        mp = marginal[tree.up[s:e]]
-        # Where m_p = 0 the kept message may be nan; mask it.
-        marginal[s:e] = np.where(mp > 0.0, mp * np.exp(np.minimum(u[1, s:e], 0.0)), 0.0)
+        marginal[s:e] *= marginal[tree.up[s:e]]
     return marginal
 
 
@@ -524,17 +530,16 @@ def em_fit(
 
 
 def map_decode(model: GmmModel, tree: FlowTree, features: np.ndarray) -> np.ndarray:
-    """Exact MAP labeling: the max-sum upward pass, then a backtrack that gives
-    each node its best class under its parent's; ties break toward dry."""
+    """Exact MAP labeling: the max-sum upward pass, then a backtrack that ands
+    each node's best class under a flooded parent (u1 > u0, over the whole
+    layout at once; ties break toward dry) with its parent's class."""
     u = _log_emissions(model, tree, features, tree.order)
     _upward(model, tree, u, np.maximum)
-    classes = np.empty(tree.n_nodes, dtype=np.uint8)
-    r = tree.starts[-1]
-    classes[r:] = u[1, r:] > u[0, r:]
+    classes = u[1] > u[0]
     for s, e, _, _ in reversed(tree.schedule):
         # Under a dry parent the structural zero leaves only dry.
-        classes[s:e] = (classes[tree.up[s:e]] == 1) & (u[1, s:e] > u[0, s:e])
-    return classes[tree.position]
+        np.logical_and(classes[s:e], classes[tree.up[s:e]], out=classes[s:e])
+    return classes.view(np.uint8)[tree.position]
 
 
 # --- model files: one key=value per line, 17-significant-digit floats ---

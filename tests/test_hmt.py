@@ -147,14 +147,28 @@ def test_tiny_dem_parents_match_a_per_pixel_scan(rng):
 
 
 def _reference_depth(parent):
-    """Each node's number of links to its root, by walking them."""
-    depth = np.zeros(parent.size, dtype=np.int64)
-    for node in range(parent.size):
-        p = parent[node]
-        while p >= 0:
-            depth[node] += 1
-            p = parent[p]
-    return depth
+    """Each node's number of links to its root, by walking them; a walk stops
+    at the first node whose depth it knows, so each link is walked once."""
+    parent = parent.tolist()
+    depth = [-1] * len(parent)
+    for node in range(len(parent)):
+        path = []
+        while node >= 0 and depth[node] < 0:
+            path.append(node)
+            node = parent[node]
+        d = depth[node] if node >= 0 else -1
+        for step in reversed(path):
+            d += 1
+            depth[step] = d
+    return np.array(depth, dtype=np.int64)
+
+
+def _assert_stable_depth_layout(tree):
+    """``order`` and ``starts`` are the stable sort of the walked depths, deepest first."""
+    depth = _reference_depth(tree.parent)
+    order = np.argsort(-depth, kind="stable")
+    np.testing.assert_array_equal(tree.order, order)
+    np.testing.assert_array_equal(tree.starts, np.flatnonzero(np.r_[True, np.diff(depth[order]) != 0]))
 
 
 @pytest.mark.parametrize("shape", [(23, 17), (17, 23), (1, 40), (40, 1), (9, 9)])
@@ -168,9 +182,7 @@ def test_mid_size_dem_parents_and_layout_match_the_references(rng, shape):
             tree = build_flow_tree(elev, neighborhood=nb)
             _assert_valid(tree)
             np.testing.assert_array_equal(tree.parent, _reference_parents(elev, nb))
-            depth = _reference_depth(tree.parent)
-            np.testing.assert_array_equal(tree.order, np.argsort(-depth, kind="stable"))
-            assert tree.starts.size == depth.max() + 1
+            _assert_stable_depth_layout(tree)
 
 
 @pytest.mark.parametrize("n", [2**16, 70_000])
@@ -184,6 +196,69 @@ def test_a_chain_deeper_than_a_16_bit_depth_key(n):
     np.testing.assert_array_equal(tree.starts, np.arange(n))
     assert len(tree.level_groups()) == n
     np.testing.assert_array_equal(tree.roots, [0])
+
+
+def _relabel(parent, rng):
+    """The same forest with its nodes renamed by a random permutation."""
+    perm = rng.permutation(parent.size)
+    out = np.full(parent.size, -1, dtype=np.int64)
+    out[perm] = np.where(parent >= 0, perm[parent], -1)
+    return out
+
+
+@pytest.mark.parametrize("k", range(1, 13))
+def test_doubling_on_chains_at_the_round_count_boundaries(k):
+    """A chain of n nodes needs ceil(log2 n) doubling rounds, and n = 2^k - 1,
+    2^k and 2^k + 1 sit on either side of the round count the doubling
+    allows; each chain is laid out root last, in either direction and under
+    a random relabelling."""
+    rng = np.random.default_rng(k)
+    for n in (2**k - 1, 2**k, 2**k + 1):
+        down = np.arange(-1, n - 1)  # node 0 is the root
+        up = np.r_[np.arange(1, n), -1]  # node n - 1 is the root
+        for parent in (down, up, _relabel(down, rng)):
+            tree = FlowTree.from_parents(parent)
+            assert tree.starts.size == n
+            _assert_stable_depth_layout(tree)
+
+
+def _random_forest(rng, n, reach, root_rate):
+    """A forest on n nodes that need not be a flow forest: node i is a root
+    with probability ``root_rate`` and otherwise hangs off one of the
+    ``reach`` nodes before it (reach 1 grows chains, a large reach bushy
+    trees), all under a random relabelling."""
+    parent = np.full(n, -1, dtype=np.int64)
+    for i in range(1, n):
+        if rng.random() >= root_rate:
+            parent[i] = rng.integers(max(0, i - reach), i)
+    return _relabel(parent, rng)
+
+
+def test_doubling_on_random_forests_that_are_not_flow_forests():
+    rng = np.random.default_rng(2024)
+    forests = [np.array([-1]), np.full(257, -1)]  # one node; all roots
+    for n in (2, 3, 17, 100, 1000, 3000):
+        for reach in (1, 3, n):
+            for root_rate in (0.0, 0.01, 0.3):
+                forests.append(_random_forest(rng, n, reach, root_rate))
+    for parent in forests:
+        tree = FlowTree.from_parents(parent)
+        _assert_valid(tree)
+        _assert_stable_depth_layout(tree)
+
+
+@pytest.mark.parametrize("cycle", [2, 3, 64, 1000])
+def test_doubling_rejects_a_cycle_with_a_tail_next_to_a_deep_tree(cycle):
+    """A cycle with a chain hanging off it never reaches a root, however deep
+    the valid chain beside it, and however the nodes are named."""
+    rng = np.random.default_rng(cycle)
+    deep = np.arange(-1, 2000)  # a valid chain of 2,001 nodes
+    ring = deep.size + np.r_[np.arange(1, cycle), 0]
+    tail = np.r_[deep.size, deep.size + cycle + np.arange(0, 499)]  # 500 nodes hanging off the ring
+    parent = np.r_[deep, ring, tail]
+    for forest in (parent, _relabel(parent, rng)):
+        with pytest.raises(DataError, match="cycle"):
+            FlowTree.from_parents(forest)
 
 
 def _clamped(density, model, clamp_idx, clamp_cls):
@@ -337,6 +412,55 @@ def test_hard_transition_with_a_clamped_dry_leaf_gives_exact_zeros():
     np.testing.assert_array_equal(_downward(tree, u), [0.0, 0.0, 0.0])
 
 
+def test_a_dry_leaf_under_a_hard_chain_of_4096_levels_gives_exact_zeros(monkeypatch):
+    """rho = 1 and a deepest leaf with zero flood likelihood force all 4,096
+    levels dry: every non-root column of the upward pass is nan, the factors
+    taken over the whole layout turn it into exact zeros, and no pass warns."""
+    from floodem import hmt
+    from floodem.hmt import _downward, _upward
+
+    n = 4096
+    model = HmtModel(rho=1.0, pi1=0.5, components=(_gauss(0.0), _gauss(1.0)))
+    tree = FlowTree.from_parents(np.arange(-1, n - 1))
+    assert tree.starts.size == n and tree.order[0] == n - 1
+    u = np.zeros((2, n))
+    u[1, 0] = -np.inf  # layout position 0 is the deepest leaf
+    feats = np.full((n, 1), 0.5)  # equal densities: only the leaf's evidence decides
+    monkeypatch.setattr(hmt, "log_pdf", _clamped(hmt.log_pdf, model, np.array([n - 1]), np.array([0])))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        assert np.isfinite(_upward(model, tree, u))
+        assert np.all(np.isnan(u[:, : n - 1]))
+        marginal = _downward(tree, u)
+        dec = map_decode(model, tree, feats)
+    assert np.all(marginal == 0.0)
+    assert not dec.any()
+
+
+class _CountingUfuncs(np.ndarray):
+    """An array that counts, by name, the ufuncs it takes part in."""
+
+    calls: dict = {}
+
+    def __array_ufunc__(self, ufunc, method, *inputs, **kwargs):
+        _CountingUfuncs.calls[ufunc.__name__] = _CountingUfuncs.calls.get(ufunc.__name__, 0) + 1
+        return getattr(ufunc, method)(*(np.asarray(x) for x in inputs), **kwargs)
+
+
+def test_edgeless_downward_is_one_exp():
+    """On the edgeless forest of the mixtures' E-step every node is a root,
+    and the downward pass is one exp of the messages: no minimum or nan mask
+    runs over an empty non-root slice."""
+    from floodem.hmt import _downward
+
+    rng = np.random.default_rng(3)
+    u = np.log(rng.uniform(size=(2, 50))).view(_CountingUfuncs)
+    _CountingUfuncs.calls = {}
+    marginal = _downward(FlowTree.edgeless(50), u)
+    assert _CountingUfuncs.calls == {"exp": 1}
+    np.testing.assert_array_equal(marginal, np.exp(np.asarray(u[1])))
+
+
 def test_logaddexp_matches_numpy_within_rounding():
     rng = np.random.default_rng(8)
     n = 10**6
@@ -481,17 +605,6 @@ def test_m_step_lifts_raw_features_once(rng, monkeypatch):
     assert len(lifted) == 2
 
 
-class _CountingPhi(np.ndarray):
-    """A lift's phi that counts the matrix products it takes part in."""
-
-    products = 0
-
-    def __array_ufunc__(self, ufunc, method, *inputs, **kwargs):
-        if ufunc is np.matmul:
-            _CountingPhi.products += 1
-        return getattr(ufunc, method)(*(np.asarray(x) for x in inputs), **kwargs)
-
-
 def test_m_step_reads_the_lift_once(rng, monkeypatch):
     """Both class fits come from one product of the lift, whether `m_step`
     lifts raw features itself or is handed a `Lifted`, and whichever class
@@ -501,15 +614,15 @@ def test_m_step_reads_the_lift_once(rng, monkeypatch):
 
     def counting(self, points):
         init(self, points)
-        self.phi = self.phi.view(_CountingPhi)
+        self.phi = self.phi.view(_CountingUfuncs)
 
     monkeypatch.setattr(Lifted, "__init__", counting)
     marginal = rng.uniform(size=10) ** 4
     for features in (feats, Lifted(feats)):
         for m in (marginal, 1.0 - marginal):
-            _CountingPhi.products = 0
+            _CountingUfuncs.calls = {}
             m_step(m, tree.parent, features, model)
-            assert _CountingPhi.products == 1
+            assert _CountingUfuncs.calls.get("matmul") == 1
 
 
 @pytest.mark.parametrize("heavy_class", [0, 1])
