@@ -8,7 +8,8 @@ Scene file layout (little-endian):
     channel-major, row-major float64 data
     [row-major u8 truth grid]               if flag bit1
 
-Label files are plain text, one "row,col,class" per line, '#' comments allowed.
+Label files are plain text, one "row,col,class" per line, '#' comments
+allowed; in memory a `LabelSet` holds them as one (n, 3) int array.
 Every text input (labels, configs, scene specs, models) goes through
 ``read_lines``, the key=value ones through ``read_key_values`` (configs and
 specs through ``read_settings``, from their dataclass's fields); text outputs
@@ -23,7 +24,7 @@ from dataclasses import dataclass, field, fields
 
 import numpy as np
 
-from .errors import DataError, FormatError, IoError, SpecError
+from .errors import DataError, DimError, FormatError, IoError, SpecError
 
 MAGIC = b"SSGRID1\x00"
 _FLAG_ELEVATION = 0x01
@@ -209,34 +210,47 @@ class RasterScene:
 
 @dataclass
 class LabelSet:
-    """Sparse supervision: (row, col, class) triples with no duplicate pixel."""
+    """Sparse supervision: ``entries``, a read-only (n, 3) int64 array of (row, col,
+    class) rows from any (n, 3) array-like or ``[]``. A class other than 0 or 1,
+    or a pixel labeled twice, is an error naming the first entry at fault."""
 
-    entries: list[tuple[int, int, int]]
+    entries: np.ndarray
 
     def __post_init__(self) -> None:
-        self.entries = [(int(r), int(c), int(y)) for r, c, y in self.entries]
-        seen = set()
-        for r, c, y in self.entries:
-            if y not in (0, 1):
-                raise DataError(f"label class {y} at ({r},{c}) is not binary")
-            if (r, c) in seen:
-                raise DataError(f"duplicate label for pixel ({r},{c})")
-            seen.add((r, c))
+        try:  # column-major, so each column is contiguous
+            entries = np.array(self.entries, dtype=np.int64, order="F")
+        except ValueError as exc:  # rows of unequal length
+            raise DimError(f"labels are not an (n, 3) integer array: {exc}") from None
+        if entries.shape == (0,):
+            entries = np.empty((0, 3), dtype=np.int64, order="F")
+        if entries.ndim != 2 or entries.shape[1] != 3:
+            raise DimError(f"labels must be (row, col, class) rows, got shape {entries.shape}")
+        row, col, cls = entries.T
+        fault = (cls != 0) & (cls != 1)
+        key = np.sort((row << 32) + col)  # equal for equal pixels, so every repeat shows
+        if fault.any() or (key[1:] == key[:-1]).any():
+            order = np.lexsort((col, row))  # stable: a pixel's first label stays first
+            fault[order[1:][(np.diff(row[order]) == 0) & (np.diff(col[order]) == 0)]] = True
+            for r, c, y in entries[np.flatnonzero(fault)[:1]]:  # the first entry at fault
+                raise DataError(f"label class {y} at ({r},{c}) is not binary" if y not in (0, 1)
+                                else f"duplicate label for pixel ({r},{c})")
+        entries.flags.writeable = False
+        self.entries = entries
 
     def __len__(self) -> int:
         return len(self.entries)
 
     def class_count(self, cls: int) -> int:
-        return sum(1 for _, _, y in self.entries if y == cls)
+        return int(np.count_nonzero(self.entries[:, 2] == cls))
 
     def flat_indices(self, width: int, height: int) -> tuple[np.ndarray, np.ndarray]:
         """(flat pixel indices, classes), bounds-checked against a grid."""
-        for r, c, _ in self.entries:
-            if not (0 <= r < height and 0 <= c < width):
-                raise DataError(f"label pixel ({r},{c}) outside {height}x{width} grid")
-        idx = np.array([r * width + c for r, c, _ in self.entries], dtype=np.int64)
-        cls = np.array([y for _, _, y in self.entries], dtype=np.int64)
-        return idx, cls
+        row, col, cls = self.entries.T
+        outside = (row < 0) | (row >= height) | (col < 0) | (col >= width)
+        if outside.any():
+            r, c, _ = self.entries[outside.argmax()]
+            raise DataError(f"label pixel ({r},{c}) outside {height}x{width} grid")
+        return row * width + col, cls
 
 
 @dataclass
@@ -328,6 +342,12 @@ class SceneSpec:
         return ramp + bumps
 
 
+def _draw_labels(rng, pools: list[np.ndarray], sizes: list[int], width: int) -> LabelSet:
+    """``sizes[c]`` distinct pixels drawn from class c's flat indices ``pools[c]``, class 0's first."""
+    flat = np.concatenate([rng.choice(pool, size=k, replace=False) for pool, k in zip(pools, sizes)])
+    return LabelSet(np.column_stack((*np.divmod(flat, width), np.repeat((0, 1), sizes))))
+
+
 def generate_scene(spec: SceneSpec) -> tuple[RasterScene, LabelSet]:
     """Build a synthetic scene plus a balanced label draw.
 
@@ -384,15 +404,13 @@ def generate_scene(spec: SceneSpec) -> tuple[RasterScene, LabelSet]:
     if spec.noise_sigma > 0.0:
         data = data + spec.noise_sigma * rng.standard_normal(data.shape)
 
-    entries: list[tuple[int, int, int]] = []
     for cls in (0, 1):
         if clean[cls].size < spec.labels_per_class:
             raise SpecError(
                 f"class {cls} has only {clean[cls].size} non-obstacle pixels, "
                 f"cannot draw {spec.labels_per_class} labels"
             )
-        picks = rng.choice(clean[cls], size=spec.labels_per_class, replace=False)
-        entries.extend((int(p) // spec.width, int(p) % spec.width, cls) for p in picks)
+    labels = _draw_labels(rng, clean, [spec.labels_per_class] * 2, spec.width)
 
     scene = RasterScene(
         width=spec.width,
@@ -402,7 +420,7 @@ def generate_scene(spec: SceneSpec) -> tuple[RasterScene, LabelSet]:
         elevation_channel=m,
         truth=truth,
     )
-    return scene, LabelSet(entries)
+    return scene, labels
 
 
 def sample_labels(scene: RasterScene, ratio: float, rng_seed: int) -> LabelSet:
@@ -424,18 +442,8 @@ def sample_labels(scene: RasterScene, ratio: float, rng_seed: int) -> LabelSet:
         if pool.size == 0:
             raise DataError(f"truth grid has no pixels of class {cls}")
     total = math.ceil(ratio * scene.n_pixels)
-    want = [total - total // 2, total // 2]
-    take = [min(want[c], pools[c].size) for c in (0, 1)]
-    for c in (0, 1):  # redistribute when one class runs short
-        spare = total - take[0] - take[1]
-        take[c] = min(take[c] + spare, pools[c].size)
-
-    rng = np.random.default_rng(rng_seed)
-    entries: list[tuple[int, int, int]] = []
-    for cls in (0, 1):
-        picks = rng.choice(pools[cls], size=take[cls], replace=False)
-        entries.extend((int(p) // scene.width, int(p) % scene.width, cls) for p in picks)
-    return LabelSet(entries)
+    dry = min(max(total - total // 2, total - pools[1].size), pools[0].size)  # the split described above
+    return _draw_labels(np.random.default_rng(rng_seed), pools, [dry, total - dry], scene.width)
 
 
 def save_scene(scene: RasterScene, path: str) -> None:
@@ -511,7 +519,7 @@ def load_scene(path: str) -> RasterScene:
 
 
 def save_labels(labels: LabelSet, path: str) -> None:
-    write_lines(path, "labels", (f"{r},{c},{y}" for r, c, y in labels.entries))
+    write_lines(path, "labels", (f"{r},{c},{y}" for r, c, y in labels.entries.tolist()))
 
 
 def load_labels(path: str) -> LabelSet:

@@ -370,13 +370,14 @@ def m_step(marginal: np.ndarray, parent: np.ndarray, features: np.ndarray | Lift
     if parent.max() < 0:  # every node a root
         return replace(model, pi1=mass / n, components=components)
     root = parent < 0
+    child = ~root
     update = {"pi1": float(np.sum(marginal, where=root)) / np.count_nonzero(root), "components": components}
-    den = float(marginal[parent[~root]].sum())
+    den = float(marginal[parent[child]].sum())
     if den == 0.0:
         warnings.warn("no posterior mass on flooded parents; keeping previous rho", stacklevel=2)
     else:
         # the floor keeps the (0, 1] contract when flood mass vanishes
-        update["rho"] = max(min(float(np.sum(marginal, where=~root)) / den, 1.0), 1e-12)
+        update["rho"] = max(min(float(np.sum(marginal, where=child)) / den, 1.0), 1e-12)
     return replace(model, **update)
 
 

@@ -158,17 +158,8 @@ def salt_pepper_count(pred: np.ndarray, neighborhood: int = 8) -> int:
 
 def report_rows(method: str, report: ClassReport) -> list[tuple[str, str, str, str, str]]:
     """CSV rows (method, class, precision, recall, f1)."""
-    names = ("dry", "flood")
-    return [
-        (
-            method,
-            names[cls],
-            f"{report.classes[cls].precision:.6f}",
-            f"{report.classes[cls].recall:.6f}",
-            f"{report.classes[cls].f1:.6f}",
-        )
-        for cls in (0, 1)
-    ]
+    return [(method, name, f"{s.precision:.6f}", f"{s.recall:.6f}", f"{s.f1:.6f}")
+            for name, s in zip(("dry", "flood"), report.classes)]
 
 
 def write_roc_csv(curve: RocCurve, path: str) -> None:

@@ -798,7 +798,7 @@ def test_every_spec_key_is_a_scene_spec_field(tmp_path):
                                                                            SceneSpec()))
     np.testing.assert_array_equal(read.data, default.data)
     np.testing.assert_array_equal(read.truth, default.truth)
-    assert read_labels.entries == labels.entries
+    assert np.array_equal(read_labels.entries, labels.entries)
 
 
 def test_every_run_setting_has_a_config_cast(tmp_path):

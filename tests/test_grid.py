@@ -1,3 +1,4 @@
+import hashlib
 import re
 import struct
 
@@ -5,7 +6,7 @@ import numpy as np
 import pytest
 
 from floodem import cli, gmm, hmt, metrics
-from floodem.errors import DataError, FormatError, IoError, SpecError
+from floodem.errors import DataError, DimError, FormatError, IoError, SpecError
 from floodem.grid import (
     MAGIC,
     NEIGHBOR_OFFSETS,
@@ -199,7 +200,7 @@ def test_generate_deterministic_per_seed():
     s2, l2 = generate_scene(spec)
     np.testing.assert_array_equal(s1.data, s2.data)
     np.testing.assert_array_equal(s1.truth, s2.truth)
-    assert l1.entries == l2.entries
+    assert np.array_equal(l1.entries, l2.entries)
 
 
 def test_truth_depends_only_on_elevation():
@@ -258,7 +259,7 @@ def test_sample_labels_deterministic():
     scene, _ = generate_scene(spec)
     a = sample_labels(scene, 0.05, rng_seed=7)
     b = sample_labels(scene, 0.05, rng_seed=7)
-    assert a.entries == b.entries
+    assert np.array_equal(a.entries, b.entries)
 
 
 def test_sample_labels_errors():
@@ -288,22 +289,99 @@ def test_sample_labels_bounds_and_uniqueness(small_scene):
             seen.add((r, c))
 
 
+# (entries, error, message); no error means a valid set
+_LABEL_SET_INPUTS = [
+    ([(0, 0, 1), (0, 0, 0)], DataError, r"duplicate label for pixel \(0,0\)"),
+    ([(5, 1, 0), (2, 3, 1), (4, 4, 0), (2, 3, 0), (5, 1, 1)], DataError, r"duplicate label for pixel \(2,3\)"),
+    # pixels whose keys collide are still told apart
+    ([(0, 1 << 32, 0), (1, 0, 1), (-1, -1, 0), (0, -1, 1)], None, None),
+    ([(0, 0, 1), (1, 2, 2)], DataError, r"label class 2 at \(1,2\) is not binary"),
+    ([(0, 0, -1)], DataError, r"label class -1 at \(0,0\) is not binary"),
+    # with both faults, the first faulty entry decides
+    ([(0, 0, 1), (0, 0, 0), (3, 3, 7)], DataError, "duplicate label"),
+    ([(0, 0, 1), (3, 3, 7), (0, 0, 0)], DataError, "not binary"),
+    ([(3, 3, 7), (3, 3, 1)], DataError, "not binary"),
+    ([(0, 0)], DimError, r"got shape \(1, 2\)"),
+    ([0, 0, 1], DimError, r"got shape \(3,\)"),
+    ([[(0, 0, 1)]], DimError, r"got shape \(1, 1, 3\)"),
+    (np.zeros((0, 4)), DimError, r"got shape \(0, 4\)"),
+    ([(0, 0, 1), (1, 1)], DimError, "not an \\(n, 3\\) integer array"),
+    ([], None, None),
+    (np.empty((0, 3)), None, None),
+]
+
+
 def test_label_set_rejects_duplicates():
-    with pytest.raises(DataError):
-        LabelSet([(0, 0, 1), (0, 0, 0)])
+    """Each non-binary class, repeated pixel or non-(n, 3) input raises its
+    error, naming the first faulty entry; valid sets are read-only int64."""
+    for entries, error, message in _LABEL_SET_INPUTS:
+        if error is None:
+            labels = LabelSet(entries)
+            assert labels.entries.shape == (len(entries), 3) and labels.entries.dtype == np.int64
+            assert not labels.entries.flags.writeable
+            continue
+        with pytest.raises(error, match=message):
+            LabelSet(entries)
+
+
+@pytest.mark.parametrize(
+    "entries, message",
+    [
+        ([(0, 0, 0), (3, 0, 1), (-1, 0, 0)], r"label pixel \(3,0\) outside 3x4 grid"),
+        ([(0, 0, 0), (0, 4, 1), (3, 0, 0)], r"label pixel \(0,4\) outside 3x4 grid"),
+        ([(2, 3, 0), (0, -1, 1)], r"label pixel \(0,-1\) outside 3x4 grid"),
+    ],
+)
+def test_flat_indices_name_the_first_label_outside_the_grid(entries, message):
+    with pytest.raises(DataError, match=message):
+        LabelSet(entries).flat_indices(4, 3)
+
+
+def test_flat_indices_and_class_counts_read_the_array():
+    labels = LabelSet([(2, 3, 1), (0, 0, 0), (1, 2, 1)])
+    flat, cls = labels.flat_indices(4, 3)
+    assert flat.tolist() == [11, 0, 6] and cls.tolist() == [1, 0, 1]
+    assert (labels.class_count(0), labels.class_count(1), len(labels)) == (1, 2, 3)
+    empty = LabelSet([])
+    assert len(empty) == 0 and empty.class_count(1) == 0
+    assert all(a.shape == (0,) for a in empty.flat_indices(4, 3))
+
+
+# sha256 of the label file save_labels writes for the canonical 128x128 scene
+# (obstacle fraction 0.3, seed 7): its own draw, and sample_labels' draws of
+# label seed 1. A change in which pixels are drawn, or in their order, fails.
+_PINNED_LABEL_FILES = {
+    "generate_scene": "d743e237cbb80f0477bb41c0aa10fd91630951acdb0973aec6ade28513719f2f",
+    1e-3: "6523dcfb7a8c15f1a01632a93e0315bbdc7bf70e5d958b344c0dcf01b081182c",
+    5e-2: "f3508fd6541ebb9ee53d39fa522f46a42ae080e2b997749c30c43c94594b7c1a",
+    1.0: "e451cd1c35c133c23696b6a8c49cf1ce9164744d2a79f8bd4bf19dbfa86f45ff",
+}
+
+
+def test_label_draws_are_pinned(tmp_path):
+    scene, own = generate_scene(SceneSpec(width=128, height=128, obstacle_fraction=0.3, seed=7))
+    draws = {"generate_scene": own, **{r: sample_labels(scene, r, rng_seed=1) for r in (1e-3, 5e-2, 1.0)}}
+    digests = {}
+    for key, labels in draws.items():
+        path = tmp_path / "labels.txt"
+        save_labels(labels, str(path))
+        digests[key] = hashlib.sha256(path.read_bytes()).hexdigest()
+    assert digests == _PINNED_LABEL_FILES
 
 
 def test_label_file_round_trip(tmp_path):
     labels = LabelSet([(0, 1, 1), (2, 3, 0)])
     path = tmp_path / "l.txt"
     save_labels(labels, str(path))
-    assert load_labels(str(path)).entries == labels.entries
+    assert np.array_equal(load_labels(str(path)).entries, labels.entries)
 
 
 def test_label_file_comments_and_errors(tmp_path):
     path = tmp_path / "l.txt"
     path.write_text("# header\n0,1,1\n\n2,3,0  # trailing comment\n")
-    assert load_labels(str(path)).entries == [(0, 1, 1), (2, 3, 0)]
+    assert np.array_equal(load_labels(str(path)).entries, [(0, 1, 1), (2, 3, 0)])
+    path.write_text("# no labels\n\n")
+    assert load_labels(str(path)).entries.shape == (0, 3)
     path.write_text("0,1\n")
     with pytest.raises(FormatError):
         load_labels(str(path))
