@@ -2,8 +2,14 @@
 
 Densities are taken in log space, since raw densities of the target rasters'
 feature values underflow. `GaussianParams` refuses a covariance that fails
-Cholesky; `weighted_mle`, the one weighted fit, is the one place a
-covariance is jittered, as posterior collapse can leave near-singular fits.
+Cholesky and never repairs one.
+
+Every covariance fit follows one rule, a fixed ridge psi per lift (a
+conjugate covariance prior; Fraley & Raftery, J. Classification 2007): the fit
+of weights w with total W is Sigma = (S_w + psi I) / W, S_w the weighted
+scatter around the weighted mean, the exact maximizer of the weighted log
+likelihood plus the log prior -psi/2 tr(Sigma^-1). So EM over these fits is
+MAP-EM, and the fit is positive definite however the weights collapse.
 
 Fits run on the lift (`Lifted`) Phi = [1, z, z_i z_j for i <= j],
 z = x - (mean of the points), one contiguous row per statistic: a fit needs
@@ -26,44 +32,6 @@ from .errors import DataError, DegenerateError, DimError
 _LOG_2PI = float(np.log(2.0 * np.pi))
 
 
-def _base_epsilon(cov: np.ndarray, mean: np.ndarray) -> float:
-    """Scale-aware jitter: 1e-9 of the mean diagonal entry, with an absolute floor.
-
-    Fitting constant points leaves a trace made of the rounding of the mean
-    and of the centred points: a few ulps of |mean|, squared, or exactly 0.
-    That is no spread, so a trace up to (64 ulps of |mean|)^2 gets the
-    absolute floor too, whichever way the rounding fell.
-    """
-    trace = float(np.trace(cov))
-    if trace > (64.0 * np.finfo(float).eps) ** 2 * float(mean @ mean):
-        return 1e-9 * trace / cov.shape[0]
-    return 1e-9
-
-
-def regularize(cov: np.ndarray, epsilon: float) -> np.ndarray:
-    """Return ``cov + e*I`` for the smallest e in {epsilon, 10*epsilon, ...} with a valid Cholesky.
-
-    Always adds at least ``epsilon`` even when ``cov`` is already positive
-    definite, so repair is deterministic rather than conditional.
-    """
-    return _jitter(cov, epsilon)[0]
-
-
-def _jitter(cov: np.ndarray, epsilon: float) -> tuple[np.ndarray, np.ndarray]:
-    """`regularize`'s ``cov + e*I`` and the Cholesky factor that accepted it."""
-    cov = np.asarray(cov, dtype=float)
-    if not np.all(np.isfinite(cov)):
-        raise DataError("covariance contains non-finite entries")
-    eps = float(epsilon) if epsilon > 0.0 else 1e-9
-    eye = np.eye(cov.shape[0])
-    while True:
-        candidate = cov + eps * eye
-        try:
-            return candidate, np.linalg.cholesky(candidate)
-        except np.linalg.LinAlgError:
-            eps *= 10.0
-
-
 class Lifted:
     """An (n, m) point set lifted once to its Gaussian sufficient statistics.
 
@@ -73,7 +41,10 @@ class Lifted:
     keeps the raw second moments close to the covariances they stand for.
     ``shape`` is the (n, m) of the points, like a point array's; (n,) points
     are n one-dimensional points. ``sums`` is phi @ 1, the statistic sums of
-    unit weights.
+    unit weights. ``ridge`` is the fits' psi: 1e-9 of sum_n |z_n|^2 / m, so a
+    unit-weight fit's ridge psi / n is 1e-9 of its mean variance. Points with
+    no spread beyond the rounding of their centre, a mean |z|^2 of at most
+    (64 ulps of |centre|)^2, have no scale to set psi from: a DegenerateError.
     """
 
     def __init__(self, points: np.ndarray) -> None:
@@ -98,6 +69,10 @@ class Lifted:
         for k, (i, j) in enumerate(zip(*self.pairs), start=1 + m):
             np.multiply(z[i], z[j], out=self.phi[k])
         self.sums = self.phi.sum(axis=1)
+        spread = float(self.sums[1 + m + np.flatnonzero(self.pairs[0] == self.pairs[1])].sum())
+        if spread <= (64.0 * np.finfo(float).eps) ** 2 * n * float(self.center @ self.center):
+            raise DegenerateError("points have no spread beyond the rounding of their centre")
+        self.ridge = 1e-9 * spread / m
 
 
 @dataclass
@@ -105,9 +80,8 @@ class GaussianParams:
     """Mean vector and positive-definite covariance of one class's feature distribution.
 
     The covariance is symmetrized on construction; one that then fails
-    Cholesky is a DataError, never repaired here (`weighted_mle` jitters its
-    fits). The factor is cached so per-pixel density evaluation is a single
-    triangular multiply.
+    Cholesky is a DataError, never repaired. The inverse factor is cached so
+    per-pixel density evaluation is a single triangular multiply.
     """
 
     mean: np.ndarray
@@ -128,22 +102,9 @@ class GaussianParams:
             chol = np.linalg.cholesky(cov)
         except np.linalg.LinAlgError:
             raise DataError("covariance is not positive definite") from None
-        self._factor(cov, chol)
-
-    @classmethod
-    def _factored(cls, mean: np.ndarray, cov: np.ndarray, chol: np.ndarray) -> "GaussianParams":
-        """The Gaussian of a finite (m,) float ``mean`` and an exactly symmetric
-        ``cov`` whose Cholesky factor ``chol`` is known: what the checked
-        constructor builds from them, without factorizing ``cov`` again."""
-        g = cls.__new__(cls)
-        g.mean = mean
-        g._factor(cov, chol)
-        return g
-
-    def _factor(self, cov: np.ndarray, chol: np.ndarray) -> None:
         self.cov = cov
         self._chol_inv = np.linalg.inv(chol)
-        self._log_norm = -0.5 * self.dim * _LOG_2PI - float(np.sum(np.log(np.diag(chol))))
+        self._log_norm = -0.5 * m * _LOG_2PI - float(np.sum(np.log(np.diag(chol))))
 
     @property
     def dim(self) -> int:
@@ -182,12 +143,11 @@ def log_pdf(g: GaussianParams, x: np.ndarray | Lifted, out: np.ndarray | None = 
 
 
 def weighted_mle(points: np.ndarray | Lifted, weights: np.ndarray) -> GaussianParams:
-    """Weighted maximum-likelihood Gaussian fit, read from the lift.
+    """Weighted Gaussian fit under the lift's ridge, read from the lift.
 
-    Raw points are lifted on entry. The mean and the covariance, the weighted
-    average and outer-product average around it, both come from phi @ w; the
-    covariance is then jittered through `regularize` so the result always
-    factorizes.
+    Raw points are lifted on entry. The mean is the weighted average, and the
+    covariance the weighted outer-product average around it plus psi / W on
+    the diagonal; both come from phi @ w.
     """
     lift = points if isinstance(points, Lifted) else Lifted(points)
     w = np.asarray(weights, dtype=float).reshape(-1)
@@ -200,18 +160,19 @@ def weighted_mle(points: np.ndarray | Lifted, weights: np.ndarray) -> GaussianPa
 
 def _fit_sums(lift: Lifted, sums: np.ndarray) -> GaussianParams:
     """`weighted_mle`'s fit from the statistic sums ``sums`` = phi @ w of some
-    weights w >= 0; ``sums[0]``, from phi's row of ones, is their total."""
+    weights w >= 0; ``sums[0]``, from phi's row of ones, is their total W.
+    The covariance (S_w + psi I) / W, psi the lift's ``ridge``, exactly
+    maximizes sum_n w_n ln N(x_n; mean, Sigma) - psi/2 tr(Sigma^-1), the
+    objective whose sum over the classes EM never lets drop."""
     total = float(sums[0])
     if not total > 0.0:
         raise DegenerateError("total weight is zero")
     m = lift.shape[1]
     moments = sums / total
     offset = moments[1 : 1 + m]
-    mean = lift.center + offset
     cov = np.empty((m, m))
     cov[lift.pairs] = moments[1 + m :]
     cov.T[lift.pairs] = moments[1 + m :]
     cov -= np.outer(offset, offset)
-    # The jitter's accepted factor is the one the checked constructor would
-    # compute: the covariance is exactly symmetric, so it factorizes once.
-    return GaussianParams._factored(mean, *_jitter(cov, _base_epsilon(cov, mean)))
+    cov.flat[:: m + 1] += lift.ridge / total
+    return GaussianParams(lift.center + offset, cov)

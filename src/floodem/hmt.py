@@ -173,9 +173,9 @@ class HmtModel(GmmModel):
 
 @dataclass
 class EmTrace:
-    """The models EM visited, ``models[k]`` after k updates, with the log
-    likelihood of each and its largest relative change from the one before
-    (nan for the initial model)."""
+    """The models EM visited, ``models[k]`` after k updates, with the
+    objective of each (`forest_em`'s log likelihood plus log prior) and its
+    largest relative change from the one before (nan for the initial model)."""
 
     models: list[GmmModel] = field(default_factory=list)
     logliks: list[float] = field(default_factory=list)
@@ -184,7 +184,7 @@ class EmTrace:
 
     def to_csv(self, path: str) -> None:
         """One row per model: the iteration, the model's `model_values` under
-        its `model_keys`, its log likelihood and max relative change."""
+        its `model_keys`, its objective and max relative change."""
         if not self.models:
             raise IoError("empty trace")
         keys = model_keys(self.models[0].dim, isinstance(self.models[0], HmtModel))
@@ -200,7 +200,7 @@ def _safe_log(p: float) -> float:
 
 
 def init_from_labels(scene: RasterScene, labels: LabelSet, use_elevation: bool) -> GmmModel:
-    """Per-class MLE Gaussians over the labeled pixels, with the labeled class-1 fraction as pi1."""
+    """Per-class unit-weight Gaussian fits to the labeled pixels, with the labeled class-1 fraction as pi1."""
     feats = scene.feature_matrix(use_elevation)
     flat, cls = labels.flat_indices(scene.width, scene.height)
     comps = []
@@ -208,7 +208,10 @@ def init_from_labels(scene: RasterScene, labels: LabelSet, use_elevation: bool) 
         pts = feats[flat[cls == c]]
         if pts.shape[0] < 2:
             raise InitError(f"class {c} has {pts.shape[0]} labeled samples, need at least 2")
-        comps.append(weighted_mle(pts, np.ones(pts.shape[0])))
+        try:
+            comps.append(weighted_mle(pts, np.ones(pts.shape[0])))
+        except DegenerateError as exc:
+            raise InitError(f"class {c}'s {pts.shape[0]} labeled samples: {exc}") from None
     return GmmModel(pi1=float(np.mean(cls)), components=(comps[0], comps[1]), use_elevation=use_elevation)
 
 
@@ -368,17 +371,30 @@ def m_step(marginal: np.ndarray, parent: np.ndarray, features: np.ndarray | Lift
     heavy = _fit_sums(lift, lift.sums - sums)
     components = (heavy, light) if flooded_lighter else (light, heavy)
     if parent.max() < 0:  # every node a root
-        return replace(model, pi1=mass / n, components=components)
+        return replace(model, pi1=_rate(mass, n, marginal, True), components=components)
     root = parent < 0
     child = ~root
-    update = {"pi1": float(np.sum(marginal, where=root)) / np.count_nonzero(root), "components": components}
-    den = float(marginal[parent[child]].sum())
+    update = {"pi1": _rate(float(np.sum(marginal, where=root)), np.count_nonzero(root), marginal, root),
+              "components": components}
+    wet_parent = marginal[parent]
+    den = float(np.sum(wet_parent, where=child))
     if den == 0.0:
         warnings.warn("no posterior mass on flooded parents; keeping previous rho", stacklevel=2)
     else:
         # the floor keeps the (0, 1] contract when flood mass vanishes
-        update["rho"] = max(min(float(np.sum(marginal, where=child)) / den, 1.0), 1e-12)
+        rho = _rate(float(np.sum(marginal, where=child)), den, marginal, child, wet_parent)
+        update["rho"] = max(rho, 1e-12)
     return replace(model, **update)
+
+
+def _rate(part: float, whole: float, values: np.ndarray, where, full=1.0) -> float:
+    """``part / whole``, the sum of ``values`` over that of ``full`` at ``where``;
+    the largest double below 1 where that rounds to 1 while some value falls
+    short, as a rate of 1 gives the shortfall zero probability."""
+    rate = part / whole
+    if rate >= 1.0 and not np.all(values == full, where=where):
+        return float(np.nextafter(1.0, 0.0))
+    return rate
 
 
 def _max_rel_change(old: np.ndarray, new: np.ndarray) -> float:
@@ -389,9 +405,9 @@ def _max_rel_change(old: np.ndarray, new: np.ndarray) -> float:
 class _EmMap:
     """The EM map of one fit, in two halves: `maximize` updates a model from
     the E-step held, and `expect` replaces that E-step with a model's own,
-    returning its log likelihood. The features and the clamped labels are put
-    in the forest's layout once, and the messages stay in it, so every level
-    is a slice and no map reorders anything."""
+    returning the fit's objective there. The features and the clamped labels
+    are put in the forest's layout once, and the messages stay in it, so every
+    level is a slice and no map reorders anything."""
 
     def __init__(self, tree: FlowTree, scene: RasterScene, clamped: LabelSet, use_elevation: bool):
         self.tree = tree
@@ -402,14 +418,17 @@ class _EmMap:
 
     def expect(self, model: GmmModel) -> float:
         """The clamped upward pass of ``model``: a clamped pixel's other class
-        gets zero likelihood. The messages it keeps are the only (2, N) array
-        alive: the last E-step's are freed first."""
+        gets zero likelihood. Returns the log evidence plus the log prior
+        -psi/2 sum_c tr(Sigma_c^-1), where tr(Sigma^-1) = |L^-1|_F^2. The
+        messages it keeps are the only (2, N) array alive: the last E-step's
+        are freed first."""
         self.u = None
         u = _log_emissions(model, self.tree, self.features)
         u[1 - self.cls, self.at] = -np.inf
         loglik = _upward(model, self.tree, u)
         self.u = u
-        return loglik
+        trace_prec = sum(float(np.sum(g._chol_inv**2)) for g in model.components)
+        return loglik - 0.5 * self.features.ridge * trace_prec
 
     def maximize(self, model: GmmModel, it: int) -> GmmModel:
         """The downward pass of the E-step held, then `m_step`; a collapse names map ``it``."""
@@ -425,16 +444,17 @@ def _squarem_jump(like: GmmModel, x0: np.ndarray, x1: np.ndarray, x2: np.ndarray
     2 alpha r + alpha^2 v, with r = theta1 - theta0, v = theta2 - 2 theta1 +
     theta0 and alpha = min(-|r| / |v|, -1). Returns the point as (model,
     vector), in the family and dimension of ``like``; None where alpha = -1,
-    whose point is theta2 itself, or where the point is not a valid model.
-    Entries no map changes (use_elevation, the neighborhood) have r = v = 0
-    and stay."""
-    r = x1 - x0
-    v = (x2 - x1) - r  # exactly -r when theta2 = theta1, so a fixed point gives alpha = -1
-    norm_r, norm_v = float(np.linalg.norm(r)), float(np.linalg.norm(v))
-    if not 0.0 < norm_v < norm_r:
-        return None
-    alpha = -norm_r / norm_v
-    x = x0 - 2.0 * alpha * r + alpha * alpha * v
+    whose point is theta2 itself, or where the point is not a valid model,
+    an overflowing one among them. Entries no map changes (use_elevation,
+    the neighborhood) have r = v = 0 and stay."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        r = x1 - x0
+        v = (x2 - x1) - r  # exactly -r when theta2 = theta1, so a fixed point gives alpha = -1
+        norm_r, norm_v = float(np.linalg.norm(r)), float(np.linalg.norm(v))
+        if not 0.0 < norm_v < norm_r:  # False where a norm is nan
+            return None
+        alpha = -norm_r / norm_v
+        x = x0 - 2.0 * alpha * r + alpha * alpha * v
     try:
         return model_from_values(x, like.dim, isinstance(like, HmtModel)), x
     except DataError:
@@ -451,16 +471,18 @@ def forest_em(model: GmmModel, tree: FlowTree, scene: RasterScene, clamped: Labe
     EM maps, and the fit stops once a plain map moves every parameter by less
     than ``tol`` (relative), or after ``max_iter`` maps.
 
-    A forest with edges runs plain EM: each row is the map of the one before,
-    so the expected complete log likelihood never drops between rows. The
-    edgeless forest (the mixtures) runs SQUAREM cycles: two maps theta0 ->
-    theta1 -> theta2, whose second output is replaced by the extrapolated
-    `_squarem_jump` where that is a valid model whose log likelihood is at
-    least theta1's. The jump's E-step takes the place of theta2's, so it
-    costs no extra map. One plain map from an accepted jump stabilizes it;
-    that map's row can stop the fit, and the next cycle starts from it. A
-    rejected jump keeps theta2. Either way the log likelihood never drops
-    between rows. Each model's `model_values` vector is built once.
+    Each map is a MAP-EM step under the fit's one covariance ridge
+    (`gaussian._fit_sums`), so on a forest with edges, which runs plain EM,
+    the penalized expected complete log likelihood never drops between rows,
+    and the trace's objective, the log likelihood plus the log prior, never
+    drops between any rows (up to the rounding of the lift). The edgeless
+    forest (the mixtures) runs SQUAREM cycles: two maps theta0 -> theta1 ->
+    theta2, whose second output is replaced by the extrapolated
+    `_squarem_jump` where that is a valid model whose objective is at least
+    theta1's. The jump's E-step takes the place of theta2's, so it costs no
+    extra map. One plain map from an accepted jump stabilizes it; that map's
+    row can stop the fit, and the next cycle starts from it. A rejected jump
+    keeps theta2. Each model's `model_values` vector is built once.
     """
     if max_iter < 0:
         raise SpecError(f"max_iter must be non-negative, got {max_iter}")

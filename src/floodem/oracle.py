@@ -8,7 +8,7 @@ cannot hide on both sides of a comparison; production's `log_pdf` and
 checks `floodem.hmt`'s E-step, M-step and MAP decoding against these
 references, the lifted Gaussian fits (`m_step`'s by-difference fit among
 them) and densities against the raw-point ones, and the mixture EM's
-likelihood for monotonicity.
+objective, log likelihood plus log prior, for monotonicity.
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ import numpy as np
 
 from . import gmm, hmt
 from .errors import CapError, SpecError
-from .gaussian import GaussianParams, Lifted, _base_epsilon, log_pdf, regularize, weighted_mle
+from .gaussian import GaussianParams, Lifted, log_pdf, weighted_mle
 from .grid import SceneSpec, generate_scene
 
 MAX_NODES = 20
@@ -46,16 +46,28 @@ def log_density(g: GaussianParams, points: np.ndarray) -> np.ndarray:
     return -0.5 * (g.dim * np.log(2.0 * np.pi) + log_det + maha)
 
 
+def ridge(points: np.ndarray) -> float:
+    """The covariance ridge psi of fits to the raw (n, m) ``points``: 1e-9 of
+    their summed squared distance from their unweighted mean, over m."""
+    pts = np.asarray(points, dtype=float)
+    return 1e-9 * float(np.sum((pts - pts.mean(axis=0)) ** 2)) / pts.shape[1]
+
+
+def log_prior(model, points: np.ndarray) -> float:
+    """The covariance prior's log density -psi/2 sum_c tr(Sigma_c^-1) of a
+    model fitted to ``points``, with each inverse from np.linalg.inv."""
+    return -0.5 * ridge(points) * sum(float(np.trace(np.linalg.inv(g.cov))) for g in model.components)
+
+
 def raw_weighted_mle(points: np.ndarray, weights: np.ndarray) -> GaussianParams:
     """The weighted Gaussian fit from the raw (n, m) points: the weighted mean,
-    and the weighted outer-product average around it, jittered by the rule
-    `weighted_mle` follows (`regularize` from `_base_epsilon`)."""
+    and (S_w + psi I) / W, S_w the weighted scatter around it, W the total
+    weight and psi the points' `ridge`."""
     pts, w = np.asarray(points, dtype=float), np.asarray(weights, dtype=float)
     mean = (w @ pts) / w.sum()
     centered = pts - mean
-    cov = (centered * w[:, None]).T @ centered / w.sum()
-    cov = (cov + cov.T) / 2.0
-    return GaussianParams(mean, regularize(cov, _base_epsilon(cov, mean)))
+    scatter = (centered * w[:, None]).T @ centered
+    return GaussianParams(mean, (scatter + ridge(pts) * np.eye(pts.shape[1])) / w.sum())
 
 
 def _class_log_densities(model, features) -> np.ndarray:
@@ -162,7 +174,8 @@ def assignment_log_joint(model, tree, features, classes) -> float:
 
 
 def gmm_loglik(model, scene, labels, use_elevation: bool) -> float:
-    """Observed-data log likelihood of a mixture model, written independently.
+    """Observed-data log likelihood of a mixture model plus its `log_prior`,
+    the objective mixture EM never lets drop, written independently.
 
     Unlabeled pixels contribute ln sum_c pi_c N_c(x); labeled pixels the joint
     term ln pi_y N_y(x).
@@ -172,7 +185,8 @@ def gmm_loglik(model, scene, labels, use_elevation: bool) -> float:
     flat, cls = labels.flat_indices(scene.width, scene.height)
     unlabeled = np.ones(feats.shape[0], dtype=bool)
     unlabeled[flat] = False
-    return float(np.logaddexp(lp[0, unlabeled], lp[1, unlabeled]).sum()) + float(lp[cls, flat].sum())
+    loglik = float(np.logaddexp(lp[0, unlabeled], lp[1, unlabeled]).sum()) + float(lp[cls, flat].sum())
+    return loglik + log_prior(model, feats)
 
 
 def random_tree_instance(

@@ -127,8 +127,9 @@ def test_criterion_3_em_objectives_non_decreasing():
         feats = scene.feature_matrix(use_elevation=False)
         for old, new in zip(tmodels, tmodels[1:]):
             marginal = hmt.e_step(old, tree, feats)
-            q_old = oracle.expected_complete_loglik(marginal, old, tree, feats)
-            q_new = oracle.expected_complete_loglik(marginal, new, tree, feats)
+            # The M-step maximizes the expectation plus the covariance log prior.
+            q_old = oracle.expected_complete_loglik(marginal, old, tree, feats) + oracle.log_prior(old, feats)
+            q_new = oracle.expected_complete_loglik(marginal, new, tree, feats) + oracle.log_prior(new, feats)
             worst_hmt = max(worst_hmt, q_old - q_new)
     _report(
         3,

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from floodem.errors import DataError, DegenerateError, DimError
-from floodem.gaussian import GaussianParams, Lifted, log_pdf, regularize, weighted_mle
+from floodem.gaussian import GaussianParams, Lifted, log_pdf, weighted_mle
 from floodem.oracle import log_density, raw_weighted_mle
 
 
@@ -49,17 +49,23 @@ def test_log_pdf_dim_mismatch():
         log_pdf(g, np.zeros(3))
 
 
+# Points 0 and 2 lie 1 from their centre: the ridge is 1e-9 * (1 + 1) / 1.
+TWO_POINT_RIDGE = 2e-9
+
+
 def test_weighted_mle_two_points_unit_weights():
     for points in ([[0.0], [2.0]], [0.0, 2.0]):  # (n,) points are n one-dimensional points
         est = weighted_mle(np.array(points), np.array([1.0, 1.0]))
         assert est.mean[0] == pytest.approx(1.0, abs=1e-15)
-        assert est.cov[0, 0] == pytest.approx(1.0 + 1e-9, abs=1e-15)
+        # (S_w + psi) / W with S_w = 1 + 1 and W = 2
+        assert est.cov[0, 0] == pytest.approx((2.0 + TWO_POINT_RIDGE) / 2.0, abs=1e-15)
 
 
 def test_weighted_mle_zero_weight_removes_point():
     est = weighted_mle(np.array([[0.0], [2.0]]), np.array([1.0, 0.0]))
     assert est.mean[0] == pytest.approx(0.0, abs=1e-15)
-    assert est.cov[0, 0] == pytest.approx(1e-9, abs=1e-18)  # rank-0 repair floor
+    # No scatter around the one weighted point: psi / W with W = 1.
+    assert est.cov[0, 0] == pytest.approx(TWO_POINT_RIDGE, rel=1e-12, abs=0.0)
 
 
 def test_weighted_mle_matches_independent_moments(rng):
@@ -67,8 +73,8 @@ def test_weighted_mle_matches_independent_moments(rng):
     est = weighted_mle(pts, np.ones(50))
     mean = pts.mean(axis=0)
     centered = pts - mean
-    cov = centered.T @ centered / 50.0
-    cov = regularize(cov, 1e-9 * np.trace(cov) / 3.0)
+    psi = 1e-9 * np.sum(centered**2) / 3.0
+    cov = (centered.T @ centered + psi * np.eye(3)) / 50.0
     np.testing.assert_allclose(est.mean, mean, atol=1e-12)
     np.testing.assert_allclose(est.cov, cov, atol=1e-12)
 
@@ -94,9 +100,8 @@ def test_weighted_mle_errors():
 
 
 def test_weighted_mle_factorizes_its_fit_once(rng, monkeypatch):
-    """The jitter's accepted Cholesky factor builds the fit: one factorization,
-    and the Gaussian the checked constructor makes from the same mean and
-    covariance, bit for bit."""
+    """The fit goes through the checked constructor: one factorization, and
+    the Gaussian it makes from the same mean and covariance, bit for bit."""
     pts, w = rng.normal(size=(50, 3)) * [1.0, 5.0, 20.0], rng.uniform(0.1, 1.0, size=50)
     calls, cholesky = [], np.linalg.cholesky
 
@@ -133,31 +138,6 @@ def test_weighted_mle_cov_always_factorizes(rng):
         np.linalg.cholesky(est.cov)
 
 
-def test_regularize_identity():
-    out = regularize(np.eye(2), 1e-9)
-    np.testing.assert_allclose(out, np.eye(2) * (1.0 + 1e-9), rtol=0, atol=0)
-
-
-def test_regularize_zero_matrix():
-    out = regularize(np.zeros((2, 2)), 1e-9)
-    np.testing.assert_allclose(out, np.eye(2) * 1e-9, rtol=0, atol=0)
-
-
-def test_regularize_rank_one_escalates_until_cholesky_passes():
-    cov = np.array([[1.0, 1.0], [1.0, 1.0]])
-    out = regularize(cov, 1e-9)
-    np.linalg.cholesky(out)
-    eps = out[0, 0] - 1.0
-    assert out[0, 1] == 1.0 and out[1, 0] == 1.0
-    # first accepted jitter is from the escalation ladder {1e-9, 1e-8, ...}
-    ladder = 1e-9 * 10.0 ** np.arange(0, 6)
-    assert any(eps == pytest.approx(e, rel=1e-12) for e in ladder)
-    smaller = eps / 10.0
-    if smaller >= 1e-9:
-        with pytest.raises(np.linalg.LinAlgError):
-            np.linalg.cholesky(cov + smaller * np.eye(2))
-
-
 def test_gaussian_params_symmetrizes():
     g = GaussianParams(np.zeros(2), np.array([[2.0, 0.3], [0.1, 2.0]]))
     np.testing.assert_array_equal(g.cov, g.cov.T)
@@ -165,7 +145,7 @@ def test_gaussian_params_symmetrizes():
 
 @pytest.mark.parametrize("cov", [[[1.0, 1.0], [1.0, 1.0]], [[1.0, 0.0], [0.0, -1e-12]]])
 def test_gaussian_params_rejects_a_covariance_cholesky_fails(cov):
-    # Only weighted_mle jitters a covariance; a given one is used as it stands.
+    # A given covariance is used as it stands, never repaired.
     with pytest.raises(DataError, match="positive definite"):
         GaussianParams(np.zeros(2), np.array(cov))
 
@@ -226,10 +206,12 @@ def test_log_pdf_and_the_lift_read_either_point_layout_alike(rng):
 
 @pytest.mark.parametrize("value", [0.1, 3.0, 1e6 + 0.1])
 def test_lifted_constant_channel_gets_the_same_jitter(rng, value):
+    """A constant channel's variance is the ridge alone, psi / W, with psi
+    from the spread of the other channels over all the points."""
     pts = np.column_stack([rng.normal(size=(40, 2)), np.full(40, value)])
     w = rng.uniform(size=40)
     raw, lifted = raw_weighted_mle(pts, w), weighted_mle(Lifted(pts), w)
-    jitter = 1e-9 * np.trace(np.cov(pts[:, :2].T, aweights=w, bias=True)) / 3.0
+    jitter = 1e-9 * np.sum(np.var(pts[:, :2], axis=0) * 40) / 3.0 / w.sum()
     # The raw-point reference's variance keeps the square of its mean's
     # rounding error (about 1e-20 at 1e6), so only the lifted one is the
     # jitter to the last bits.
@@ -242,15 +224,18 @@ def test_lifted_constant_channel_gets_the_same_jitter(rng, value):
 
 @pytest.mark.parametrize("value", [0.1, 3.0, 1e6 + 0.1])
 def test_constant_one_channel_fit_gets_the_absolute_floor(rng, value):
-    # The pre-jitter variance is rounding noise of the mean, so the jitter
-    # must not scale with it: the lift and the raw-point reference both land
-    # on the absolute floor.
+    """Constant points have no spread beyond the rounding of their centre, so
+    no ridge scales with them and no floor stands in: any fit of them, and
+    any fit whose points differ from them by an ulp, is a DegenerateError."""
     pts = np.full((50, 1), value)
-    for _ in range(50):
-        w = rng.uniform(size=50)
-        for fit in (raw_weighted_mle(pts, w), weighted_mle(Lifted(pts), w)):
-            assert fit.cov[0, 0] == pytest.approx(1e-9, rel=1e-9, abs=0.0)
-            assert fit.mean[0] == pytest.approx(value, rel=1e-15, abs=0.0)
+    nudged = pts.copy()
+    nudged[::7] = np.nextafter(value, np.inf)
+    for points in (pts, nudged, pts[:1]):
+        with pytest.raises(DegenerateError, match="no spread beyond the rounding of their centre"):
+            Lifted(points)
+        with pytest.raises(DegenerateError, match="no spread"):
+            weighted_mle(points, rng.uniform(size=len(points)))
+    assert Lifted(np.array([[value], [value * (1.0 + 1e-10)]])).ridge > 0.0
 
 
 def test_lifted_path_keeps_every_input_check():

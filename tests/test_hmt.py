@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from floodem import gmm, oracle
 from floodem.errors import DataError, DegenerateError, DimError, FloodemError, FormatError, InitError, SpecError
-from floodem.gaussian import GaussianParams, Lifted, regularize, weighted_mle
+from floodem.gaussian import GaussianParams, Lifted, weighted_mle
 from floodem.gmm import GmmModel
 from floodem.grid import LabelSet, RasterScene, SceneSpec, generate_scene, sample_labels
 from floodem.hmt import (
@@ -30,7 +30,7 @@ from floodem.hmt import (
     model_values,
     save_model,
 )
-from floodem.oracle import assignment_log_joint, expected_complete_loglik, pairwise_from_marginals
+from floodem.oracle import assignment_log_joint, expected_complete_loglik, log_prior, pairwise_from_marginals
 
 # --- tree construction ---
 
@@ -581,8 +581,8 @@ def test_m_step_moments_match_independent_formulas(rng):
         w = marginal if cls == 1 else 1.0 - marginal
         mean = (w[:, None] * feats).sum(axis=0) / w.sum()
         centered = feats - mean
-        cov = (w[:, None] * centered).T @ centered / w.sum()
-        cov = regularize((cov + cov.T) / 2.0, 1e-9 * np.trace(cov) / 2.0)
+        psi = 1e-9 * np.sum((feats - feats.mean(axis=0)) ** 2) / 2.0
+        cov = ((w[:, None] * centered).T @ centered + psi * np.eye(2)) / w.sum()
         np.testing.assert_allclose(new.components[cls].mean, mean, atol=1e-12)
         np.testing.assert_allclose(new.components[cls].cov, cov, atol=1e-12)
 
@@ -726,6 +726,18 @@ def test_em_fit_requires_two_labels_per_class(small_scene):
         em_fit(scene, labels)
 
 
+def test_em_fit_names_a_class_whose_labels_have_no_spread(small_scene):
+    """Labeled pixels of one feature vector leave no scale for the ridge: an
+    InitError naming the class, which sweep-labels records as nan."""
+    scene, labels = small_scene
+    data = scene.data.copy()
+    flat, cls = labels.flat_indices(scene.width, scene.height)
+    channels = [c for c in range(scene.channels) if c != scene.elevation_channel]
+    data.reshape(scene.channels, -1)[np.ix_(channels, flat[cls == 1])] = 7.0
+    with pytest.raises(InitError, match=r"class 1's \d+ labeled samples: points have no spread"):
+        em_fit(dataclasses.replace(scene, data=data), labels)
+
+
 def test_em_fit_expected_loglik_monotone():
     spec = SceneSpec(width=8, height=8, obstacle_fraction=0.2, labels_per_class=5, seed=12)
     scene, labels = generate_scene(spec)
@@ -736,8 +748,8 @@ def test_em_fit_expected_loglik_monotone():
     assert len(models) >= 3
     for old, new in zip(models, models[1:]):
         marginal = e_step(old, tree, feats)
-        q_old = expected_complete_loglik(marginal, old, tree, feats)
-        q_new = expected_complete_loglik(marginal, new, tree, feats)
+        q_old = expected_complete_loglik(marginal, old, tree, feats) + log_prior(old, feats)
+        q_new = expected_complete_loglik(marginal, new, tree, feats) + log_prior(new, feats)
         assert q_new >= q_old - 1e-8
     logliks = trace.logliks
     for a, b in zip(logliks, logliks[1:]):

@@ -84,9 +84,12 @@ def test_gmm_loglik_fully_labeled_scene():
     labels = LabelSet([(0, 0, 0), (0, 1, 1)])
     model = _mixture()
     got = gmm_loglik(model, scene, labels, use_elevation=False)
+    # The prior: psi = 1e-9 * (2.5^2 + 2.5^2) / 1, times -1/2 (1 + 1), for
+    # two unit-variance classes.
     expected = (
         math.log(0.5) + log_pdf(model.components[0], np.array([0.0]))
         + math.log(0.5) + log_pdf(model.components[1], np.array([5.0]))
+        - 0.5 * 1.25e-8 * 2.0
     )
     assert got == pytest.approx(expected, abs=1e-12)
 
@@ -97,4 +100,5 @@ def test_gmm_loglik_single_unlabeled_pixel_at_mode():
     got = gmm_loglik(model, scene, LabelSet([]), use_elevation=False)
     n0 = math.exp(-0.5 * math.log(2 * math.pi))
     n1 = math.exp(-0.5 * math.log(2 * math.pi) - 12.5)
+    # One point has no spread, so its prior term is 0.
     assert got == pytest.approx(math.log(0.5 * n0 + 0.5 * n1), abs=1e-12)
