@@ -39,12 +39,11 @@ class Lifted:
     statistic: a row of ones, the centred points z = x - ``center``, then
     z_i * z_j for i <= j in row-major order. Centring on the points' mean
     keeps the raw second moments close to the covariances they stand for.
-    ``shape`` is the (n, m) of the points, like a point array's; (n,) points
-    are n one-dimensional points. ``sums`` is phi @ 1, the statistic sums of
-    unit weights. ``ridge`` is the fits' psi: 1e-9 of sum_n |z_n|^2 / m, so a
-    unit-weight fit's ridge psi / n is 1e-9 of its mean variance. Points with
-    no spread beyond the rounding of their centre, a mean |z|^2 of at most
-    (64 ulps of |centre|)^2, have no scale to set psi from: a DegenerateError.
+    ``shape`` is the (n, m) of the points. ``sums`` is phi @ 1, the statistic
+    sums of unit weights. ``ridge`` is the fits' psi: 1e-9 of sum_n |z_n|^2
+    / m, so a unit-weight fit's ridge psi / n is 1e-9 of its mean variance.
+    Points with no spread beyond the rounding of their centre, a mean |z|^2
+    of at most (64 ulps of |centre|)^2, leave psi no scale: a DegenerateError.
     """
 
     def __init__(self, points: np.ndarray) -> None:
@@ -52,8 +51,6 @@ class Lifted:
             pts = np.asarray(points, dtype=float)
         except ValueError as exc:
             raise DimError("points do not share a common dimension") from exc
-        if pts.ndim not in (0, 2) and pts.size:  # row k of any other shape is point k
-            pts = pts.reshape(len(pts), -1)
         if pts.ndim != 2 or pts.shape[0] == 0:
             raise DimError(f"cannot lift points of shape {pts.shape}; need a non-empty (n, m) array")
         n, m = pts.shape
@@ -79,9 +76,10 @@ class Lifted:
 class GaussianParams:
     """Mean vector and positive-definite covariance of one class's feature distribution.
 
-    The covariance is symmetrized on construction; one that then fails
-    Cholesky is a DataError, never repaired. The inverse factor is cached so
-    per-pixel density evaluation is a single triangular multiply.
+    The covariance is symmetrized on construction, evening out a computed
+    fit's rounding (a model file's must already be symmetric); one that then
+    fails Cholesky is a DataError, never repaired. The inverse factor is
+    cached so per-pixel density evaluation is a single triangular multiply.
     """
 
     mean: np.ndarray
@@ -122,24 +120,21 @@ def _theta(g: GaussianParams, lifted: Lifted) -> np.ndarray:
     return np.concatenate([[g._log_norm - 0.5 * float(d @ prec_d)], prec_d, quad[lifted.pairs]])
 
 
-def log_pdf(g: GaussianParams, x: np.ndarray | Lifted, out: np.ndarray | None = None) -> np.ndarray | float:
-    """Log density ln N(x; mean, cov), for a single vector, a (n, m) batch or a
-    `Lifted` batch; a batch's densities go into ``out`` where one is given.
-    A raw batch is read as its (m, n) transpose, z = L^-1 (x^T - mean) with
-    one contiguous row per coordinate: `RasterScene.feature_matrix`'s layout."""
+def log_pdf(g: GaussianParams, x: np.ndarray | Lifted, out: np.ndarray | None = None) -> np.ndarray:
+    """Log densities ln N(x; mean, cov) of a (n, m) batch or a `Lifted`
+    batch, written into ``out`` where one is given. A raw batch is read as
+    its (m, n) transpose, z = L^-1 (x^T - mean) with one contiguous row per
+    coordinate: `RasterScene.feature_matrix`'s layout."""
     if isinstance(x, Lifted):
         if x.shape[1] != g.dim:
             raise DimError(f"point dimension {x.shape} does not match Gaussian dimension {g.dim}")
         return np.matmul(_theta(g, x), x.phi, out=out)
     x = np.asarray(x, dtype=float)
-    single = x.ndim == 1
-    pts = np.atleast_2d(x)
-    if pts.ndim != 2 or pts.shape[1] != g.dim:
+    if x.ndim != 2 or x.shape[1] != g.dim:
         raise DimError(f"point dimension {x.shape} does not match Gaussian dimension {g.dim}")
-    z = g._chol_inv @ np.subtract(pts.T, g.mean[:, None], order="C")
+    z = g._chol_inv @ np.subtract(x.T, g.mean[:, None], order="C")
     maha = np.einsum("ij,ij->j", z, z)
-    out = np.subtract(g._log_norm, 0.5 * maha, out=out)
-    return float(out[0]) if single else out
+    return np.subtract(g._log_norm, 0.5 * maha, out=out)
 
 
 def weighted_mle(points: np.ndarray | Lifted, weights: np.ndarray) -> GaussianParams:

@@ -32,6 +32,7 @@ import math
 import warnings
 from dataclasses import dataclass, field, replace
 from functools import cached_property
+from typing import ClassVar
 
 import numpy as np
 
@@ -133,6 +134,7 @@ class GmmModel:
     """The two-class mixture: a root prior ``pi1`` (pi0 derived), per-class
     emission Gaussians, and whether the features include the elevation channel."""
 
+    HEAD: ClassVar[tuple[str, ...]] = ("use_elevation",)  # a model file's fields before pi1
     pi1: float
     components: tuple[GaussianParams, GaussianParams]
     use_elevation: bool = False
@@ -140,6 +142,9 @@ class GmmModel:
     def __post_init__(self):
         if not 0.0 <= self.pi1 <= 1.0:  # NaN fails every comparison
             raise DataError(f"pi1 must lie in [0, 1], got {self.pi1}")
+        if self.use_elevation not in (0, 1):  # NaN is neither
+            raise DataError(f"use_elevation must be 0 or 1, got {self.use_elevation:g}")
+        self.use_elevation = bool(self.use_elevation)
 
     @property
     def pi0(self) -> float:
@@ -155,6 +160,7 @@ class HmtModel(GmmModel):
     """The mixture plus the transition strength rho, and the neighborhood of
     the flow forest it was fitted on."""
 
+    HEAD: ClassVar[tuple[str, ...]] = ("rho", "neighborhood")
     rho: float
     neighborhood: int = 8
     use_elevation: bool = field(default=False, init=False)  # the elevation builds the forest instead
@@ -163,6 +169,9 @@ class HmtModel(GmmModel):
         super().__post_init__()
         if not 0.0 < self.rho <= 1.0:
             raise DataError(f"rho must lie in (0, 1], got {self.rho}")
+        if self.neighborhood not in (4, 8):
+            raise DataError(f"neighborhood must be 4 or 8, got {self.neighborhood:g}")
+        self.neighborhood = int(self.neighborhood)
 
     def log_transition(self) -> np.ndarray:
         """2x2 log table indexed [child, parent]; columns are stochastic."""
@@ -187,7 +196,7 @@ class EmTrace:
         its `model_keys`, its objective and max relative change."""
         if not self.models:
             raise IoError("empty trace")
-        keys = model_keys(self.models[0].dim, isinstance(self.models[0], HmtModel))
+        keys = model_keys(type(self.models[0]), self.models[0].dim)
         lines = [",".join(["iter", *keys, "loglik", "maxrel"])]
         for it, (model, loglik, maxrel) in enumerate(zip(self.models, self.logliks, self.max_rel_changes)):
             vals = [*model_values(model), loglik, maxrel]
@@ -456,7 +465,7 @@ def _squarem_jump(like: GmmModel, x0: np.ndarray, x1: np.ndarray, x2: np.ndarray
         alpha = -norm_r / norm_v
         x = x0 - 2.0 * alpha * r + alpha * alpha * v
     try:
-        return model_from_values(x, like.dim, isinstance(like, HmtModel)), x
+        return model_from_values(x, type(like), like.dim), x
     except DataError:
         return None
 
@@ -567,12 +576,10 @@ def map_decode(model: GmmModel, tree: FlowTree, features: np.ndarray) -> np.ndar
 
 # --- model files: one key=value per line, 17-significant-digit floats ---
 
-def model_keys(dim: int, tree: bool) -> list[str]:
-    """The keys of a model file in file order: rho and the neighborhood for a
-    tree model, use_elevation for a mixture, pi1, then each class's mean and
-    row-major covariance."""
-    keys = ["rho", "neighborhood"] if tree else ["use_elevation"]
-    keys.append("pi1")
+def model_keys(family: type[GmmModel], dim: int) -> list[str]:
+    """The keys of a model file in file order: the family's ``HEAD``, pi1,
+    then each class's mean and row-major covariance."""
+    keys = [*family.HEAD, "pi1"]
     for c in (0, 1):
         keys += [f"mean.{c}.{i}" for i in range(dim)]
         keys += [f"cov.{c}.{i}.{j}" for i in range(dim) for j in range(dim)]
@@ -581,61 +588,56 @@ def model_keys(dim: int, tree: bool) -> list[str]:
 
 def model_values(model: GmmModel) -> np.ndarray:
     """The parameter vector of ``model``, in the order of `model_keys`."""
-    head = [model.rho, model.neighborhood] if isinstance(model, HmtModel) else [model.use_elevation]
+    head = [getattr(model, key) for key in model.HEAD]
     g0, g1 = model.components
     return np.concatenate([head + [model.pi1], g0.mean, g0.cov.ravel(), g1.mean, g1.cov.ravel()])
 
 
-def model_from_values(values, dim: int, tree: bool) -> GmmModel:
-    """The model whose `model_values` are ``values``, for the family and the
-    dimension given. An invalid model is a DataError and is never repaired:
-    a covariance must pass Cholesky as it stands, pi1 lie in [0, 1], rho in
-    (0, 1], the neighborhood be 4 or 8 and use_elevation 0 or 1."""
+def model_from_values(values, family: type[GmmModel], dim: int) -> GmmModel:
+    """The ``family`` model of dimension ``dim`` whose `model_values` are
+    ``values``. An invalid model is a DataError and is never repaired: a
+    covariance must be symmetric and pass Cholesky as it stands, and every
+    head field and pi1 must pass the family's constructor."""
     values = np.asarray(values, dtype=float)
     head, blocks = np.split(values, [values.size - 2 * dim * (dim + 1)])
-    components = tuple(GaussianParams(b[:dim], b[dim:].reshape(dim, dim)) for b in blocks.reshape(2, -1))
-    if not tree:
-        use_elevation, pi1 = head
-        if use_elevation not in (0.0, 1.0):
-            raise DataError(f"use_elevation must be 0 or 1, got {use_elevation:g}")
-        return GmmModel(pi1=float(pi1), components=components, use_elevation=bool(use_elevation))
-    rho, neighborhood, pi1 = head
-    if neighborhood not in (4.0, 8.0):
-        raise DataError(f"neighborhood must be 4 or 8, got {neighborhood:g}")
-    return HmtModel(pi1=float(pi1), components=components, rho=float(rho), neighborhood=int(neighborhood))
+    components = []
+    for c, b in enumerate(blocks.reshape(2, -1)):
+        cov = b[dim:].reshape(dim, dim)
+        if not np.array_equal(cov, cov.T, equal_nan=True):  # a NaN gets GaussianParams' message
+            raise DataError(f"class {c}'s covariance is not symmetric")
+        components.append(GaussianParams(b[:dim], cov))
+    fields = dict(zip([*family.HEAD, "pi1"], head.tolist(), strict=True))
+    return family(**fields, components=tuple(components))
 
 
 def save_model(model: GmmModel, path: str) -> None:
     """Write either family, one `model_keys` line per `model_values` entry."""
-    keys = model_keys(model.dim, isinstance(model, HmtModel))
+    keys = model_keys(type(model), model.dim)
     write_lines(path, "model", (f"{key}={val:.17g}" for key, val in zip(keys, model_values(model))))
 
 
-def _file_shape(kv: dict) -> tuple[int, bool]:
-    """The (dimension, tree) whose `model_keys` a file's keys stand for. A file
-    with rho holds a tree model, and the dimension is the one whose key list is
-    nearest the file's in length, so one missing or foreign key is named as
-    such and does not shift the dimension."""
-    tree = "rho" in kv
+def _file_shape(kv: dict) -> tuple[type[GmmModel], int]:
+    """The (family, dimension) whose `model_keys` a file's keys stand for. A
+    file with rho holds a tree model, and the dimension is the one whose key
+    list is nearest the file's in length, so one missing or foreign key is
+    named as such and does not shift the dimension."""
+    family = HmtModel if "rho" in kv else GmmModel
     dims = range(1, math.isqrt(len(kv)) + 2)
-    return min(dims, key=lambda m: abs(len(model_keys(m, tree)) - len(kv))), tree
+    return family, min(dims, key=lambda m: abs(len(model_keys(family, m)) - len(kv)))
 
 
 def load_model(path: str) -> GmmModel:
-    """The model a file holds, built by `model_from_values`: a tree model if it
-    has a rho key, else a mixture.
-
-    A key outside the file's `model_keys`, one of them missing, or a model
-    `model_from_values` rejects is a FormatError.
-    """
+    """The model a file holds, of `_file_shape`'s family, built by
+    `model_from_values`. A key outside the file's `model_keys`, one of them
+    missing, or a model `model_from_values` rejects is a FormatError."""
     kv = read_key_values(path, "model", lambda texts: model_keys(*_file_shape(texts)),
                          lambda key, val: float(val), FormatError)
-    dim, tree = _file_shape(kv)
-    keys = model_keys(dim, tree)
+    family, dim = _file_shape(kv)
+    keys = model_keys(family, dim)
     for key in keys:
         if key not in kv:
             raise FormatError(f"{path}: missing model key {key!r}")
     try:
-        return model_from_values([kv[key] for key in keys], dim, tree)
+        return model_from_values([kv[key] for key in keys], family, dim)
     except DataError as exc:
         raise FormatError(f"{path}: {exc}") from None

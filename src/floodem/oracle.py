@@ -173,14 +173,14 @@ def assignment_log_joint(model, tree, features, classes) -> float:
     return total
 
 
-def gmm_loglik(model, scene, labels, use_elevation: bool) -> float:
-    """Observed-data log likelihood of a mixture model plus its `log_prior`,
-    the objective mixture EM never lets drop, written independently.
+def gmm_loglik(model, scene, labels) -> float:
+    """Observed-data log likelihood of a mixture model over the channels it
+    names plus its `log_prior`: mixture EM's objective, written independently.
 
     Unlabeled pixels contribute ln sum_c pi_c N_c(x); labeled pixels the joint
     term ln pi_y N_y(x).
     """
-    feats = scene.feature_matrix(use_elevation)
+    feats = scene.feature_matrix(model.use_elevation)
     lp = _class_log_densities(model, feats) + [[_log(1.0 - model.pi1)], [_log(model.pi1)]]
     flat, cls = labels.flat_indices(scene.width, scene.height)
     unlabeled = np.ones(feats.shape[0], dtype=bool)
@@ -328,7 +328,7 @@ def run_verify(n_trees: int = 100, seed: int = 0, out=None) -> bool:
     spec = SceneSpec(width=16, height=16, obstacle_fraction=0.2, labels_per_class=8, seed=seed)
     scene, labels = generate_scene(spec)
     _, trace = gmm.em_fit(scene, labels, use_elevation=False)
-    logliks = [gmm_loglik(m, scene, labels, use_elevation=False) for m in trace.models]
+    logliks = [gmm_loglik(m, scene, labels) for m in trace.models]
     drops = [b - a for a, b in zip(logliks, logliks[1:]) if b < a - 1e-8]
     emit(not drops, "mixture EM log likelihood is non-decreasing",
          f"{len(trace.models) - 1} EM maps, stop {trace.stop_reason}, "

@@ -117,7 +117,7 @@ def test_criterion_3_em_objectives_non_decreasing():
         scene, labels = generate_scene(spec)
 
         _, trace = gmm.em_fit(scene, labels, use_elevation=False)
-        logliks = [oracle.gmm_loglik(m, scene, labels, use_elevation=False) for m in trace.models]
+        logliks = [oracle.gmm_loglik(m, scene, labels) for m in trace.models]
         for a, b in zip(logliks, logliks[1:]):
             worst_gmm = max(worst_gmm, a - b)
 

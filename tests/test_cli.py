@@ -108,7 +108,7 @@ def test_train_hmt_trace_starts_at_reference_defaults(workdir, tmp_path):
     assert rc == 0
     lines = (out / "trace.csv").read_text().splitlines()
     header = lines[0].split(",")
-    assert header == ["iter", *hmt.model_keys(3, True), "loglik", "maxrel"]
+    assert header == ["iter", *hmt.model_keys(hmt.HmtModel, 3), "loglik", "maxrel"]
     first = dict(zip(header, lines[1].split(",")))
     assert float(first["rho"]) == 0.99
     assert float(first["pi1"]) == 0.5
@@ -625,6 +625,24 @@ def test_predict_rejects_a_model_file_with_out_of_range_values(workdir, tmp_path
                "--scene", str(workdir / "scene.sgrid"), "--out", str(run)]
     assert cli.main(predict) == 3
     assert key in capsys.readouterr().err
+
+
+def test_predict_rejects_an_asymmetric_covariance(workdir, tmp_path, capsys):
+    """A model file's covariance is read as it stands: unequal off-diagonal
+    entries are a data error naming the class, not averaged into a model."""
+    run = tmp_path / "run"
+    assert cli.main(["train", "--method", "hmt", "--scene", str(workdir / "scene.sgrid"),
+                     "--labels", str(workdir / "labels.txt"), "--out", str(run)]) == 0
+    model_file = run / "model.txt"
+    edits = {"cov.0.0.1": "0.2", "cov.0.1.0": "0.6"}
+    pairs = [line.split("=") for line in model_file.read_text().splitlines()]
+    model_file.write_text("".join(f"{key}={edits.get(key, value)}\n" for key, value in pairs))
+    capsys.readouterr()
+    predict = ["predict", "--model", str(model_file),
+               "--scene", str(workdir / "scene.sgrid"), "--out", str(run)]
+    assert cli.main(predict) == 3
+    assert f"{model_file}: class 0's covariance is not symmetric" in capsys.readouterr().err
+    assert not list(run.glob("*.sgrid"))
 
 
 @pytest.mark.parametrize("method, edit, named", [

@@ -10,12 +10,12 @@ from floodem.oracle import log_density, raw_weighted_mle
 
 def test_log_pdf_standard_normal_at_mode():
     g = GaussianParams(np.zeros(1), np.eye(1))
-    assert log_pdf(g, np.zeros(1)) == pytest.approx(-0.5 * math.log(2 * math.pi), abs=1e-12)
+    assert log_pdf(g, np.zeros((1, 1)))[0] == pytest.approx(-0.5 * math.log(2 * math.pi), abs=1e-12)
 
 
 def test_log_pdf_bivariate_standard_at_mode():
     g = GaussianParams(np.zeros(2), np.eye(2))
-    assert log_pdf(g, np.zeros(2)) == pytest.approx(-math.log(2 * math.pi), abs=1e-12)
+    assert log_pdf(g, np.zeros((1, 2)))[0] == pytest.approx(-math.log(2 * math.pi), abs=1e-12)
 
 
 def test_log_pdf_matches_direct_formula():
@@ -23,7 +23,7 @@ def test_log_pdf_matches_direct_formula():
     g = GaussianParams(np.array([3.0]), np.array([[4.0]]))
     expected = -0.5 * math.log(2 * math.pi * 4.0) - (5.0 - 3.0) ** 2 / (2 * 4.0)
     assert expected == pytest.approx(-0.5 * math.log(8 * math.pi) - 0.5, abs=1e-15)
-    assert log_pdf(g, np.array([5.0])) == pytest.approx(expected, abs=1e-12)
+    assert log_pdf(g, np.array([[5.0]]))[0] == pytest.approx(expected, abs=1e-12)
 
 
 def test_log_pdf_batch_matches_scalar(rng):
@@ -31,7 +31,7 @@ def test_log_pdf_batch_matches_scalar(rng):
     pts = rng.normal(size=(10, 3))
     batch = log_pdf(g, pts)
     for i in range(10):
-        assert batch[i] == pytest.approx(log_pdf(g, pts[i]), abs=1e-12)
+        assert batch[i] == pytest.approx(log_pdf(g, pts[i : i + 1])[0], abs=1e-12)
 
 
 def test_log_pdf_integrates_to_one_1d():
@@ -46,7 +46,9 @@ def test_log_pdf_integrates_to_one_1d():
 def test_log_pdf_dim_mismatch():
     g = GaussianParams(np.zeros(2), np.eye(2))
     with pytest.raises(DimError):
-        log_pdf(g, np.zeros(3))
+        log_pdf(g, np.zeros((1, 3)))
+    with pytest.raises(DimError):  # a single point is a one-row batch, never a bare vector
+        log_pdf(g, np.zeros(2))
 
 
 # Points 0 and 2 lie 1 from their centre: the ridge is 1e-9 * (1 + 1) / 1.
@@ -54,11 +56,12 @@ TWO_POINT_RIDGE = 2e-9
 
 
 def test_weighted_mle_two_points_unit_weights():
-    for points in ([[0.0], [2.0]], [0.0, 2.0]):  # (n,) points are n one-dimensional points
-        est = weighted_mle(np.array(points), np.array([1.0, 1.0]))
-        assert est.mean[0] == pytest.approx(1.0, abs=1e-15)
-        # (S_w + psi) / W with S_w = 1 + 1 and W = 2
-        assert est.cov[0, 0] == pytest.approx((2.0 + TWO_POINT_RIDGE) / 2.0, abs=1e-15)
+    est = weighted_mle(np.array([[0.0], [2.0]]), np.array([1.0, 1.0]))
+    assert est.mean[0] == pytest.approx(1.0, abs=1e-15)
+    # (S_w + psi) / W with S_w = 1 + 1 and W = 2
+    assert est.cov[0, 0] == pytest.approx((2.0 + TWO_POINT_RIDGE) / 2.0, abs=1e-15)
+    with pytest.raises(DimError):  # points are (n, m), never reshaped from (n,)
+        weighted_mle(np.array([0.0, 2.0]), np.array([1.0, 1.0]))
 
 
 def test_weighted_mle_zero_weight_removes_point():

@@ -128,7 +128,7 @@ def test_loglik_monotone_against_oracle():
     spec = SceneSpec(width=20, height=10, obstacle_fraction=0.2, labels_per_class=10, seed=2)
     scene, labels = generate_scene(spec)
     _, trace = em_fit(scene, labels, use_elevation=False)
-    logliks = [oracle.gmm_loglik(m, scene, labels, use_elevation=False) for m in trace.models]
+    logliks = [oracle.gmm_loglik(m, scene, labels) for m in trace.models]
     assert len(logliks) >= 3
     for a, b in zip(logliks, logliks[1:]):
         assert b >= a - 1e-8
@@ -139,7 +139,7 @@ def test_trace_matches_oracle_loglik():
     scene, labels = generate_scene(spec)
     model, trace = em_fit(scene, labels, use_elevation=False, max_iter=5)
     assert trace.logliks[-1] == pytest.approx(
-        oracle.gmm_loglik(model, scene, labels, use_elevation=False), abs=1e-8
+        oracle.gmm_loglik(model, scene, labels), abs=1e-8
     )
 
 
@@ -283,7 +283,7 @@ def test_squarem_stabilizes_each_accepted_jump(acceptance_fixture, monkeypatch, 
     for a, b in zip(trace.logliks, trace.logliks[1:]):
         assert b >= a
     for m, loglik in zip(trace.models, trace.logliks):
-        assert loglik == pytest.approx(oracle.gmm_loglik(m, scene, labels, use_elevation=use_elevation), rel=1e-6)
+        assert loglik == pytest.approx(oracle.gmm_loglik(m, scene, labels), rel=1e-6)
 
 
 def test_run_em_numbers_the_failing_update(small_scene, monkeypatch):

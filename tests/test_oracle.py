@@ -27,8 +27,8 @@ def test_single_node_is_bayes_rule():
     tree = FlowTree.from_parents(np.array([-1]))
     x = np.array([[1.2]])
     marg, pairwise, assign, value = enumerate_joint(model, tree, x)
-    w0 = 0.7 * math.exp(log_pdf(model.components[0], x[0]))
-    w1 = 0.3 * math.exp(log_pdf(model.components[1], x[0]))
+    w0 = 0.7 * math.exp(log_pdf(model.components[0], x)[0])
+    w1 = 0.3 * math.exp(log_pdf(model.components[1], x)[0])
     assert marg[0] == pytest.approx(w1 / (w0 + w1), abs=1e-12)
     assert np.all(np.isnan(pairwise[0]))
     assert assign[0] == (1 if w1 > w0 else 0)
@@ -83,12 +83,12 @@ def test_gmm_loglik_fully_labeled_scene():
     scene = RasterScene(width=2, height=1, channels=1, data=np.array([0.0, 5.0]))
     labels = LabelSet([(0, 0, 0), (0, 1, 1)])
     model = _mixture()
-    got = gmm_loglik(model, scene, labels, use_elevation=False)
+    got = gmm_loglik(model, scene, labels)
     # The prior: psi = 1e-9 * (2.5^2 + 2.5^2) / 1, times -1/2 (1 + 1), for
     # two unit-variance classes.
     expected = (
-        math.log(0.5) + log_pdf(model.components[0], np.array([0.0]))
-        + math.log(0.5) + log_pdf(model.components[1], np.array([5.0]))
+        math.log(0.5) + log_pdf(model.components[0], np.array([[0.0]]))[0]
+        + math.log(0.5) + log_pdf(model.components[1], np.array([[5.0]]))[0]
         - 0.5 * 1.25e-8 * 2.0
     )
     assert got == pytest.approx(expected, abs=1e-12)
@@ -97,7 +97,7 @@ def test_gmm_loglik_fully_labeled_scene():
 def test_gmm_loglik_single_unlabeled_pixel_at_mode():
     scene = RasterScene(width=1, height=1, channels=1, data=np.array([0.0]))
     model = _mixture()
-    got = gmm_loglik(model, scene, LabelSet([]), use_elevation=False)
+    got = gmm_loglik(model, scene, LabelSet([]))
     n0 = math.exp(-0.5 * math.log(2 * math.pi))
     n1 = math.exp(-0.5 * math.log(2 * math.pi) - 12.5)
     # One point has no spread, so its prior term is 0.
