@@ -95,7 +95,7 @@ class GaussianParams:
             raise DimError(f"covariance shape {cov.shape} does not match mean dimension {m}")
         if not (np.all(np.isfinite(self.mean)) and np.all(np.isfinite(cov))):
             raise DataError("Gaussian parameters contain non-finite entries")
-        cov = (cov + cov.T) / 2.0
+        cov = cov / 2.0 + cov.T / 2.0  # halved first, so a finite entry cannot overflow
         try:
             chol = np.linalg.cholesky(cov)
         except np.linalg.LinAlgError:

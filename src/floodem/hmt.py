@@ -10,20 +10,22 @@ pixel can never sit above a dry parent):
 
 Parentless nodes carry the Bernoulli prior (pi0, pi1). Emissions are
 per-class Gaussians. `GmmModel` is the prior and the emissions, `HmtModel`
-the mixture plus rho; `save_model` and `load_model` write and read both, and
+the mixture plus rho, and each family's `forest` is the one it is fitted and
+predicted on. `save_model` and `load_model` write and read both, and
 `init_from_labels` fits the initial mixture to the labeled pixels.
 `forest_em` is the EM; its `EmTrace` keeps the model after each EM map. On
-the edgeless forest, where every node is a root, the same EM is the two-class
-mixture of `floodem.gmm`, and there it is accelerated by SQUAREM.
+the edgeless forest, the mixture's, it is accelerated by SQUAREM.
 
 Inference is exact: sum-product for the node marginals and max-sum for the
 MAP labeling are one upward sweep that differs only in how it combines a
 child's two states, run level by level in the log domain with per-node
 max-shift normalization. Because of the structural zero, every pairwise
 posterior P(y_n, y_parent | X) follows from the two node marginals, so
-`e_step` returns the (N,) marginals and `m_step` reads nothing else. The
-brute-force references that certify this module, and the `floodem verify`
-suite that runs them, live in `floodem.oracle`.
+`e_step` returns the (N,) marginals and `m_step` reads nothing else.
+`predict` runs both sweeps on one computation of the emissions, so either
+family's classes are its MAP labeling. The brute-force references that
+certify this module, and the `floodem verify` suite that runs them, live in
+`floodem.oracle`.
 """
 
 from __future__ import annotations
@@ -150,6 +152,10 @@ class GmmModel:
     def pi0(self) -> float:
         return 1.0 - self.pi1
 
+    def forest(self, scene: RasterScene) -> FlowTree:
+        """The forest this family's EM and prediction run on: the edgeless one."""
+        return FlowTree.edgeless(scene.n_pixels)
+
     @property
     def dim(self) -> int:
         return self.components[0].dim
@@ -172,6 +178,10 @@ class HmtModel(GmmModel):
         if self.neighborhood not in (4, 8):
             raise DataError(f"neighborhood must be 4 or 8, got {self.neighborhood:g}")
         self.neighborhood = int(self.neighborhood)
+
+    def forest(self, scene: RasterScene) -> FlowTree:
+        """The flow forest of the scene's elevation under the model's neighborhood."""
+        return build_flow_tree(scene.elevation(), self.neighborhood)
 
     def log_transition(self) -> np.ndarray:
         """2x2 log table indexed [child, parent]; columns are stochastic."""
@@ -249,21 +259,13 @@ def build_flow_tree(elevation: np.ndarray, neighborhood: int = 8) -> FlowTree:
     return FlowTree.from_parents(np.where(lowest < elev, np.arange(h * w).reshape(h, w) + step[code], -1))
 
 
-def _log_emissions(
-    model: GmmModel, tree: FlowTree, features: np.ndarray | Lifted, rows: np.ndarray | None = None
-) -> np.ndarray:
-    """(2, N) log densities: class c in row c, the nodes listed in ``rows``
-    order, or in node order, where each row is written in place (EM's
-    E-step). Reordered rows (prediction, MAP decoding) are stacked: with the
-    (2, N) array allocated first, a 256x256 gmm-elev prediction faulted in
-    6 MB of fresh pages per call under glibc's malloc."""
+def _log_emissions(model: GmmModel, tree: FlowTree, features: np.ndarray | Lifted) -> np.ndarray:
+    """(2, N) log densities, class c in row c, in the order of the ``features`` rows."""
     shape = np.shape(features)
     if len(shape) != 2 or shape[1] != model.dim:
         raise DimError(f"features shape {shape} does not match emission dimension {model.dim}")
     if shape[0] != tree.n_nodes:
         raise DimError(f"{shape[0]} feature rows for {tree.n_nodes} tree nodes")
-    if rows is not None:
-        return np.stack([log_pdf(g, features)[rows] for g in model.components])
     u = np.empty((2, shape[0]))
     for g, row in zip(model.components, u):
         log_pdf(g, features, out=row)
@@ -341,18 +343,18 @@ def _downward(tree: FlowTree, u: np.ndarray) -> np.ndarray:
     return marginal
 
 
-def e_step(model: GmmModel, tree: FlowTree, features: np.ndarray) -> np.ndarray:
-    """Exact sum-product marginals P(y_n=1 | X) under the current parameters, in node order."""
-    u = _log_emissions(model, tree, features, tree.order)
+def e_step(model: GmmModel, tree: FlowTree, u: np.ndarray) -> np.ndarray:
+    """Exact sum-product marginals P(y_n=1 | X) in ``tree``'s layout, from the
+    (2, N) log emissions ``u`` in that layout, which the passes overwrite."""
     _upward(model, tree, u)
-    return _downward(tree, u)[tree.position]
+    return _downward(tree, u)
 
 
-def m_step(marginal: np.ndarray, parent: np.ndarray, features: np.ndarray | Lifted, model: GmmModel):
+def m_step(marginal: np.ndarray, parent: np.ndarray, lift: Lifted, model: GmmModel):
     """Closed-form update of ``model`` from the marginals P(y_n=1 | X).
 
     ``marginal``, ``parent`` (each node's parent index, -1 at roots) and
-    ``features`` list the nodes in one order, whichever it is. Class 1 is
+    ``lift`` list the nodes in one order, whichever it is. Class 1 is
     fitted with weights m and class 0 with 1 - m. The two weightings sum to
     one, so one product of the lift gives both fits: the lighter class's
     statistic sums Phi @ w are computed, and the heavier class's are the
@@ -366,7 +368,6 @@ def m_step(marginal: np.ndarray, parent: np.ndarray, features: np.ndarray | Lift
     mass on flooded parents it is undefined and kept, with a warning. A
     forest without edges leaves rho, or a mixture's lack of one, alone.
     """
-    lift = features if isinstance(features, Lifted) else Lifted(features)
     n = lift.shape[0]
     marginal, parent = np.asarray(marginal, dtype=float), np.asarray(parent)
     if marginal.shape != (n,) or parent.shape != (n,):
@@ -555,23 +556,29 @@ def em_fit(
 ) -> tuple[HmtModel, EmTrace]:
     """`forest_em` on the flow forest over the non-elevation channels, with no
     clamped pixels; the labels only initialize the emission Gaussians."""
-    tree = build_flow_tree(scene.elevation(), neighborhood)
     components = init_from_labels(scene, labels, use_elevation=False).components
     model = HmtModel(rho=rho_init, pi1=pi_init, components=components, neighborhood=neighborhood)
-    return forest_em(model, tree, scene, LabelSet([]), max_iter=max_iter, tol=tol)
+    return forest_em(model, model.forest(scene), scene, LabelSet([]), max_iter=max_iter, tol=tol)
 
 
-def map_decode(model: GmmModel, tree: FlowTree, features: np.ndarray) -> np.ndarray:
-    """Exact MAP labeling: the max-sum upward pass, then a backtrack that ands
-    each node's best class under a flooded parent (u1 > u0, over the whole
-    layout at once; ties break toward dry) with its parent's class."""
-    u = _log_emissions(model, tree, features, tree.order)
+def map_decode(model: GmmModel, tree: FlowTree, u: np.ndarray) -> np.ndarray:
+    """Exact MAP labeling in the layout, from ``u`` as `e_step` takes it: max-sum
+    upward, then a backtrack that ands each node's best class under a flooded
+    parent (u1 > u0, over the whole layout at once; ties go dry) with its parent's."""
     _upward(model, tree, u, np.maximum)
     classes = u[1] > u[0]
     for s, e, _, _ in reversed(tree.schedule):
         # Under a dry parent the structural zero leaves only dry.
         np.logical_and(classes[s:e], classes[tree.up[s:e]], out=classes[s:e])
-    return classes.view(np.uint8)[tree.position]
+    return classes.view(np.uint8)
+
+
+def predict(model: GmmModel, tree: FlowTree, features: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(MAP classes, flood marginals) in node order, from one computation of the raw
+    emissions gathered into ``tree``'s layout: `e_step` reads a copy, `map_decode` it."""
+    u = np.take(_log_emissions(model, tree, features), tree.order, axis=1)
+    marginal = e_step(model, tree, u.copy())
+    return map_decode(model, tree, u)[tree.position], marginal[tree.position]
 
 
 # --- model files: one key=value per line, 17-significant-digit floats ---

@@ -281,13 +281,12 @@ def run_verify(n_trees: int = 100, seed: int = 0, out=None) -> bool:
     exact = True
     for model, tree, feats in instances:
         om, op, oa, ov = enumerate_joint(model, tree, feats)
-        marginal = hmt.e_step(model, tree, feats)
+        dec, marginal = hmt.predict(model, tree, feats)
         worst = max(worst, float(np.max(np.abs(marginal - om))))
         nonroot = np.flatnonzero(tree.parent >= 0)
         if nonroot.size:
             pairwise = pairwise_from_marginals(marginal, tree.parent)
             worst = max(worst, float(np.max(np.abs(pairwise[nonroot] - op[nonroot]))))
-        dec = hmt.map_decode(model, tree, feats)
         dv = assignment_log_joint(model, tree, feats, dec)
         worst_map = max(worst_map, abs(dv - ov))
         if not np.array_equal(dec, oa):
@@ -302,8 +301,8 @@ def run_verify(n_trees: int = 100, seed: int = 0, out=None) -> bool:
     for model, tree, feats in instances[: min(25, n_trees)]:
         if not tree.has_edges:
             continue
-        marginal = hmt.e_step(model, tree, feats)
-        new = hmt.m_step(marginal, tree.parent, feats, model)
+        _, marginal = hmt.predict(model, tree, feats)
+        new = hmt.m_step(marginal, tree.parent, Lifted(feats), model)
         q_hat = expected_complete_loglik(marginal, new, tree, feats)
         for r in grid_rho:
             trial = hmt.HmtModel(rho=float(r), pi1=new.pi1, components=new.components)

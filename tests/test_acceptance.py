@@ -44,18 +44,15 @@ def canonical():
     results = {}
     for method, use_elev in (("gmm", False), ("gmm-elev", True)):
         model, _ = gmm.em_fit(scene, labels, use_elevation=use_elev)
-        scores = gmm.score_grid(model, scene)
-        pred = (scores >= 0.5).astype(np.uint8)
+        pred, scores = gmm.score_grid(model, scene)
         results[method] = {
             "avg_f": metrics.class_report(pred, scene.truth).avg_f,
             "auc": metrics.roc_auc(scores, scene.truth).auc,
             "noise": metrics.salt_pepper_count(pred),
         }
     model, _ = hmt.em_fit(scene, labels)
-    tree = hmt.build_flow_tree(scene.elevation())
-    feats = scene.feature_matrix(use_elevation=False)
-    decoded = hmt.map_decode(model, tree, feats)
-    marginal = hmt.e_step(model, tree, feats)
+    tree = model.forest(scene)
+    decoded, marginal = hmt.predict(model, tree, scene.feature_matrix(use_elevation=False))
     pred = decoded.reshape(scene.height, scene.width)
     results["hmt"] = {
         "avg_f": metrics.class_report(pred, scene.truth).avg_f,
@@ -73,7 +70,7 @@ def test_criterion_1_tree_posteriors_match_enumeration(tree_instances):
     worst = 0.0
     for model, tree, feats in tree_instances:
         om, op, _, _ = oracle.enumerate_joint(model, tree, feats)
-        marginal = hmt.e_step(model, tree, feats)
+        marginal = hmt.predict(model, tree, feats)[1]
         worst = max(worst, float(np.max(np.abs(marginal - om))))
         nonroot = np.flatnonzero(tree.parent >= 0)
         if nonroot.size:
@@ -93,7 +90,7 @@ def test_criterion_2_map_decoding_matches_enumeration(tree_instances):
     mismatched_without_tie = 0
     for model, tree, feats in tree_instances:
         _, _, oa, ov = oracle.enumerate_joint(model, tree, feats)
-        dec = hmt.map_decode(model, tree, feats)
+        dec = hmt.predict(model, tree, feats)[0]
         value = oracle.assignment_log_joint(model, tree, feats, dec)
         worst = max(worst, abs(value - ov))
         if not np.array_equal(dec, oa) and abs(value - ov) > 1e-9:
@@ -126,7 +123,7 @@ def test_criterion_3_em_objectives_non_decreasing():
         tree = hmt.build_flow_tree(scene.elevation())
         feats = scene.feature_matrix(use_elevation=False)
         for old, new in zip(tmodels, tmodels[1:]):
-            marginal = hmt.e_step(old, tree, feats)
+            marginal = hmt.predict(old, tree, feats)[1]
             # The M-step maximizes the expectation plus the covariance log prior.
             q_old = oracle.expected_complete_loglik(marginal, old, tree, feats) + oracle.log_prior(old, feats)
             q_new = oracle.expected_complete_loglik(marginal, new, tree, feats) + oracle.log_prior(new, feats)
@@ -240,7 +237,7 @@ def sweep_results(canonical, tmp_path_factory):
         for seed in (1, 2, 3):
             labels = sample_labels(scene, ratio, rng_seed=seed)
             model, _ = hmt.em_fit(scene, labels)
-            _DECODED_HMT_MAPS.append((hmt.map_decode(model, tree, feats), tree))
+            _DECODED_HMT_MAPS.append((hmt.predict(model, tree, feats)[0], tree))
     return table
 
 

@@ -7,7 +7,7 @@ import pytest
 
 from floodem import cli, gaussian, hmt, oracle
 from floodem.errors import DataError, SpecError
-from floodem.grid import RasterScene, SceneSpec, generate_scene, load_scene, save_scene
+from floodem.grid import RasterScene, SceneSpec, generate_scene, load_labels, load_scene, save_scene
 
 pytestmark = pytest.mark.filterwarnings("ignore::UserWarning")
 
@@ -153,6 +153,7 @@ def test_train_gmm_trace_is_monotone(workdir, tmp_path):
 
 
 def test_predict_gmm_class_grid_is_thresholded_score(workdir, tmp_path):
+    """A mixture's MAP class is its posterior at 1/2, on a scene with no exact tie."""
     run = tmp_path / "run"
     cli.main(
         [
@@ -235,10 +236,28 @@ def test_predict_hmt_uses_the_saved_neighborhood(workdir, tmp_path):
     scene = load_scene(scene_path)
     model = hmt.load_model(model_path)
     feats = scene.feature_matrix(use_elevation=False)
-    on_4 = hmt.map_decode(model, hmt.build_flow_tree(scene.elevation(), 4), feats)
-    on_8 = hmt.map_decode(model, hmt.build_flow_tree(scene.elevation(), 8), feats)
+    on_4 = hmt.predict(model, hmt.build_flow_tree(scene.elevation(), 4), feats)[0]
+    on_8 = hmt.predict(model, hmt.build_flow_tree(scene.elevation(), 8), feats)[0]
     assert np.any(on_4 != on_8)  # the test can tell the two forests apart
     np.testing.assert_array_equal(pred, on_4)
+
+
+@pytest.mark.parametrize("method", ["gmm", "gmm-elev", "hmt"])
+def test_one_predict_computes_each_raw_density_once(workdir, monkeypatch, method):
+    """A prediction of either family evaluates each class's raw density once
+    over the scene; its posterior and its MAP labeling share them."""
+    scene = load_scene(str(workdir / "scene.sgrid"))
+    model, _ = cli._train(method, scene, load_labels(str(workdir / "labels.txt")), cli.RunConfig(max_iter=2))
+    rows, log_pdf = [], hmt.log_pdf
+
+    def counting(g, x, **out):
+        rows.append(np.shape(x)[0])
+        return log_pdf(g, x, **out)
+
+    monkeypatch.setattr(hmt, "log_pdf", counting)
+    classes, scores = cli._predict(model, scene)
+    assert rows == [scene.n_pixels] * 2
+    assert classes.shape == scores.shape == (scene.height, scene.width)
 
 
 @pytest.mark.parametrize("method", ["hmt", "gmm"])

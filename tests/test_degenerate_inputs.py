@@ -67,7 +67,7 @@ def _check_fit(scene: RasterScene, model, trace) -> None:
         return
     feats = scene.feature_matrix(False)
     for old, new in zip(trace.models, trace.models[1:]):
-        marginal = hmt.e_step(old, tree, feats)
+        marginal = hmt.predict(old, tree, feats)[1]
         q_old, q_new = (oracle.expected_complete_loglik(marginal, m, tree, feats) + oracle.log_prior(m, feats)
                         for m in (old, new))
         assert q_new >= q_old - _slack(q_old, old, new), f"Q fell from {q_old!r} to {q_new!r}"

@@ -23,7 +23,7 @@ def _line_scene(values, truth=None):
 
 def _posterior(model, values):
     """Flood posteriors of the pixels of a line scene, through the mixture's E-step."""
-    return score_grid(model, _line_scene(values))[0]
+    return score_grid(model, _line_scene(values))[1][0]
 
 
 def test_init_from_labels_two_point_means():
@@ -61,6 +61,16 @@ def _sym_model():
 
 def test_posterior_symmetry_point():
     assert _posterior(_sym_model(), [0.0])[0] == pytest.approx(0.5, abs=1e-12)
+
+
+def test_an_exact_tie_decodes_dry():
+    """Means at -1/4 and 1/4 and pi1 = 1/2 give x = 0 equal joint densities
+    and a posterior of exactly 1/2: a mixture's classes are its MAP labeling,
+    whose ties go to dry, as a tree's do, and not its posterior's rounding."""
+    model = GmmModel(pi1=0.5, components=(GaussianParams([-0.25], np.eye(1)), GaussianParams([0.25], np.eye(1))))
+    classes, scores = score_grid(model, _line_scene([0.0, -1.0, 1.0]))
+    assert scores[0, 0] == 0.5
+    np.testing.assert_array_equal(classes, [[0, 0, 1]])
 
 
 def test_posterior_degenerate_prior():
@@ -149,22 +159,16 @@ def test_prior_complement_exact(small_scene):
     assert model.pi0 + model.pi1 == 1.0
 
 
-def test_infer_cutoff_half_is_joint_argmax(small_scene):
+def test_mixture_classes_are_the_joint_argmax_ties_dry(small_scene):
     scene, labels = small_scene
     model, _ = em_fit(scene, labels, use_elevation=True, max_iter=10)
-    pred = (score_grid(model, scene) >= 0.5).astype(np.uint8)
+    pred, _ = score_grid(model, scene)
     feats = scene.feature_matrix(True)
     from floodem.gaussian import log_pdf
 
     lp0 = np.log(model.pi0) + log_pdf(model.components[0], feats)
     lp1 = np.log(model.pi1) + log_pdf(model.components[1], feats)
-    np.testing.assert_array_equal(pred.ravel(), (lp1 >= lp0).astype(np.uint8))
-
-
-def test_infer_cutoff_zero_floods_everything(small_scene):
-    scene, labels = small_scene
-    model = init_from_labels(scene, labels, use_elevation=True)
-    assert (score_grid(model, scene) >= 0.0).all()
+    np.testing.assert_array_equal(pred.ravel(), (lp1 > lp0).astype(np.uint8))
 
 
 def test_converged_parameters_permutation_invariant():

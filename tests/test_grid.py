@@ -154,7 +154,7 @@ def test_generate_separable_scene_is_perfectly_classifiable():
     )
     scene, labels = generate_scene(spec)
     model, _ = gmm.em_fit(scene, labels, use_elevation=False)
-    pred = (gmm.score_grid(model, scene) >= 0.5).astype(np.uint8)
+    pred, _ = gmm.score_grid(model, scene)
     assert metrics.class_report(pred, scene.truth).avg_f == 1.0
 
 

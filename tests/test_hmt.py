@@ -18,16 +18,15 @@ from floodem.hmt import (
     _max_rel_change,
     HmtModel,
     build_flow_tree,
-    e_step,
     em_fit,
     forest_em,
     init_from_labels,
     load_model,
     m_step,
-    map_decode,
     model_from_values,
     model_keys,
     model_values,
+    predict,
     save_model,
 )
 from floodem.oracle import assignment_log_joint, expected_complete_loglik, log_prior, pairwise_from_marginals
@@ -264,11 +263,11 @@ def test_doubling_rejects_a_cycle_with_a_tail_next_to_a_deep_tree(cycle):
 def _clamped(density, model, clamp_idx, clamp_cls):
     """``density`` with the clamped pixels' other class set to zero likelihood."""
 
-    def clamped(params, feats):
-        out = density(params, feats)
+    def clamped(params, feats, **out):
+        dens = density(params, feats, **out)
         cls = 0 if params is model.components[0] else 1
-        out[clamp_idx[clamp_cls != cls]] = -np.inf
-        return out
+        dens[clamp_idx[clamp_cls != cls]] = -np.inf
+        return dens
 
     return clamped
 
@@ -293,13 +292,12 @@ def test_tiny_dem_inference_matches_enumeration(rng, monkeypatch):
             monkeypatch.setattr(hmt, "log_pdf", _clamped(log_pdf, model, clamp_idx, clamp_cls))
             monkeypatch.setattr(oracle, "log_density", _clamped(log_density, model, clamp_idx, clamp_cls))
             om, op, _, ov = oracle.enumerate_joint(model, tree, feats)
-            marginal = e_step(model, tree, feats)
+            dec, marginal = predict(model, tree, feats)
             np.testing.assert_allclose(marginal, om, atol=1e-9)
             np.testing.assert_allclose(marginal[clamp_idx], clamp_cls, atol=1e-12)
             nonroot = tree.parent >= 0
             pairwise = pairwise_from_marginals(marginal, tree.parent)
             np.testing.assert_allclose(pairwise[nonroot], op[nonroot], atol=1e-9)
-            dec = map_decode(model, tree, feats)
             assert assignment_log_joint(model, tree, feats, dec) == pytest.approx(ov, abs=1e-9)
 
 
@@ -311,13 +309,12 @@ def test_deep_chain_stays_finite_and_monotone():
     rng = np.random.default_rng(5)
     feats = rng.normal(size=(n, 1)) + np.where(np.arange(n) < n // 2, 2.0, 0.0)[:, None]
     model = HmtModel(rho=0.999, pi1=0.5, components=(_gauss(0.0), _gauss(2.0)))
-    marginal = e_step(model, tree, feats)
+    dec, marginal = predict(model, tree, feats)
     assert np.all((marginal >= 0.0) & (marginal <= 1.0))
     from floodem.hmt import _log_emissions, _upward
 
-    loglik = _upward(model, tree, _log_emissions(model, tree, feats, tree.order))
+    loglik = _upward(model, tree, _log_emissions(model, tree, feats)[:, tree.order])
     assert np.isfinite(loglik)
-    dec = map_decode(model, tree, feats)
     nonroot = tree.parent >= 0
     assert not np.any((dec[nonroot] == 1) & (dec[tree.parent[nonroot]] == 0))
     assert 0 < dec.sum() < n
@@ -337,7 +334,7 @@ def test_upward_keeps_each_nodes_message_to_a_flooded_parent():
     for _ in range(100):
         model, tree, feats = oracle.random_tree_instance(rng, int(rng.integers(2, 13)))
         marginal, _, _, _ = oracle.enumerate_joint(model, tree, feats)
-        u = _log_emissions(model, tree, feats, tree.order)
+        u = _log_emissions(model, tree, feats)[:, tree.order]
         _upward(model, tree, u)
         r = tree.starts[-1]
         nodes = tree.order[:r]  # the non-root layout positions come before the roots
@@ -380,7 +377,7 @@ def _gauss(mu, var=1.0):
 def test_single_node_prior_only():
     model = HmtModel(rho=0.9, pi1=0.5, components=(_gauss(0.0), _gauss(0.0)))
     tree = FlowTree.from_parents(np.array([-1]))
-    marginal = e_step(model, tree, np.array([[1.3]]))
+    marginal = predict(model, tree, np.array([[1.3]]))[1]
     assert marginal[0] == pytest.approx(0.5, abs=1e-12)
     assert np.all(np.isnan(pairwise_from_marginals(marginal, tree.parent)[0]))
 
@@ -391,7 +388,7 @@ def test_structural_zero_propagates_exactly():
     model = HmtModel(rho=1.0, pi1=0.5, components=(_gauss(0.0), _gauss(60.0)))
     tree = FlowTree.from_parents(np.array([-1, 0]))
     feats = np.array([[0.0], [30.0]])
-    marginal = e_step(model, tree, feats)
+    marginal = predict(model, tree, feats)[1]
     assert marginal[0] == 0.0
     assert marginal[1] == 0.0
     assert pairwise_from_marginals(marginal, tree.parent)[1, 1, 0] == 0.0
@@ -432,7 +429,7 @@ def test_a_dry_leaf_under_a_hard_chain_of_4096_levels_gives_exact_zeros(monkeypa
         assert np.isfinite(_upward(model, tree, u))
         assert np.all(np.isnan(u[:, : n - 1]))
         marginal = _downward(tree, u)
-        dec = map_decode(model, tree, feats)
+        dec = predict(model, tree, feats)[0]
     assert np.all(marginal == 0.0)
     assert not dec.any()
 
@@ -490,7 +487,7 @@ def test_pairwise_tables_consistent(rng):
     for trial in range(30):
         n = int(rng.integers(2, 13))
         model, tree, feats = oracle.random_tree_instance(rng, n)
-        marginal = e_step(model, tree, feats)
+        marginal = predict(model, tree, feats)[1]
         assert np.all((marginal >= 0.0) & (marginal <= 1.0))
         pairwise = pairwise_from_marginals(marginal, tree.parent)
         for node in np.flatnonzero(tree.parent >= 0):
@@ -508,7 +505,7 @@ def test_e_step_matches_enumeration(rng):
         n = int(rng.integers(2, 13))
         model, tree, feats = oracle.random_tree_instance(rng, n)
         om, op, _, _ = oracle.enumerate_joint(model, tree, feats)
-        marginal = e_step(model, tree, feats)
+        marginal = predict(model, tree, feats)[1]
         np.testing.assert_allclose(marginal, om, atol=1e-9)
         nonroot = np.flatnonzero(tree.parent >= 0)
         pairwise = pairwise_from_marginals(marginal, tree.parent)
@@ -525,11 +522,9 @@ def test_sibling_relabeling_invariance(rng):
     tree2 = FlowTree.from_parents(parent2)
     feats2 = np.empty_like(feats)
     feats2[perm] = feats
-    marginal = e_step(model, tree, feats)
-    marginal2 = e_step(model, tree2, feats2)
+    dec, marginal = predict(model, tree, feats)
+    dec2, marginal2 = predict(model, tree2, feats2)
     np.testing.assert_allclose(marginal2[perm], marginal, atol=1e-12)
-    dec = map_decode(model, tree, feats)
-    dec2 = map_decode(model, tree2, feats2)
     np.testing.assert_array_equal(dec2[perm], dec)
 
 
@@ -544,7 +539,7 @@ def test_m_step_rho_is_a_count_ratio(rng):
     feats = rng.normal(size=(n_children + 1, 2))
     marginal = np.array([1.0] + [1.0] * k + [0.0] * (n_children - k))
     g = GaussianParams(np.zeros(2), np.eye(2))
-    model = m_step(marginal, tree.parent, feats, HmtModel(rho=0.5, pi1=0.5, components=(g, g)))
+    model = m_step(marginal, tree.parent, Lifted(feats), HmtModel(rho=0.5, pi1=0.5, components=(g, g)))
     assert model.rho == pytest.approx(k / n_children, abs=1e-15)
     assert model.pi1 == 1.0  # single root, flooded
 
@@ -555,7 +550,7 @@ def test_m_step_pi_is_average_root_marginal(rng):
     g = GaussianParams(np.zeros(2), np.eye(2))
     with warnings.catch_warnings():
         warnings.simplefilter("error")  # no edges: rho is left alone, without a warning
-        model = m_step(marginal, tree.parent, rng.normal(size=(3, 2)),
+        model = m_step(marginal, tree.parent, Lifted(rng.normal(size=(3, 2))),
                        HmtModel(rho=0.7, pi1=0.5, components=(g, g)))
     assert model.pi1 == pytest.approx(0.3, abs=1e-15)
     assert model.rho == 0.7
@@ -569,14 +564,14 @@ def test_m_step_requires_prev_rho_when_degenerate(rng):
     np.testing.assert_array_equal(pairwise[1], [[1.0, 0.0], [0.0, 0.0]])  # all mass on dry/dry
     prev = HmtModel(rho=0.9, pi1=0.5, components=(_gauss(0.0), _gauss(1.0)))
     with pytest.warns(UserWarning, match="keeping previous rho"):
-        model = m_step(marginal, tree.parent, rng.normal(size=(3, 1)), prev)
+        model = m_step(marginal, tree.parent, Lifted(rng.normal(size=(3, 1))), prev)
     assert model.rho == 0.9
 
 
 def test_m_step_moments_match_independent_formulas(rng):
     model, tree, feats = oracle.random_tree_instance(rng, 10, feature_dim=2)
-    marginal = e_step(model, tree, feats)
-    new = m_step(marginal, tree.parent, feats, model)
+    marginal = predict(model, tree, feats)[1]
+    new = m_step(marginal, tree.parent, Lifted(feats), model)
     for cls in (0, 1):
         w = marginal if cls == 1 else 1.0 - marginal
         mean = (w[:, None] * feats).sum(axis=0) / w.sum()
@@ -587,28 +582,9 @@ def test_m_step_moments_match_independent_formulas(rng):
         np.testing.assert_allclose(new.components[cls].cov, cov, atol=1e-12)
 
 
-def test_m_step_lifts_raw_features_once(rng, monkeypatch):
-    """Both class fits of one `m_step` read one lift of raw features; a lift
-    passed in is used as it is."""
-    model, tree, feats = oracle.random_tree_instance(rng, 10, feature_dim=2)
-    marginal = e_step(model, tree, feats)
-    lifted, init = [], Lifted.__init__
-
-    def counting(self, points):
-        lifted.append(points)
-        init(self, points)
-
-    monkeypatch.setattr(Lifted, "__init__", counting)
-    m_step(marginal, tree.parent, feats, model)
-    assert len(lifted) == 1
-    m_step(marginal, tree.parent, Lifted(feats), model)
-    assert len(lifted) == 2
-
-
 def test_m_step_reads_the_lift_once(rng, monkeypatch):
-    """Both class fits come from one product of the lift, whether `m_step`
-    lifts raw features itself or is handed a `Lifted`, and whichever class
-    is the lighter one."""
+    """Both class fits come from one product of the lift, whichever class is
+    the lighter one."""
     model, tree, feats = oracle.random_tree_instance(rng, 10, feature_dim=2)
     init = Lifted.__init__
 
@@ -618,11 +594,11 @@ def test_m_step_reads_the_lift_once(rng, monkeypatch):
 
     monkeypatch.setattr(Lifted, "__init__", counting)
     marginal = rng.uniform(size=10) ** 4
-    for features in (feats, Lifted(feats)):
-        for m in (marginal, 1.0 - marginal):
-            _CountingUfuncs.calls = {}
-            m_step(m, tree.parent, features, model)
-            assert _CountingUfuncs.calls.get("matmul") == 1
+    lift = Lifted(feats)
+    for m in (marginal, 1.0 - marginal):
+        _CountingUfuncs.calls = {}
+        m_step(m, tree.parent, lift, model)
+        assert _CountingUfuncs.calls.get("matmul") == 1
 
 
 @pytest.mark.parametrize("heavy_class", [0, 1])
@@ -635,7 +611,7 @@ def test_m_step_fits_equal_two_weighted_fits(rng, heavy_class):
     if heavy_class == 1:
         marginal = 1.0 - marginal
     assert (marginal.sum() > 100) == (heavy_class == 1)
-    new = m_step(marginal, tree.parent, feats, model)
+    new = m_step(marginal, tree.parent, Lifted(feats), model)
     for g, w in zip(new.components, (1.0 - marginal, marginal)):
         want = weighted_mle(feats, w)
         np.testing.assert_allclose(g.mean, want.mean, rtol=1e-12, atol=0.0)
@@ -647,7 +623,7 @@ def test_m_step_fits_equal_two_weighted_fits(rng, heavy_class):
 def test_m_step_refuses_a_class_with_no_weight(rng, flooded):
     model, tree, feats = oracle.random_tree_instance(rng, 10, feature_dim=2)
     with pytest.raises(DegenerateError, match="total weight is zero"):
-        m_step(np.full(10, flooded), tree.parent, feats, model)
+        m_step(np.full(10, flooded), tree.parent, Lifted(feats), model)
 
 
 @pytest.mark.parametrize("pi1", [0.0, 1.0])
@@ -669,15 +645,15 @@ def test_m_step_refuses_a_marginal_outside_the_unit_interval(rng, bad):
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
         with pytest.raises(DataError, match=r"lie in \[0, 1\]"):
-            m_step(marginal, tree.parent, feats, model)
+            m_step(marginal, tree.parent, Lifted(feats), model)
 
 
 def test_m_step_refuses_marginals_of_the_wrong_length(rng):
     model, tree, feats = oracle.random_tree_instance(rng, 10, feature_dim=2)
     with pytest.raises(DimError):
-        m_step(np.full(9, 0.5), tree.parent[:9], feats, model)
+        m_step(np.full(9, 0.5), tree.parent[:9], Lifted(feats), model)
     with pytest.raises(DimError):
-        m_step(np.full(10, 0.5), tree.parent[:9], feats, model)
+        m_step(np.full(10, 0.5), tree.parent[:9], Lifted(feats), model)
 
 
 def test_uninformative_emissions_with_hard_transition():
@@ -690,9 +666,9 @@ def test_uninformative_emissions_with_hard_transition():
     feats = rng.normal(size=(16, 2))
     g = GaussianParams(np.zeros(2), np.eye(2))
     model = HmtModel(rho=1.0, pi1=0.4, components=(g, g))
-    marginal = e_step(model, tree, feats)
+    marginal = predict(model, tree, feats)[1]
     np.testing.assert_allclose(marginal, 0.4, atol=1e-12)
-    new = m_step(marginal, tree.parent, feats, model)
+    new = m_step(marginal, tree.parent, Lifted(feats), model)
     np.testing.assert_allclose(new.components[0].mean, new.components[1].mean, atol=1e-12)
 
 
@@ -747,7 +723,7 @@ def test_em_fit_expected_loglik_monotone():
     feats = scene.feature_matrix(use_elevation=False)
     assert len(models) >= 3
     for old, new in zip(models, models[1:]):
-        marginal = e_step(old, tree, feats)
+        marginal = predict(old, tree, feats)[1]
         q_old = expected_complete_loglik(marginal, old, tree, feats) + log_prior(old, feats)
         q_new = expected_complete_loglik(marginal, new, tree, feats) + log_prior(new, feats)
         assert q_new >= q_old - 1e-8
@@ -766,7 +742,7 @@ def test_tree_fit_stays_plain_em(acceptance_fixture):
     feats = scene.feature_matrix(use_elevation=False)
     assert trace.stop_reason == "tol" and len(trace.models) >= 3
     for old, new in zip(trace.models, trace.models[1:]):
-        mapped = m_step(e_step(old, tree, feats), tree.parent, feats, old)
+        mapped = m_step(predict(old, tree, feats)[1], tree.parent, Lifted(feats), old)
         np.testing.assert_allclose(model_values(mapped), model_values(new), rtol=1e-9, atol=0.0)
 
 
@@ -1012,14 +988,13 @@ def test_extreme_models_give_finite_results_or_typed_errors(kind, rho, pi1, seed
         warnings.simplefilter("error")
         # the documented outcome of an update with no flood mass on any parent
         warnings.filterwarnings("ignore", "no posterior mass on flooded parents", UserWarning)
-        marginal = e_step(model, tree, feats)
+        dec, marginal = predict(model, tree, feats)
         assert np.all((marginal >= 0.0) & (marginal <= 1.0))
-        dec = map_decode(model, tree, feats)
         nonroot = tree.parent >= 0
         assert not np.any((dec[nonroot] == 1) & (dec[tree.parent[nonroot]] == 0))
         assert np.isfinite(expected_complete_loglik(marginal, model, tree, feats))
         try:
-            new = m_step(marginal, tree.parent, feats, model)
+            new = m_step(marginal, tree.parent, Lifted(feats), model)
         except FloodemError:
             return
     assert type(new) is type(model) and 0.0 <= new.pi1 <= 1.0
@@ -1035,7 +1010,7 @@ def test_singleton_decode_equals_pointwise_argmax(rng):
     model = HmtModel(rho=0.9, pi1=0.35, components=(_gauss(0.0), _gauss(2.0)))
     tree = FlowTree.from_parents(np.full(40, -1))
     feats = rng.normal(size=(40, 1)) * 2.0 + 1.0
-    dec = map_decode(model, tree, feats)
+    dec = predict(model, tree, feats)[0]
     from floodem.gaussian import log_pdf
 
     lp0 = np.log(model.pi0) + log_pdf(model.components[0], feats)
@@ -1054,7 +1029,7 @@ def test_chain_with_dry_root_decodes_all_dry():
     for child in (1, 2):
         row = feats[child : child + 1]
         assert log_pdf(model.components[1], row)[0] > log_pdf(model.components[0], row)[0]
-    np.testing.assert_array_equal(map_decode(model, tree, feats), [0, 0, 0])
+    np.testing.assert_array_equal(predict(model, tree, feats)[0], [0, 0, 0])
 
 
 def test_decode_matches_enumeration(rng):
@@ -1064,11 +1039,11 @@ def test_decode_matches_enumeration(rng):
         n = int(rng.integers(2, 13))
         model, tree, feats = oracle.random_tree_instance(rng, n)
         _, _, oa, ov = oracle.enumerate_joint(model, tree, feats)
-        dec = map_decode(model, tree, feats)
+        dec = predict(model, tree, feats)[0]
         value = assignment_log_joint(model, tree, feats, dec)
         assert value == pytest.approx(ov, abs=1e-9)
         # the max-sum upward pass alone already yields the MAP log joint
-        map_value = _upward(model, tree, _log_emissions(model, tree, feats, tree.order), np.maximum)
+        map_value = _upward(model, tree, _log_emissions(model, tree, feats)[:, tree.order], np.maximum)
         assert map_value == pytest.approx(ov, abs=1e-9)
 
 
@@ -1081,21 +1056,21 @@ def test_decode_ties_go_to_dry():
     elev[:, 3:] = 1.0 + np.arange(3.0)  # a plateau of roots, the first two columns childless
     tree = build_flow_tree(elev)
     assert set(np.flatnonzero(tree.parent < 0)) - set(tree.parent.tolist())  # childless roots
-    np.testing.assert_array_equal(map_decode(model, tree, np.ones((24, 1))), np.zeros(24))
+    np.testing.assert_array_equal(predict(model, tree, np.ones((24, 1)))[0], np.zeros(24))
     # the same tie in two dimensions, from points laid out as
     # `RasterScene.feature_matrix` lays them out: the transpose of a channel block
     pair = (GaussianParams(np.zeros(2), np.eye(2)), GaussianParams(np.full(2, 2.0), np.eye(2)))
-    np.testing.assert_array_equal(map_decode(dataclasses.replace(model, components=pair), tree, np.ones((2, 24)).T),
+    np.testing.assert_array_equal(predict(dataclasses.replace(model, components=pair), tree, np.ones((2, 24)).T)[0],
                                   np.zeros(24))
     # a root that clearly floods, over a tied leaf
     chain = FlowTree.from_parents(np.array([-1, 0]))
-    np.testing.assert_array_equal(map_decode(model, chain, np.array([[10.0], [1.0]])), [1, 0])
+    np.testing.assert_array_equal(predict(model, chain, np.array([[10.0], [1.0]]))[0], [1, 0])
 
 
 def test_decoded_maps_respect_monotone_flood(rng):
     for trial in range(10):
         model, tree, feats = oracle.random_tree_instance(rng, 12)
-        dec = map_decode(model, tree, feats)
+        dec = predict(model, tree, feats)[0]
         for node in np.flatnonzero(dec == 1):
             p = tree.parent[node]
             if p >= 0:
@@ -1107,7 +1082,7 @@ def test_hard_transition_uniform_emissions_single_class_components(rng):
     model = HmtModel(rho=1.0, pi1=0.5, components=(g, g))
     elev = rng.normal(size=(6, 6))
     tree = build_flow_tree(elev)
-    dec = map_decode(model, tree, rng.normal(size=(36, 1)))
+    dec = predict(model, tree, rng.normal(size=(36, 1)))[0]
     for node, p in enumerate(tree.parent):
         if p >= 0:
             assert dec[node] == dec[p]
@@ -1138,15 +1113,14 @@ def test_invariants_hold_at_512_without_the_oracle():
         tree = build_flow_tree(scene.elevation())
         _assert_valid(tree)
         feats = scene.feature_matrix(use_elevation=False)
-        marginal = e_step(model, tree, feats)
+        dec, marginal = predict(model, tree, feats)
         nonroot = np.flatnonzero(tree.parent >= 0)
         assert np.all((marginal >= 0.0) & (marginal <= 1.0))
         assert np.all(marginal[nonroot] <= marginal[tree.parent[nonroot]])
-        dec = map_decode(model, tree, feats)
         assert not np.any((dec[nonroot] == 1) & (dec[tree.parent[nonroot]] == 0))
         mixture, mixture_trace = gmm.em_fit(scene, labels, use_elevation=True)
         assert np.all(np.isfinite(trace.logliks + mixture_trace.logliks))
-        scores = gmm.score_grid(mixture, scene)
+        _, scores = gmm.score_grid(mixture, scene)
         assert np.all((scores >= 0.0) & (scores <= 1.0))
 
 
@@ -1236,4 +1210,18 @@ def test_load_model_requires_rho(tmp_path):
     path.write_text("pi1=0.5\nmean.0.0=0\nmean.1.0=1\ncov.0.0.0=1\ncov.1.0.0=1\n")
     with pytest.raises(FormatError, match=re.escape("missing model key 'use_elevation'")):
         load_model(str(path))
+
+
+def test_a_covariance_entry_near_the_largest_double_loads_as_written(tmp_path):
+    """Symmetrizing halves each entry before adding, so an entry above half
+    the largest double cannot overflow: the file is a valid model, read
+    exactly, and written back byte for byte."""
+    path, again = tmp_path / "m.txt", tmp_path / "again.txt"
+    path.write_text("use_elevation=0\npi1=0.5\nmean.0.0=0\ncov.0.0.0=1.5e+308\nmean.1.0=1\ncov.1.0.0=1\n")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        model = load_model(str(path))
+        save_model(model, str(again))
+    assert model.components[0].cov[0, 0] == 1.5e308
+    assert again.read_bytes() == path.read_bytes()
 

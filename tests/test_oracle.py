@@ -8,7 +8,7 @@ from floodem.errors import CapError
 from floodem.gaussian import GaussianParams, log_pdf
 from floodem.gmm import GmmModel
 from floodem.grid import LabelSet, RasterScene
-from floodem.hmt import FlowTree, HmtModel, e_step
+from floodem.hmt import FlowTree, HmtModel, predict
 from floodem.oracle import (
     assignment_log_joint,
     enumerate_joint,
@@ -64,7 +64,7 @@ def test_expected_complete_loglik_matches_enumeration(rng):
         posterior = np.exp(log_joint - np.logaddexp.reduce(log_joint))
         terms = np.multiply(posterior, log_joint, out=np.zeros_like(posterior), where=posterior > 0.0)
         reference = float(terms.sum())
-        got = expected_complete_loglik(e_step(model, tree, feats), model, tree, feats)
+        got = expected_complete_loglik(predict(model, tree, feats)[1], model, tree, feats)
         assert got == pytest.approx(reference, rel=1e-9, abs=0.0)
 
 
