@@ -35,6 +35,7 @@ from .grid import (
 )
 
 METHODS = ("gmm", "gmm-elev", "hmt")
+VERBS = ("synth", "train", "predict", "eval", "compare", "sweep-labels", "verify")
 
 
 def fraction(val: str) -> float:
@@ -329,58 +330,64 @@ def _add_run_flags(sub: argparse.ArgumentParser, keys: tuple[str, ...]) -> None:
                          choices=setting["choices"], help=setting["help"])
 
 
-def build_parser() -> argparse.ArgumentParser:
+def build_parser(verb: str | None = None) -> argparse.ArgumentParser:
+    """The floodem parser: every verb's subparser, or only ``verb``'s, which is all
+    `main` needs to parse a call. Both print the same usage line and ``verb`` help."""
     parser = argparse.ArgumentParser(prog="floodem", description=__doc__)
-    subs = parser.add_subparsers(dest="command", required=True)
+    # Built alone, a verb needs the metavar to name all seven in the usage line; the full
+    # parser keeps argparse's, which reads the same, so a missing verb is still "command".
+    subs = parser.add_subparsers(dest="command", required=True,
+                                 metavar=None if verb is None else "{%s}" % ",".join(VERBS))
 
-    p = subs.add_parser("synth", help="generate a synthetic scene + labels")
-    p.add_argument("--spec", required=True, help="scene spec file (key=value)")
-    p.add_argument("--seed", type=natural, default=None, help="override the spec seed")
-    p.add_argument("--out-scene", required=True)
-    p.add_argument("--out-labels", required=True)
-    p.set_defaults(func=cmd_synth)
+    def sub(name: str, summary: str, func, **kwargs) -> argparse.ArgumentParser | None:
+        """``name``'s subparser, running ``func``; None when this parser leaves it out."""
+        if verb in (None, name):
+            p = subs.add_parser(name, help=summary, **kwargs)
+            p.set_defaults(func=func)
+            return p
 
-    p = subs.add_parser("train", help="fit a model and dump its trace")
-    _add_run_flags(p, ("method", "scene", *_LABEL_KEYS, *_FIT_KEYS, "out"))
-    p.set_defaults(func=cmd_train)
+    if p := sub("synth", "generate a synthetic scene + labels", cmd_synth):
+        p.add_argument("--spec", required=True, help="scene spec file (key=value)")
+        p.add_argument("--seed", type=natural, default=None, help="override the spec seed")
+        p.add_argument("--out-scene", required=True)
+        p.add_argument("--out-labels", required=True)
 
-    p = subs.add_parser("predict", help="write class and score grids for a scene")
-    p.add_argument("--model", required=True)
-    _add_run_flags(p, ("scene", "out"))
-    p.set_defaults(func=cmd_predict)
+    if p := sub("train", "fit a model and dump its trace", cmd_train):
+        _add_run_flags(p, ("method", "scene", *_LABEL_KEYS, *_FIT_KEYS, "out"))
 
-    p = subs.add_parser("eval", help="score a prediction against truth")
-    p.add_argument("--pred", required=True, help="class grid file")
-    p.add_argument("--score", required=True, help="score grid file")
-    p.add_argument("--truth", required=True, help="scene file carrying the truth grid")
-    p.add_argument("--mask", default=None, help="single-channel grid; nonzero = evaluate")
-    p.add_argument("--name", default="pred", help="method name for report rows")
-    _add_run_flags(p, ("neighborhood", "out"))
-    p.set_defaults(func=cmd_eval)
+    if p := sub("predict", "write class and score grids for a scene", cmd_predict):
+        p.add_argument("--model", required=True)
+        _add_run_flags(p, ("scene", "out"))
 
-    p = subs.add_parser("compare", help="train and evaluate all three methods side by side")
-    _add_run_flags(p, ("scene", *_LABEL_KEYS, *_FIT_KEYS, "out"))
-    p.set_defaults(func=cmd_compare)
+    if p := sub("eval", "score a prediction against truth", cmd_eval):
+        p.add_argument("--pred", required=True, help="class grid file")
+        p.add_argument("--score", required=True, help="score grid file")
+        p.add_argument("--truth", required=True, help="scene file carrying the truth grid")
+        p.add_argument("--mask", default=None, help="single-channel grid; nonzero = evaluate")
+        p.add_argument("--name", default="pred", help="method name for report rows")
+        _add_run_flags(p, ("neighborhood", "out"))
+
+    if p := sub("compare", "train and evaluate all three methods side by side", cmd_compare):
+        _add_run_flags(p, ("scene", *_LABEL_KEYS, *_FIT_KEYS, "out"))
 
     # No abbreviations: --ratio and --seed, which this verb does not take, would
     # otherwise silently stand for --ratios and --seeds.
-    p = subs.add_parser("sweep-labels", help="avg F across label ratios and seeds", allow_abbrev=False)
-    p.add_argument("--ratios", required=True, type=listed(_SETTINGS["ratio"]["cast"]),
-                   help="comma-separated label ratios")
-    p.add_argument("--seeds", required=True, type=listed(natural), help="comma-separated sampling seeds")
-    _add_run_flags(p, ("scene", *_FIT_KEYS, "out"))
-    p.set_defaults(func=cmd_sweep_labels)
+    if p := sub("sweep-labels", "avg F across label ratios and seeds", cmd_sweep_labels, allow_abbrev=False):
+        p.add_argument("--ratios", required=True, type=listed(_SETTINGS["ratio"]["cast"]),
+                       help="comma-separated label ratios")
+        p.add_argument("--seeds", required=True, type=listed(natural), help="comma-separated sampling seeds")
+        _add_run_flags(p, ("scene", *_FIT_KEYS, "out"))
 
-    p = subs.add_parser("verify", help="run the oracle-equivalence suite")
-    p.add_argument("--trees", type=int, default=100)
-    p.add_argument("--seed", type=natural, default=0)
-    p.set_defaults(func=cmd_verify)
+    if p := sub("verify", "run the oracle-equivalence suite", cmd_verify):
+        p.add_argument("--trees", type=int, default=100)
+        p.add_argument("--seed", type=natural, default=0)
 
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
+    argv = sys.argv[1:] if argv is None else argv
+    parser = build_parser(argv[0] if argv and argv[0] in VERBS else None)
     args = parser.parse_args(argv)
     try:
         return args.func(args, parser)

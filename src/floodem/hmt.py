@@ -207,10 +207,10 @@ class EmTrace:
         if not self.models:
             raise IoError("empty trace")
         keys = model_keys(type(self.models[0]), self.models[0].dim)
+        row = "%d" + ",%.17g" * (len(keys) + 2)
         lines = [",".join(["iter", *keys, "loglik", "maxrel"])]
         for it, (model, loglik, maxrel) in enumerate(zip(self.models, self.logliks, self.max_rel_changes)):
-            vals = [*model_values(model), loglik, maxrel]
-            lines.append(",".join([str(it)] + [f"{v:.17g}" for v in vals]))
+            lines.append(row % (it, *model_values(model).tolist(), loglik, maxrel))
         write_lines(path, "trace", lines)
 
 
@@ -575,10 +575,13 @@ def map_decode(model: GmmModel, tree: FlowTree, u: np.ndarray) -> np.ndarray:
 
 def predict(model: GmmModel, tree: FlowTree, features: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """(MAP classes, flood marginals) in node order, from one computation of the raw
-    emissions gathered into ``tree``'s layout: `e_step` reads a copy, `map_decode` it."""
-    u = np.take(_log_emissions(model, tree, features), tree.order, axis=1)
+    emissions gathered into ``tree``'s layout: `e_step` reads a copy, `map_decode` it.
+    A forest without edges keeps node order as its layout: there nothing is gathered."""
+    u = _log_emissions(model, tree, features)
+    u = np.take(u, tree.order, axis=1) if tree.has_edges else u
     marginal = e_step(model, tree, u.copy())
-    return map_decode(model, tree, u)[tree.position], marginal[tree.position]
+    grids = map_decode(model, tree, u), marginal
+    return tuple(g[tree.position] for g in grids) if tree.has_edges else grids
 
 
 # --- model files: one key=value per line, 17-significant-digit floats ---

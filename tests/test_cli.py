@@ -851,6 +851,37 @@ def test_every_run_setting_has_a_config_cast(tmp_path):
         assert cli.load_config(str(cfgfile)) == {f.name: f.metadata["cast"](value)}, f.name
 
 
+def _verb_parsers(parser):
+    return parser._subparsers._group_actions[0].choices
+
+
+@pytest.mark.parametrize("verb", cli.VERBS)
+def test_a_verb_parser_built_alone_prints_the_full_parsers_texts(verb):
+    """Built for one verb, the parser holds only that verb's subparser, and it
+    prints the full parser's top-level usage (which a usage error prints) and
+    the full parser's help for that verb."""
+    alone, full = cli.build_parser(verb), cli.build_parser()
+    assert list(_verb_parsers(alone)) == [verb]
+    assert alone.format_usage() == full.format_usage()
+    assert _verb_parsers(alone)[verb].format_help() == _verb_parsers(full)[verb].format_help()
+
+
+def test_a_usage_error_reads_the_same_under_either_parser(monkeypatch, capsys):
+    """`main` builds only the verb's subparser; a verb's own usage error prints
+    the top-level usage line, which must still name every verb."""
+    argv = ["train", "--method", "gmm", "--ratio", "0.1"]
+    errs, build_parser = [], cli.build_parser
+    for build in (build_parser, lambda verb=None: build_parser()):
+        monkeypatch.setattr(cli, "build_parser", build)
+        with pytest.raises(SystemExit) as exc:
+            cli.main(argv)
+        assert exc.value.code == 2
+        errs.append(capsys.readouterr().err)
+    assert errs[0] == errs[1]
+    assert errs[0].startswith("usage: floodem [-h] {synth,train,predict,eval,compare,sweep-labels,verify} ...\n")
+    assert errs[0].endswith("floodem: error: --scene is required\n")
+
+
 def test_predict_tree_model_on_an_unfit_scene_is_a_data_error(workdir, tmp_path, capsys):
     run = tmp_path / "run"
     assert _train_and_predict(workdir, run, "hmt") == 0

@@ -1,15 +1,17 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from floodem.errors import DataError, EmptyError
 from floodem.metrics import (
+    ROC_BLOCK,
     RocCurve,
     class_report,
     gamma_index,
     roc_auc,
     salt_pepper_count,
+    write_roc_csv,
 )
 
 
@@ -144,6 +146,42 @@ def test_roc_points_are_the_vertices_of_the_full_sweep(n, tied, seed):
     for a, b, c in zip(kept, kept[1:], kept[2:]):
         assert not _collinear(fp, tp, a, b, c)
     assert np.trapezoid(curve.points[:, 1], curve.points[:, 0]) == pytest.approx(curve.auc, abs=1e-12)
+
+
+@settings(derandomize=True, max_examples=40, deadline=None, database=None)
+@given(
+    n=st.integers(2, 3 * ROC_BLOCK),
+    levels=st.none() | st.integers(1, 3),
+    seed=st.integers(0, 2**32 - 1),
+)
+@example(n=ROC_BLOCK - 1, levels=None, seed=0)  # n + 1 vertices: one full block
+@example(n=ROC_BLOCK, levels=None, seed=0)  # one row into a second block
+@example(n=2 * ROC_BLOCK, levels=None, seed=1)  # three blocks
+def test_roc_file_holds_one_exact_row_per_vertex(tmp_path_factory, n, levels, seed):
+    """The ROC file is its header plus one %.17g row per vertex, whether the
+    curve fills part of a block or several, and each coordinate reads back to
+    its point exactly. Scores take 1 to 3 tied values, or are distinct with
+    the classes alternating down the sweep, so that every point is a vertex."""
+    rng = np.random.default_rng(seed)
+    if levels is None:
+        scores = rng.normal(size=n)
+        truth = np.empty(n, dtype=np.int64)
+        truth[np.argsort(scores)] = np.arange(n) % 2
+    else:
+        scores = rng.integers(0, levels, size=n) / 4
+        truth = rng.integers(0, 2, size=n)
+        truth[0], truth[1] = 0, 1
+    curve = roc_auc(scores, truth)
+    if levels is None:
+        assert len(curve.points) == n + 1
+    path = tmp_path_factory.mktemp("roc") / "roc.csv"
+    write_roc_csv(curve, str(path))
+    text = path.read_text()
+    assert text == "fpr,tpr\n" + "".join(f"{f:.17g},{t:.17g}\n" for f, t in curve.points.tolist())
+    rows = text.splitlines()[1:]
+    assert rows[0] == "0,0" and rows[-1] == "1,1"
+    read = np.array([[float(v) for v in row.split(",")] for row in rows])
+    assert np.array_equal(read, curve.points)
 
 
 def test_roc_requires_both_classes():
