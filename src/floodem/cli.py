@@ -15,7 +15,7 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from . import gmm, hmt, metrics, oracle
+from . import gmm, hmt, metrics
 from .errors import DataError, FloodemError, InitError, IoError, SpecError
 from .grid import (
     LabelSet,
@@ -309,6 +309,8 @@ def cmd_sweep_labels(args, parser) -> int:
 
 
 def cmd_verify(args, parser) -> int:
+    from . import oracle  # only this verb needs the brute-force checks; the others start without them
+
     ok = oracle.run_verify(n_trees=args.trees, seed=args.seed)
     print("all checks passed" if ok else "verification FAILED")
     return 0 if ok else 1

@@ -328,9 +328,10 @@ class SceneSpec:
         return vec
 
     def elevation_grid(self) -> np.ndarray:
-        rr, cc = np.meshgrid(
-            np.arange(self.height, dtype=float), np.arange(self.width, dtype=float), indexing="ij"
-        )
+        # An (h, 1) row axis against a (1, w) column axis takes h + w sines, and
+        # each pixel still gets the formula's operations in the formula's order.
+        rr = np.arange(self.height, dtype=float)[:, None]
+        cc = np.arange(self.width, dtype=float)[None, :]
         span = max(self.height + self.width - 2, 1)
         ramp = self.ramp_height * (rr + cc) / span
         two_pi = 2.0 * math.pi
@@ -346,6 +347,14 @@ def _draw_labels(rng, pools: list[np.ndarray], sizes: list[int], width: int) -> 
     """``sizes[c]`` distinct pixels drawn from class c's flat indices ``pools[c]``, class 0's first."""
     flat = np.concatenate([rng.choice(pool, size=k, replace=False) for pool, k in zip(pools, sizes)])
     return LabelSet(np.column_stack((*np.divmod(flat, width), np.repeat((0, 1), sizes))))
+
+
+def _median(values: np.ndarray) -> float:
+    """``np.median`` of all ``values`` from its own partition and mean (NaN if
+    any value is NaN), without the ``numpy.ma`` import its NaN check makes."""
+    n = values.size
+    part = np.partition(values, ((n - 1) // 2, n // 2, -1), axis=None)
+    return float(part[-1] if np.isnan(part[-1]) else part[(n - 1) // 2 : n // 2 + 1].mean())
 
 
 def generate_scene(spec: SceneSpec) -> tuple[RasterScene, LabelSet]:
@@ -364,7 +373,7 @@ def generate_scene(spec: SceneSpec) -> tuple[RasterScene, LabelSet]:
     rng = np.random.default_rng(spec.seed)
     elev = spec.elevation_grid()
     if spec.water_level is None:
-        level = float(np.median(elev))
+        level = _median(elev)
     else:
         level = float(spec.water_level)
         if not elev.min() <= level <= elev.max():
@@ -453,16 +462,16 @@ def save_scene(scene: RasterScene, path: str) -> None:
         flags |= _FLAG_ELEVATION
     if scene.truth is not None:
         flags |= _FLAG_TRUTH
-    blob = bytearray(MAGIC)
-    blob += _HEADER.pack(scene.width, scene.height, scene.channels, flags)
+    head = MAGIC + _HEADER.pack(scene.width, scene.height, scene.channels, flags)
     if scene.elevation_channel is not None:
-        blob += struct.pack("<I", scene.elevation_channel)
-    blob += np.ascontiguousarray(scene.data, dtype="<f8").tobytes()
+        head += struct.pack("<I", scene.elevation_channel)
+    # The arrays go to the file through the buffer protocol, without a copy.
+    parts = [head, np.ascontiguousarray(scene.data, dtype="<f8")]
     if scene.truth is not None:
-        blob += np.ascontiguousarray(scene.truth, dtype=np.uint8).tobytes()
+        parts.append(np.ascontiguousarray(scene.truth, dtype=np.uint8))
     try:
         with open(path, "wb") as fh:
-            fh.write(blob)
+            fh.writelines(parts)
     except OSError as exc:
         raise IoError(f"cannot write scene to {path}: {exc}") from exc
 

@@ -1,6 +1,10 @@
 import io
+import os
+import subprocess
+import sys
 import warnings
 from dataclasses import fields
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -1025,3 +1029,32 @@ def test_a_config_file_may_name_settings_the_verb_does_not_read(tmp_path, rng):
                    "--truth", str(tmp_path / "truth.sgrid"),
                    "--config", str(cfgfile), "--out", str(tmp_path)])
     assert rc == 0
+
+
+_START_UP = """
+import sys
+from floodem import cli
+
+assert "floodem.oracle" not in sys.modules, "import floodem.cli loaded the oracle"
+spec, scene, labels = sys.argv[1:]
+assert cli.main(["synth", "--spec", spec, "--out-scene", scene, "--out-labels", labels]) == 0
+assert "numpy.ma" not in sys.modules, "synth loaded numpy.ma"
+assert "floodem.oracle" not in sys.modules, "synth loaded the oracle"
+assert cli.main(["verify", "--trees", "3"]) == 0
+"""
+
+
+def test_a_fresh_process_loads_only_what_its_verb_needs(tmp_path):
+    """A CLI call starts a new interpreter, so its imports are start-up cost:
+    `import floodem.cli` leaves out the oracle, which only `verify` loads, and
+    `synth` takes the median without numpy's ``numpy.ma``."""
+    spec = tmp_path / "spec.txt"
+    spec.write_text("width=24\nheight=17\nlabels_per_class=10\nseed=3\n")
+    env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).resolve().parents[1]))
+    proc = subprocess.run(
+        [sys.executable, "-c", _START_UP, str(spec), str(tmp_path / "s.sgrid"), str(tmp_path / "l.txt")],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "all checks passed"
+    assert load_scene(str(tmp_path / "s.sgrid")).truth.shape == (17, 24)

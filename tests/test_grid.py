@@ -1,9 +1,12 @@
 import hashlib
+import math
 import re
 import struct
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from floodem import cli, gmm, hmt, metrics
 from floodem.errors import DataError, DimError, FormatError, IoError, SpecError
@@ -55,6 +58,39 @@ def test_exact_bytes_minimal_scene(tmp_path):
     save_scene(scene, str(path))
     expected = MAGIC + struct.pack("<IIIB", 1, 1, 1, 0) + struct.pack("<d", 0.0)
     assert path.read_bytes() == expected
+
+
+@pytest.mark.parametrize("elevation", [None, 1])
+@pytest.mark.parametrize("with_truth", [False, True])
+@pytest.mark.parametrize("given_as", ["constructor", "fortran f4", "big-endian f8"])
+def test_save_scene_writes_the_header_then_each_array_once(tmp_path, elevation, with_truth, given_as):
+    """The file is MAGIC, the header, the elevation index if tagged, the data
+    as row-major <f8 and the truth as u8 if present, with nothing else, also
+    from arrays that save_scene itself must convert."""
+    h, w, c = 3, 5, 2
+    values = np.arange(c * h * w, dtype=np.float32).reshape(c, h, w) / 8 - 0.75  # exact in float32
+    flood = np.indices((h, w)).sum(axis=0) % 3 == 0
+    truth = flood if with_truth else None
+    if given_as == "constructor":
+        scene = RasterScene(w, h, c, np.asfortranarray(values), elevation, truth)
+    else:  # set after the constructor, which would have converted them
+        scene = RasterScene(w, h, c, values.astype(float), elevation, truth)
+        scene.data = np.asfortranarray(values) if given_as == "fortran f4" else values.astype(">f8")
+        scene.truth = truth
+    path = tmp_path / "s.sgrid"
+    save_scene(scene, str(path))
+    expected = MAGIC + struct.pack("<IIIB", w, h, c, (elevation is not None) | with_truth << 1)
+    expected += b"" if elevation is None else struct.pack("<I", elevation)
+    expected += values.astype("<f8").tobytes()
+    expected += flood.astype(np.uint8).tobytes() if with_truth else b""
+    assert path.read_bytes() == expected
+    loaded = load_scene(str(path))
+    assert loaded.data.tobytes() == values.astype(float).tobytes()
+    assert loaded.elevation_channel == elevation
+    if with_truth:
+        np.testing.assert_array_equal(loaded.truth, flood)
+    else:
+        assert loaded.truth is None
 
 
 def test_truth_flag_set_and_clear(tmp_path):
@@ -213,6 +249,53 @@ def test_truth_depends_only_on_elevation():
     s1, _ = generate_scene(base)
     s2, _ = generate_scene(other)
     np.testing.assert_array_equal(s1.truth, s2.truth)
+
+
+def _meshgrid_elevation(spec: SceneSpec) -> np.ndarray:
+    """The terrain formula on two full (h, w) index grids."""
+    rr, cc = np.meshgrid(np.arange(spec.height, dtype=float), np.arange(spec.width, dtype=float), indexing="ij")
+    two_pi = 2.0 * math.pi
+    ramp = spec.ramp_height * (rr + cc) / max(spec.height + spec.width - 2, 1)
+    return ramp + (
+        spec.bump_amplitude
+        * np.sin(two_pi * spec.bump_periods * rr / max(spec.height - 1, 1))
+        * np.sin(two_pi * spec.bump_periods * cc / max(spec.width - 1, 1))
+    )
+
+
+_terrain = st.floats(-500.0, 500.0, allow_nan=False)
+
+
+@settings(derandomize=True, max_examples=150, deadline=None, database=None)
+@given(height=st.integers(1, 40), width=st.integers(1, 40), ramp=_terrain, amplitude=_terrain,
+       periods=st.floats(0.0, 20.0))
+@example(height=1, width=1, ramp=100.0, amplitude=8.0, periods=3.0)
+@example(height=1, width=37, ramp=100.0, amplitude=8.0, periods=3.0)
+@example(height=36, width=1, ramp=-3.5, amplitude=40.0, periods=2.25)
+@example(height=7, width=9, ramp=0.0, amplitude=0.0, periods=3.0)  # flat: every pixel at the median
+@example(height=256, width=256, ramp=100.0, amplitude=8.0, periods=3.0)
+def test_elevation_and_its_median_split_match_the_full_grid_formulas(height, width, ramp, amplitude, periods):
+    spec = SceneSpec(width=width, height=height, features=1, ramp_height=ramp, bump_amplitude=amplitude,
+                     bump_periods=periods, noise_sigma=0.0, labels_per_class=1)
+    elev = _meshgrid_elevation(spec)
+    assert spec.elevation_grid().tobytes() == elev.tobytes()
+    truth = elev < float(np.median(elev))
+    if truth.all() or not truth.any():
+        with pytest.raises(SpecError, match="leaves class . empty"):
+            generate_scene(spec)
+    else:
+        scene, _ = generate_scene(spec)
+        np.testing.assert_array_equal(scene.truth, truth)
+
+
+@pytest.mark.parametrize("terrain", [{"ramp_height": math.nan}, {"bump_amplitude": math.inf}])
+def test_a_nan_in_the_terrain_makes_the_median_nan(terrain):
+    # inf * sin(0) is NaN on row and column 0; np.median is NaN then, so no pixel is below it
+    spec = SceneSpec(width=20, height=20, labels_per_class=5, **terrain)
+    with np.errstate(invalid="ignore"):
+        assert np.isnan(np.median(spec.elevation_grid()))
+        with pytest.raises(SpecError, match="leaves class 1 empty"):
+            generate_scene(spec)
 
 
 def test_water_level_out_of_range_rejected():
