@@ -19,6 +19,7 @@ go through ``write_lines``.
 from __future__ import annotations
 
 import math
+import os
 import struct
 from dataclasses import dataclass, field, fields
 
@@ -188,16 +189,20 @@ class RasterScene:
     def feature_matrix(self, use_elevation: bool) -> np.ndarray:
         """Pixel feature vectors, one row per pixel in row-major order: the
         read-only (N, m) transpose of a C-ordered (m, N) block of channels,
-        a view of ``data`` when every channel is kept. With ``use_elevation``
-        every channel is a feature, and a scene without an elevation channel
-        is a DataError; without it the tagged elevation channel is dropped,
-        and if no channel is tagged there is nothing to drop.
+        a view of ``data`` unless a dropped elevation channel sits between
+        two kept ones. With ``use_elevation`` every channel is a feature, and
+        a scene without an elevation channel is a DataError; without it the
+        tagged elevation channel is dropped, and if no channel is tagged
+        there is nothing to drop.
         """
         if use_elevation:
             self.elevation()
         chans = self.data
-        if not use_elevation and self.elevation_channel is not None:
-            chans = np.delete(chans, self.elevation_channel, axis=0)
+        dropped = None if use_elevation else self.elevation_channel
+        if dropped in (0, self.channels - 1):  # the channels kept are one block: a slice
+            chans = chans[1:] if dropped == 0 else chans[:-1]
+        elif dropped is not None:
+            chans = np.delete(chans, dropped, axis=0)
         feats = chans.reshape(chans.shape[0], -1).T
         feats.flags.writeable = False
         return feats
@@ -478,45 +483,55 @@ def save_scene(scene: RasterScene, path: str) -> None:
 
 def load_scene(path: str) -> RasterScene:
     """Read a scene file; rejects bad magic, an empty or inconsistent header,
-    truncation, and trailing bytes before it builds any array."""
+    truncation, and trailing bytes before it builds any array. The header is
+    checked against the file's size, and the data and the truth grid are read
+    straight into arrays of their own, so a header that claims more than the
+    file holds allocates nothing. A short read is truncation."""
     try:
         with open(path, "rb") as fh:
-            blob = fh.read()
+            return _read_scene(fh, path)
     except OSError as exc:
         raise IoError(f"cannot read scene from {path}: {exc}") from exc
-    if len(blob) < len(MAGIC) or blob[: len(MAGIC)] != MAGIC:
+
+
+def _read_scene(fh, path: str) -> RasterScene:
+    """`load_scene`'s parse of the open file ``fh``."""
+    size = os.fstat(fh.fileno()).st_size
+    head = fh.read(len(MAGIC) + _HEADER.size)
+    if head[: len(MAGIC)] != MAGIC:
         raise FormatError(f"{path}: bad magic")
-    off = len(MAGIC)
-    if len(blob) < off + _HEADER.size:
+    if len(head) < len(MAGIC) + _HEADER.size:
         raise FormatError(f"{path}: truncated header")
-    width, height, channels, flags = _HEADER.unpack_from(blob, off)
-    off += _HEADER.size
+    width, height, channels, flags = _HEADER.unpack_from(head, len(MAGIC))
     if min(width, height, channels) == 0:
         raise FormatError(f"{path}: empty {width}x{height}x{channels} grid")
     if flags & ~(_FLAG_ELEVATION | _FLAG_TRUTH):
         raise FormatError(f"{path}: unknown flag bits {flags:#04x}")
     elevation_channel = None
     if flags & _FLAG_ELEVATION:
-        if len(blob) < off + 4:
+        index = fh.read(4)
+        if len(index) < 4:
             raise FormatError(f"{path}: truncated elevation channel index")
-        (elevation_channel,) = struct.unpack_from("<I", blob, off)
-        off += 4
+        (elevation_channel,) = struct.unpack("<I", index)
         if elevation_channel >= channels:
             raise FormatError(f"{path}: elevation channel {elevation_channel} of {channels} channels")
+    off = fh.tell()
     n_data = width * height * channels
-    if len(blob) < off + 8 * n_data:
+    if size < off + 8 * n_data:
         raise FormatError(f"{path}: truncated data payload")
-    data = np.frombuffer(blob, dtype="<f8", count=n_data, offset=off).astype(float)
-    off += 8 * n_data
+    n_truth = width * height if flags & _FLAG_TRUTH else 0
+    if size < off + 8 * n_data + n_truth:
+        raise FormatError(f"{path}: truncated truth grid")
+    if size != off + 8 * n_data + n_truth:
+        raise FormatError(f"{path}: {size - off - 8 * n_data - n_truth} trailing bytes")
+    data = np.empty((channels, height, width), dtype="<f8")
+    if fh.readinto(data) != data.nbytes:
+        raise FormatError(f"{path}: truncated data payload")
     truth = None
-    if flags & _FLAG_TRUTH:
-        n_px = width * height
-        if len(blob) < off + n_px:
+    if n_truth:
+        truth = np.empty((height, width), dtype=np.uint8)
+        if fh.readinto(truth) != truth.nbytes:
             raise FormatError(f"{path}: truncated truth grid")
-        truth = np.frombuffer(blob, dtype=np.uint8, count=n_px, offset=off).reshape(height, width)
-        off += n_px
-    if off != len(blob):
-        raise FormatError(f"{path}: {len(blob) - off} trailing bytes")
     return RasterScene(
         width=width,
         height=height,

@@ -107,7 +107,10 @@ class FlowTree:
 
     @cached_property
     def position(self) -> np.ndarray:
-        """Each node's index in ``order``."""
+        """Each node's index in ``order``: ``order`` itself on a forest without
+        edges, whose layout is node order."""
+        if not self.has_edges:
+            return self.order
         position = np.empty_like(self.order)
         position[self.order] = np.arange(self.n_nodes)
         return position
@@ -259,25 +262,29 @@ def build_flow_tree(elevation: np.ndarray, neighborhood: int = 8) -> FlowTree:
     return FlowTree.from_parents(np.where(lowest < elev, np.arange(h * w).reshape(h, w) + step[code], -1))
 
 
-def _log_emissions(model: GmmModel, tree: FlowTree, features: np.ndarray | Lifted) -> np.ndarray:
-    """(2, N) log densities, class c in row c, in the order of the ``features`` rows."""
+def _log_emissions(model: GmmModel, tree: FlowTree, features: np.ndarray | Lifted,
+                   out: np.ndarray | None = None) -> np.ndarray:
+    """(2, N) log densities, class c in row c, in the order of the ``features``
+    rows, written into ``out`` where one is given."""
     shape = np.shape(features)
     if len(shape) != 2 or shape[1] != model.dim:
         raise DimError(f"features shape {shape} does not match emission dimension {model.dim}")
     if shape[0] != tree.n_nodes:
         raise DimError(f"{shape[0]} feature rows for {tree.n_nodes} tree nodes")
-    u = np.empty((2, shape[0]))
+    u = np.empty((2, shape[0])) if out is None else out
     for g, row in zip(model.components, u):
         log_pdf(g, features, out=row)
     return u
 
 
-def _logaddexp(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+def _logaddexp(a: np.ndarray, b: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """ln(e^a + e^b) as max + log1p(exp(-|a - b|)), in whole-array passes
     (numpy's logaddexp is a scalar loop); -inf where both are -inf, with no
-    numpy warning."""
-    hi = np.maximum(a, b)
-    d = np.minimum(a, b)
+    numpy warning. Given a (2, n) ``out``, the result is ``out[0]``, and
+    ``out[1]`` is its scratch."""
+    hi, d = (None, None) if out is None else out
+    hi = np.maximum(a, b, out=hi)
+    d = np.minimum(a, b, out=d)
     # Where hi is -inf so is d, and d - hi would be nan: leave d at -inf there.
     np.subtract(d, hi, out=d, where=hi > -np.inf)
     np.exp(d, out=d)
@@ -286,7 +293,8 @@ def _logaddexp(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return hi
 
 
-def _upward(model: GmmModel, tree: FlowTree, u: np.ndarray, combine=_logaddexp) -> float:
+def _upward(model: GmmModel, tree: FlowTree, u: np.ndarray, combine=_logaddexp,
+            work: np.ndarray | None = None) -> float:
     """Leaf-to-root pass of sum-product, or of max-sum when ``combine`` is np.maximum.
 
     ``u`` holds the (2, N) log emissions in ``tree``'s layout. In place, each
@@ -297,10 +305,15 @@ def _upward(model: GmmModel, tree: FlowTree, u: np.ndarray, combine=_logaddexp) 
     y_n (under max-sum, relative to its best class). Returns the log evidence
     (the MAP log joint under max-sum), all per-node shifts telescoped back in:
     they land in one buffer, summed and checked once after the loop.
+
+    ``work``, a (3, N) scratch for the sum-product pass, takes the shifts in
+    row 2, and `_logaddexp`'s ``out`` in the first columns of rows 0 and 1
+    for each level in turn; without it they are fresh arrays.
     """
     total = 0.0
+    r = tree.starts[-1]
     if tree.has_edges:
-        shifts = np.empty(tree.starts[-1])
+        shifts = np.empty(r) if work is None else work[2, :r]
         stay = model.log_transition()[:, 1:]  # log P(y_n | wet parent)
         # A column is nan where its parent cannot be wet, or where the check below fails.
         with np.errstate(invalid="ignore"):
@@ -311,15 +324,15 @@ def _upward(model: GmmModel, tree: FlowTree, u: np.ndarray, combine=_logaddexp) 
                 # the structural zero a node's message to a dry parent is its own u0.
                 u[0, e:pe] += np.bincount(rel, level[0], pe - e)
                 level += stay
-                to_wet = combine(level[0], level[1])
+                to_wet = combine(level[0], level[1], out=None if work is None else work[:2, : e - s])
                 u[1, e:pe] += np.bincount(rel, to_wet, pe - e)
                 level -= to_wet
         total = float(shifts.sum())
         if not np.isfinite(total):
             raise DataError("contradictory clamped evidence: a node has zero likelihood in both classes")
-    roots = u[:, tree.starts[-1]:]
+    roots = u[:, r:]
     roots += [[_safe_log(model.pi0)], [_safe_log(model.pi1)]]
-    z = combine(roots[0], roots[1])
+    z = combine(roots[0], roots[1], out=None if work is None else work[:2, : roots.shape[1]])
     total += float(z.sum())
     if not np.isfinite(total):
         raise DataError("contradictory clamped evidence: a root has zero probability in both classes")
@@ -327,12 +340,13 @@ def _upward(model: GmmModel, tree: FlowTree, u: np.ndarray, combine=_logaddexp) 
     return total
 
 
-def _downward(tree: FlowTree, u: np.ndarray) -> np.ndarray:
-    """Root-to-leaf pass over `_upward`'s ``u``: the marginals in layout order.
+def _downward(tree: FlowTree, u: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """Root-to-leaf pass over `_upward`'s ``u``: the marginals in layout order,
+    written into ``out`` where one is given.
     m_n = m_p * P(y_n=1 | y_p=1, X) is all the structural zero leaves to compute:
     a level is one gather and one multiply by the factors exp(min(u1, 0)), taken
     in one pass and 0 where nan (the parent cannot be wet, so m_p = 0)."""
-    marginal = np.empty(tree.n_nodes)
+    marginal = np.empty(tree.n_nodes) if out is None else out
     r = tree.starts[-1]
     np.exp(u[1, r:], out=marginal[r:])
     if r:
@@ -350,7 +364,8 @@ def e_step(model: GmmModel, tree: FlowTree, u: np.ndarray) -> np.ndarray:
     return _downward(tree, u)
 
 
-def m_step(marginal: np.ndarray, parent: np.ndarray, lift: Lifted, model: GmmModel):
+def m_step(marginal: np.ndarray, parent: np.ndarray, lift: Lifted, model: GmmModel,
+           work: np.ndarray | None = None):
     """Closed-form update of ``model`` from the marginals P(y_n=1 | X).
 
     ``marginal``, ``parent`` (each node's parent index, -1 at roots) and
@@ -367,6 +382,9 @@ def m_step(marginal: np.ndarray, parent: np.ndarray, lift: Lifted, model: GmmMod
     structural zero turns into sum m_n / sum m_parent(n); with no posterior
     mass on flooded parents it is undefined and kept, with a warning. A
     forest without edges leaves rho, or a mixture's lack of one, alone.
+
+    ``work``, an (n,) scratch, takes the weights 1 - m and the gathered
+    parent marginals; without it they are fresh arrays.
     """
     n = lift.shape[0]
     marginal, parent = np.asarray(marginal, dtype=float), np.asarray(parent)
@@ -376,7 +394,7 @@ def m_step(marginal: np.ndarray, parent: np.ndarray, lift: Lifted, model: GmmMod
         raise DataError("marginals must lie in [0, 1]")
     mass = float(marginal.sum())
     flooded_lighter = mass <= 0.5 * n
-    sums = lift.phi @ (marginal if flooded_lighter else 1.0 - marginal)
+    sums = lift.phi @ (marginal if flooded_lighter else np.subtract(1.0, marginal, out=work))
     light = _fit_sums(lift, sums)
     heavy = _fit_sums(lift, lift.sums - sums)
     components = (heavy, light) if flooded_lighter else (light, heavy)
@@ -386,7 +404,8 @@ def m_step(marginal: np.ndarray, parent: np.ndarray, lift: Lifted, model: GmmMod
     child = ~root
     update = {"pi1": _rate(float(np.sum(marginal, where=root)), np.count_nonzero(root), marginal, root),
               "components": components}
-    wet_parent = marginal[parent]
+    # "wrap" reads a root's -1 as indexing does; take's default mode copies through a buffer
+    wet_parent = np.take(marginal, parent, out=work, mode="wrap")
     den = float(np.sum(wet_parent, where=child))
     if den == 0.0:
         warnings.warn("no posterior mass on flooded parents; keeping previous rho", stacklevel=2)
@@ -416,34 +435,37 @@ class _EmMap:
     """The EM map of one fit, in two halves: `maximize` updates a model from
     the E-step held, and `expect` replaces that E-step with a model's own,
     returning the fit's objective there. The features and the clamped labels
-    are put in the forest's layout once, and the messages stay in it, so every
-    level is a slice and no map reorders anything."""
+    are put in the forest's layout once (a forest without edges keeps node
+    order, so nothing is gathered), and the messages stay in it, so every
+    level is a slice and no map reorders anything. The fit's per-node arrays
+    are allocated once here: the (2, N) messages ``u`` and a (3, N)
+    ``work``, `_upward`'s scratch in `expect` and, in `maximize`, the
+    marginals (row 1) and `m_step`'s scratch (row 0)."""
 
     def __init__(self, tree: FlowTree, scene: RasterScene, clamped: LabelSet, use_elevation: bool):
         self.tree = tree
-        self.features = Lifted(np.take(scene.feature_matrix(use_elevation).T, tree.order, axis=1).T)
+        feats = scene.feature_matrix(use_elevation)
+        self.features = Lifted(np.take(feats.T, tree.order, axis=1).T if tree.has_edges else feats)
         flat, self.cls = clamped.flat_indices(scene.width, scene.height)
         self.at = tree.position[flat]
-        self.u = None
+        self.u = np.empty((2, tree.n_nodes))
+        self.work = np.empty((3, tree.n_nodes))
 
     def expect(self, model: GmmModel) -> float:
         """The clamped upward pass of ``model``: a clamped pixel's other class
         gets zero likelihood. Returns the log evidence plus the log prior
-        -psi/2 sum_c tr(Sigma_c^-1), where tr(Sigma^-1) = |L^-1|_F^2. The
-        messages it keeps are the only (2, N) array alive: the last E-step's
-        are freed first."""
-        self.u = None
-        u = _log_emissions(model, self.tree, self.features)
-        u[1 - self.cls, self.at] = -np.inf
-        loglik = _upward(model, self.tree, u)
-        self.u = u
+        -psi/2 sum_c tr(Sigma_c^-1), where tr(Sigma^-1) = |L^-1|_F^2."""
+        _log_emissions(model, self.tree, self.features, out=self.u)
+        self.u[1 - self.cls, self.at] = -np.inf
+        loglik = _upward(model, self.tree, self.u, work=self.work)
         trace_prec = sum(float(np.sum(g._chol_inv**2)) for g in model.components)
         return loglik - 0.5 * self.features.ridge * trace_prec
 
     def maximize(self, model: GmmModel, it: int) -> GmmModel:
         """The downward pass of the E-step held, then `m_step`; a collapse names map ``it``."""
         try:
-            return m_step(_downward(self.tree, self.u), self.tree.up, self.features, model)
+            marginal = _downward(self.tree, self.u, out=self.work[1])
+            return m_step(marginal, self.tree.up, self.features, model, work=self.work[0])
         except DegenerateError as exc:
             raise DegenerateError(f"{exc} (iteration {it})") from exc
 

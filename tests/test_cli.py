@@ -489,8 +489,8 @@ def test_verify_passes_on_fresh_build(capsys):
 def test_verify_catches_corrupted_transition_update(monkeypatch):
     real = hmt.m_step
 
-    def corrupted(marginal, parent, features, model):
-        model = real(marginal, parent, features, model)
+    def corrupted(marginal, parent, features, model, **work):
+        model = real(marginal, parent, features, model, **work)
         if not isinstance(model, hmt.HmtModel):
             return model  # the mixture's update has no rho to bend
         bent = min(max(model.rho * 0.6, 1e-6), 1.0)

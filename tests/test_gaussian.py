@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from floodem.errors import DataError, DegenerateError, DimError
-from floodem.gaussian import GaussianParams, Lifted, log_pdf, weighted_mle
+from floodem.gaussian import BLOCK, GaussianParams, Lifted, log_pdf, weighted_mle
 from floodem.oracle import log_density, raw_weighted_mle
 
 
@@ -128,6 +128,26 @@ def test_log_pdf_writes_into_out(rng):
         out = np.empty(20)
         assert log_pdf(g, x, out=out) is out
         np.testing.assert_array_equal(out, log_pdf(g, x))
+
+
+@pytest.mark.parametrize("m", [1, 2, 3, 4])
+def test_the_raw_log_pdf_in_blocks_has_the_bits_of_one_whole_array_pass(rng, m):
+    """The raw density runs BLOCK columns at a time, and every density is bit
+    for bit the one whole-array formula's, at and around the block edges, in
+    either point layout, with and without ``out``. N = 0 takes no block. A
+    one-column block would take BLAS's matrix-vector path, whose density
+    differs in about one draw in five for m > 1, so N = BLOCK + 1 gets 20
+    more draws."""
+    for n in (0, 1, BLOCK - 1, BLOCK, BLOCK + 1, 2 * BLOCK + 3) + (BLOCK + 1,) * 20:
+        a = rng.normal(size=(m, m))
+        g = GaussianParams(rng.normal(size=m) * 10.0, 50.0 * (a @ a.T + m * np.eye(m)))
+        for x in (rng.normal(size=(m, n)).T * 20.0 + 40.0, rng.normal(size=(n, m)) * 20.0 + 40.0):
+            z = g._chol_inv @ np.subtract(x.T, g.mean[:, None], order="C")
+            whole = np.subtract(g._log_norm, 0.5 * np.einsum("ij,ij->j", z, z))
+            assert np.array_equal(log_pdf(g, x), whole), n
+            out = np.empty(n)
+            assert log_pdf(g, x, out=out) is out
+            assert np.array_equal(out, whole), n
 
 
 def test_weighted_mle_cov_always_factorizes(rng):

@@ -294,11 +294,11 @@ def test_run_em_numbers_the_failing_update(small_scene, monkeypatch):
     scene, labels = small_scene
     real, calls = hmt.m_step, []
 
-    def m_step(marginal, parent, features, model):
+    def m_step(marginal, parent, features, model, **work):
         calls.append(model)
         if len(calls) == 2:
             raise DegenerateError("collapsed")
-        return real(marginal, parent, features, model)
+        return real(marginal, parent, features, model, **work)
 
     monkeypatch.setattr(hmt, "m_step", m_step)
     with pytest.raises(DegenerateError, match=r"collapsed \(iteration 2\)"):

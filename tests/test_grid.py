@@ -93,6 +93,27 @@ def test_save_scene_writes_the_header_then_each_array_once(tmp_path, elevation, 
         assert loaded.truth is None
 
 
+@pytest.mark.parametrize("elevation", [None, 0])
+@pytest.mark.parametrize("with_truth", [False, True])
+def test_a_loaded_scene_owns_its_arrays(tmp_path, elevation, with_truth, rng):
+    """The data and the truth grid are read into arrays of their own: every
+    `.base` link is an array, the last owns its memory, and no link is the
+    file's bytes. Both equal what was saved."""
+    h, w, c = 4, 5, 3
+    truth = rng.integers(0, 2, size=(h, w)).astype(np.uint8) if with_truth else None
+    scene = RasterScene(w, h, c, rng.normal(size=(c, h, w)), elevation, truth)
+    path = tmp_path / "s.sgrid"
+    save_scene(scene, str(path))
+    loaded = load_scene(str(path))
+    assert np.array_equal(loaded.data, scene.data) and loaded.elevation_channel == elevation
+    assert (loaded.truth is None) if truth is None else np.array_equal(loaded.truth, truth)
+    for array in (loaded.data, loaded.truth):
+        while array is not None and array.base is not None:
+            assert isinstance(array.base, np.ndarray), type(array.base)
+            array = array.base
+        assert array is None or array.flags.owndata
+
+
 def test_truth_flag_set_and_clear(tmp_path):
     with_truth = RasterScene(
         width=2, height=1, channels=1, data=np.array([0.0, 1.0]),
@@ -211,6 +232,17 @@ def test_feature_matrix_is_the_transpose_of_a_channel_block(small_scene):
     assert kept.shape == (n, len(keep))
     assert kept.T.flags.c_contiguous and not kept.flags.writeable
     np.testing.assert_array_equal(kept, scene.data[keep].reshape(len(keep), n).T)
+    # with the elevation channel first, in the middle or last: a view unless in the middle
+    for elev in (0, 1, scene.channels - 1):
+        data = np.insert(np.delete(scene.data, scene.elevation_channel, axis=0), elev,
+                         scene.elevation(), axis=0)
+        moved = RasterScene(scene.width, scene.height, scene.channels, data, elev, scene.truth)
+        kept = moved.feature_matrix(False)
+        keep = [c for c in range(moved.channels) if c != elev]
+        assert kept.T.flags.c_contiguous and not kept.flags.writeable
+        assert np.shares_memory(kept, moved.data) == (elev != 1), elev
+        np.testing.assert_array_equal(kept, moved.data[keep].reshape(len(keep), n).T)
+        np.testing.assert_array_equal(kept, scene.feature_matrix(False))
 
 
 def test_obstacle_pixels_share_distribution_across_classes():

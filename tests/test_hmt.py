@@ -1,5 +1,6 @@
 import dataclasses
 import re
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -14,6 +15,7 @@ from floodem.gmm import GmmModel
 from floodem.grid import LabelSet, RasterScene, SceneSpec, generate_scene, sample_labels
 from floodem.hmt import (
     FlowTree,
+    _EmMap,
     _logaddexp,
     _max_rel_change,
     HmtModel,
@@ -1001,6 +1003,31 @@ def test_extreme_models_give_finite_results_or_typed_errors(kind, rho, pi1, seed
     assert kind == "edgeless" or 1e-12 <= new.rho <= 1.0
     for g in new.components:
         assert np.all(np.isfinite(g.mean)) and np.all(np.isfinite(g.cov))
+
+
+@pytest.mark.parametrize("method", ["gmm", "gmm-elev", "hmt"])
+def test_an_em_map_allocates_no_per_node_array(method):
+    """The fit allocates its messages, marginals and scratch once: after a
+    warm-up map, one `maximize` plus `expect` peaks below one (N,) float
+    array under tracemalloc, on the edgeless forest and on the deep forest of
+    a smooth scene alike."""
+    scene, labels = generate_scene(SceneSpec(width=128, height=128, obstacle_fraction=0.3,
+                                             noise_sigma=0.0, seed=7))
+    model = init_from_labels(scene, labels, method == "gmm-elev")
+    clamped = labels
+    if method == "hmt":
+        model, clamped = HmtModel(rho=0.99, pi1=0.5, components=model.components), LabelSet([])
+    em = _EmMap(model.forest(scene), scene, clamped, model.use_elevation)
+    em.expect(model)
+    model = em.maximize(model, 1)
+    em.expect(model)
+    tracemalloc.start()
+    try:
+        em.expect(em.maximize(model, 2))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * scene.n_pixels, peak
 
 
 # --- map_decode ---
