@@ -51,43 +51,60 @@ class FlowTree:
     offset of each level in ``order``; the last level is the roots. The
     passes keep per-node values in this layout, where every level is a
     contiguous slice. A depth-d node's parent has depth d - 1, so all of a
-    level's parents lie in the slice of the next level.
+    level's parents lie in the slice of the next level. The edgeless forest
+    holds no per-node array: its ``parent`` is a read-only broadcast -1, and
+    its layout is node order, so ``order`` is built only where it is read.
     """
 
     parent: np.ndarray  # (N,) int64, -1 marks a root
-    order: np.ndarray
     starts: np.ndarray
+    _order: np.ndarray | None = field(default=None, repr=False)  # None: node order
 
     @classmethod
     def from_parents(cls, parent: np.ndarray) -> "FlowTree":
         """The forest of ``parent`` (-1 at roots) in stable depth order. Depths come
         from pointer doubling over N + 1 nodes, the last a sentinel root (depth 0,
-        jumping to itself) for every -1: depth[i] counts the edges from i to jump[i],
-        which climbs 2^k links in round k over the whole array, with no compaction.
-        As depths are below N < 2^bit_length(N), a node that has not reached the
-        sentinel after that many rounds lies on a cycle or hangs off one."""
+        jumping to itself) for every -1: depth[i] counts the edges from i to
+        jump[i], which climbs 2^k links in round k over the whole array, with no
+        compaction. The rounds gather into one buffer, which trades places with
+        ``jump``, and it then holds the sort key. As depths are below N <
+        2^bit_length(N), a node that has not reached the sentinel after that
+        many rounds lies on a cycle (a self-link among them) or hangs off one."""
         parent = np.asarray(parent, dtype=np.int64).reshape(-1)
         n = parent.size
-        if np.any((parent < -1) | (parent >= n)) or np.any(parent == np.arange(n)):
+        if n and (parent.min() < -1 or parent.max() >= n):
             raise DataError("invalid parent index")
-        depth = np.append(parent >= 0, 0).astype(np.int64)
-        jump = np.append(np.where(parent >= 0, parent, n), n)
+        # Rows a multiple of 4 KiB apart share cache sets, and at 1024² that
+        # made the rounds 3x slower; 64 spare entries a row break the stride.
+        depth, jump, gathered = np.empty((3, n + 65), dtype=np.int64)[:, : n + 1]
+        root = np.less(parent, 0, out=depth[:n])
+        np.multiply(root, n + 1, out=jump[:n])
+        jump[:n] += parent  # a root's -1 becomes n
+        np.subtract(1, root, out=depth[:n])
+        depth[n], jump[n] = 0, n
         for _ in range(n.bit_length() + 1):
             if jump.min() == n:
                 break
-            depth += depth[jump]
-            jump = jump[jump]
+            # every index is in range; take's default mode copies through a buffer
+            depth += np.take(depth, jump, out=gathered, mode="clip")
+            jump, gathered = np.take(jump, jump, out=gathered, mode="clip"), jump
         else:
             raise DataError("parent links contain a cycle")
         depth = depth[:n]
-        top = depth.max(initial=0)  # deepest first, stably; a 16-bit key gets numpy's radix sort
-        order = np.argsort((top - depth).astype(np.uint16 if top < 1 << 16 else np.int64), kind="stable")
-        starts = np.flatnonzero(np.r_[True, np.diff(depth[order]) != 0])
-        return cls(parent=parent, order=order, starts=starts)
+        top = int(depth.max(initial=0))  # deepest first, stably; a 16-bit key gets numpy's radix sort
+        key = gathered[:n].view(np.uint16)[:n] if top < 1 << 16 else gathered[:n]
+        order = np.argsort(np.subtract(top, depth, out=key, casting="unsafe"), kind="stable")
+        # Every depth from 0 to the deepest holds a node, the ancestor of a deepest one.
+        sizes = np.bincount(depth, minlength=top + 1)[::-1]
+        return cls(parent, np.r_[0, np.cumsum(sizes[:-1])], order)
 
     @classmethod
     def edgeless(cls, n: int) -> "FlowTree":
-        return cls(np.full(n, -1, dtype=np.int64), np.arange(n), np.zeros(1, dtype=np.int64))
+        return cls(np.broadcast_to(np.int64(-1), (n,)), np.zeros(1, dtype=np.int64))
+
+    @property
+    def order(self) -> np.ndarray:
+        return np.arange(self.n_nodes) if self._order is None else self._order
 
     @property
     def n_nodes(self) -> int:
@@ -116,12 +133,14 @@ class FlowTree:
         return position
 
     @cached_property
-    def up(self) -> np.ndarray:
-        """The layout position of the parent of the node at each layout position; -1 at roots."""
+    def up(self) -> np.ndarray | None:
+        """The layout position of the parent of the node at each layout position;
+        -1 at roots, and None on a forest without edges."""
         if not self.has_edges:
-            return self.parent
-        parent = self.parent[self.order]
-        return np.where(parent >= 0, self.position[parent], -1)
+            return None
+        up = self.position[self.parent[self.order]]
+        up[self.starts[-1]:] = -1  # the roots, the last level, whose -1 read the last position
+        return up
 
     @cached_property
     def schedule(self) -> list[tuple[int, int, int, np.ndarray]]:
@@ -250,16 +269,28 @@ def build_flow_tree(elevation: np.ndarray, neighborhood: int = 8) -> FlowTree:
         raise DataError("elevation contains non-finite values")
     h, w = elev.shape
     lowest = np.full((h, w), np.inf)  # each pixel's lowest neighbor elevation so far,
-    code = np.zeros((h, w), dtype=np.uint8)  # and the offset it lies at
+    code = np.zeros((h, w), dtype=np.uint8)  # the offset it lies at,
+    lower = np.empty((h, w), dtype=bool)  # and whether the offset scanned lies lower still
     # Offsets are scanned in row-major order, and only a strictly smaller
     # elevation replaces the incumbent, so equal-elevation ties keep the
-    # smallest flat index automatically.
+    # smallest flat index automatically. Each offset is three passes with no
+    # branch per pixel, so a noisy elevation's random mask costs no branch
+    # misses. Where the two are equal (+0.0 and -0.0 among them), np.minimum
+    # may keep either, but only strict comparisons read ``lowest``.
     for k, (dst, src) in enumerate(neighbor_slices(elev.shape, neighborhood)):
-        lower = elev[src] < lowest[dst]
-        np.copyto(lowest[dst], elev[src], where=lower)
-        np.copyto(code[dst], k, where=lower)
-    step = np.array([dr * w + dc for dr, dc in NEIGHBOR_OFFSETS[neighborhood]])
-    return FlowTree.from_parents(np.where(lowest < elev, np.arange(h * w).reshape(h, w) + step[code], -1))
+        np.less(elev[src], lowest[dst], out=lower[dst])
+        np.minimum(lowest[dst], elev[src], out=lowest[dst])
+        code[dst] -= (code[dst] - k) * lower[dst]  # k where lower, in wrapping uint8
+    # parent = (flat + step[code] + 1) * (lowest < elev) - 1, in the pages of ``lowest``
+    np.less(lowest, elev, out=lower)
+    step = np.array([dr * w + dc + 1 for dr, dc in NEIGHBOR_OFFSETS[neighborhood]])
+    parent = np.take(step, code, out=lowest.view(np.int64), mode="clip")
+    parent += np.arange(0, h * w, w)[:, None]
+    parent += np.arange(w)
+    parent *= lower
+    parent -= 1
+    del code, lower  # freed before from_parents allocates its rounds' block
+    return FlowTree.from_parents(parent)
 
 
 def _log_emissions(model: GmmModel, tree: FlowTree, features: np.ndarray | Lifted,
@@ -293,9 +324,16 @@ def _logaddexp(a: np.ndarray, b: np.ndarray, out: np.ndarray | None = None) -> n
     return hi
 
 
+def _max(a: np.ndarray, b: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """Max-sum's combine of a child's two states, under `_logaddexp`'s ``out``:
+    the result is ``out[0]``."""
+    return np.maximum(a, b, out=None if out is None else out[0])
+
+
 def _upward(model: GmmModel, tree: FlowTree, u: np.ndarray, combine=_logaddexp,
             work: np.ndarray | None = None) -> float:
-    """Leaf-to-root pass of sum-product, or of max-sum when ``combine`` is np.maximum.
+    """Leaf-to-root pass of sum-product, or of max-sum when ``combine`` is `_max`
+    (or np.maximum, given no ``work``).
 
     ``u`` holds the (2, N) log emissions in ``tree``'s layout. In place, each
     non-root node's column becomes log P(y_n | flooded parent, X): its
@@ -306,9 +344,9 @@ def _upward(model: GmmModel, tree: FlowTree, u: np.ndarray, combine=_logaddexp,
     (the MAP log joint under max-sum), all per-node shifts telescoped back in:
     they land in one buffer, summed and checked once after the loop.
 
-    ``work``, a (3, N) scratch for the sum-product pass, takes the shifts in
-    row 2, and `_logaddexp`'s ``out`` in the first columns of rows 0 and 1
-    for each level in turn; without it they are fresh arrays.
+    ``work``, a (3, N) scratch, takes the shifts in row 2, and ``combine``'s
+    ``out`` in the first columns of rows 0 and 1 for each level in turn;
+    without it they are fresh arrays.
     """
     total = 0.0
     r = tree.starts[-1]
@@ -342,7 +380,7 @@ def _upward(model: GmmModel, tree: FlowTree, u: np.ndarray, combine=_logaddexp,
 
 def _downward(tree: FlowTree, u: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """Root-to-leaf pass over `_upward`'s ``u``: the marginals in layout order,
-    written into ``out`` where one is given.
+    written into ``out`` where one is given, ``u[1]`` among them.
     m_n = m_p * P(y_n=1 | y_p=1, X) is all the structural zero leaves to compute:
     a level is one gather and one multiply by the factors exp(min(u1, 0)), taken
     in one pass and 0 where nan (the parent cannot be wet, so m_p = 0)."""
@@ -357,25 +395,26 @@ def _downward(tree: FlowTree, u: np.ndarray, out: np.ndarray | None = None) -> n
     return marginal
 
 
-def e_step(model: GmmModel, tree: FlowTree, u: np.ndarray) -> np.ndarray:
+def e_step(model: GmmModel, tree: FlowTree, u: np.ndarray, work: np.ndarray | None = None) -> np.ndarray:
     """Exact sum-product marginals P(y_n=1 | X) in ``tree``'s layout, from the
-    (2, N) log emissions ``u`` in that layout, which the passes overwrite."""
-    _upward(model, tree, u)
-    return _downward(tree, u)
+    (2, N) log emissions ``u`` in that layout, which the passes overwrite: the
+    marginals are ``u[1]``. ``work`` is `_upward`'s scratch."""
+    _upward(model, tree, u, work=work)
+    return _downward(tree, u, out=u[1])
 
 
-def m_step(marginal: np.ndarray, parent: np.ndarray, lift: Lifted, model: GmmModel,
+def m_step(marginal: np.ndarray, parent: np.ndarray | None, lift: Lifted, model: GmmModel,
            work: np.ndarray | None = None):
     """Closed-form update of ``model`` from the marginals P(y_n=1 | X).
 
-    ``marginal``, ``parent`` (each node's parent index, -1 at roots) and
-    ``lift`` list the nodes in one order, whichever it is. Class 1 is
-    fitted with weights m and class 0 with 1 - m. The two weightings sum to
-    one, so one product of the lift gives both fits: the lighter class's
-    statistic sums Phi @ w are computed, and the heavier class's are the
-    lift's column sums minus them. The heavier class carries at least half
-    the weight, so the difference cannot cancel badly, and a class with no
-    weight is the lighter one and fails its own fit.
+    ``marginal``, ``parent`` (each node's parent index, -1 at roots, or None
+    where the forest has no edges) and ``lift`` list the nodes in one order,
+    whichever it is. Class 1 is fitted with weights m and class 0 with 1 - m.
+    The two weightings sum to one, so one product of the lift gives both
+    fits: the lighter class's statistic sums Phi @ w are computed, and the
+    heavier class's are the lift's column sums minus them. The heavier class
+    carries at least half the weight, so the difference cannot cancel badly,
+    and a class with no weight is the lighter one and fails its own fit.
 
     pi1 is the mean root marginal. On a forest with edges rho is the
     expected-count MLE sum E[y_parent * y_n] / sum E[y_parent], which the
@@ -387,9 +426,10 @@ def m_step(marginal: np.ndarray, parent: np.ndarray, lift: Lifted, model: GmmMod
     parent marginals; without it they are fresh arrays.
     """
     n = lift.shape[0]
-    marginal, parent = np.asarray(marginal, dtype=float), np.asarray(parent)
-    if marginal.shape != (n,) or parent.shape != (n,):
-        raise DimError(f"{marginal.shape} marginals and {parent.shape} parents for {n} nodes")
+    marginal = np.asarray(marginal, dtype=float)
+    parent = None if parent is None else np.asarray(parent)
+    if marginal.shape != (n,) or parent is not None and parent.shape != (n,):
+        raise DimError(f"{marginal.shape} marginals and {np.shape(parent)} parents for {n} nodes")
     if not (marginal.min() >= 0.0 and marginal.max() <= 1.0):  # NaN fails every comparison
         raise DataError("marginals must lie in [0, 1]")
     mass = float(marginal.sum())
@@ -398,7 +438,7 @@ def m_step(marginal: np.ndarray, parent: np.ndarray, lift: Lifted, model: GmmMod
     light = _fit_sums(lift, sums)
     heavy = _fit_sums(lift, lift.sums - sums)
     components = (heavy, light) if flooded_lighter else (light, heavy)
-    if parent.max() < 0:  # every node a root
+    if parent is None or parent.max() < 0:  # every node a root
         return replace(model, pi1=_rate(mass, n, marginal, True), components=components)
     root = parent < 0
     child = ~root
@@ -447,7 +487,7 @@ class _EmMap:
         feats = scene.feature_matrix(use_elevation)
         self.features = Lifted(np.take(feats.T, tree.order, axis=1).T if tree.has_edges else feats)
         flat, self.cls = clamped.flat_indices(scene.width, scene.height)
-        self.at = tree.position[flat]
+        self.at = tree.position[flat] if tree.has_edges else flat
         self.u = np.empty((2, tree.n_nodes))
         self.work = np.empty((3, tree.n_nodes))
 
@@ -583,11 +623,12 @@ def em_fit(
     return forest_em(model, model.forest(scene), scene, LabelSet([]), max_iter=max_iter, tol=tol)
 
 
-def map_decode(model: GmmModel, tree: FlowTree, u: np.ndarray) -> np.ndarray:
-    """Exact MAP labeling in the layout, from ``u`` as `e_step` takes it: max-sum
-    upward, then a backtrack that ands each node's best class under a flooded
-    parent (u1 > u0, over the whole layout at once; ties go dry) with its parent's."""
-    _upward(model, tree, u, np.maximum)
+def map_decode(model: GmmModel, tree: FlowTree, u: np.ndarray, work: np.ndarray | None = None) -> np.ndarray:
+    """Exact MAP labeling in the layout, from ``u`` and ``work`` as `e_step` takes
+    them: max-sum upward, then a backtrack that ands each node's best class under
+    a flooded parent (u1 > u0, over the whole layout at once; ties go dry) with
+    its parent's."""
+    _upward(model, tree, u, _max, work)
     classes = u[1] > u[0]
     for s, e, _, _ in reversed(tree.schedule):
         # Under a dry parent the structural zero leaves only dry.
@@ -597,12 +638,18 @@ def map_decode(model: GmmModel, tree: FlowTree, u: np.ndarray) -> np.ndarray:
 
 def predict(model: GmmModel, tree: FlowTree, features: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """(MAP classes, flood marginals) in node order, from one computation of the raw
-    emissions gathered into ``tree``'s layout: `e_step` reads a copy, `map_decode` it.
-    A forest without edges keeps node order as its layout: there nothing is gathered."""
+    emissions, put in ``tree``'s layout: `e_step` reads a copy, `map_decode` them,
+    and both passes share one (3, N) scratch, as a fit's `_EmMap` does. A forest
+    without edges keeps node order as its layout: there nothing is gathered, and
+    otherwise the raw emissions' array takes the copy once they are gathered."""
     u = _log_emissions(model, tree, features)
-    u = np.take(u, tree.order, axis=1) if tree.has_edges else u
-    marginal = e_step(model, tree, u.copy())
-    grids = map_decode(model, tree, u), marginal
+    if tree.has_edges:
+        copy, u = u, np.take(u, tree.order, axis=1)
+        np.copyto(copy, u)
+    else:
+        copy = u.copy()
+    work = np.empty((3, tree.n_nodes))
+    grids = map_decode(model, tree, u, work), e_step(model, tree, copy, work)
     return tuple(g[tree.position] for g in grids) if tree.has_edges else grids
 
 
@@ -651,25 +698,31 @@ def save_model(model: GmmModel, path: str) -> None:
 def _file_shape(kv: dict) -> tuple[type[GmmModel], int]:
     """The (family, dimension) whose `model_keys` a file's keys stand for. A
     file with rho holds a tree model, and the dimension is the one whose key
-    list is nearest the file's in length, so one missing or foreign key is
-    named as such and does not shift the dimension."""
+    list, of length len(HEAD) + 1 + 2m(m + 1), is nearest the file's in
+    length, so one missing or foreign key is named as such and does not
+    shift the dimension."""
     family = HmtModel if "rho" in kv else GmmModel
     dims = range(1, math.isqrt(len(kv)) + 2)
-    return family, min(dims, key=lambda m: abs(len(model_keys(family, m)) - len(kv)))
+    return family, min(dims, key=lambda m: abs(len(family.HEAD) + 1 + 2 * m * (m + 1) - len(kv)))
 
 
 def load_model(path: str) -> GmmModel:
     """The model a file holds, of `_file_shape`'s family, built by
     `model_from_values`. A key outside the file's `model_keys`, one of them
     missing, or a model `model_from_values` rejects is a FormatError."""
-    kv = read_key_values(path, "model", lambda texts: model_keys(*_file_shape(texts)),
-                         lambda key, val: float(val), FormatError)
-    family, dim = _file_shape(kv)
-    keys = model_keys(family, dim)
+    shape = keys = None
+
+    def file_keys(texts: dict) -> list[str]:
+        nonlocal shape, keys
+        shape = _file_shape(texts)
+        keys = model_keys(*shape)
+        return keys
+
+    kv = read_key_values(path, "model", file_keys, lambda key, val: float(val), FormatError)
     for key in keys:
         if key not in kv:
             raise FormatError(f"{path}: missing model key {key!r}")
     try:
-        return model_from_values([kv[key] for key in keys], family, dim)
+        return model_from_values([kv[key] for key in keys], *shape)
     except DataError as exc:
         raise FormatError(f"{path}: {exc}") from None

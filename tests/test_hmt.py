@@ -16,15 +16,18 @@ from floodem.grid import LabelSet, RasterScene, SceneSpec, generate_scene, sampl
 from floodem.hmt import (
     FlowTree,
     _EmMap,
+    _log_emissions,
     _logaddexp,
     _max_rel_change,
     HmtModel,
     build_flow_tree,
+    e_step,
     em_fit,
     forest_em,
     init_from_labels,
     load_model,
     m_step,
+    map_decode,
     model_from_values,
     model_keys,
     model_values,
@@ -145,6 +148,24 @@ def test_tiny_dem_parents_match_a_per_pixel_scan(rng):
             assert np.all(flat[tree.parent[nonroot]] < flat[nonroot])
             if np.all(flat == flat[0]):
                 np.testing.assert_array_equal(tree.roots, np.arange(flat.size))
+
+
+def test_signed_zeros_change_no_parent(rng):
+    """The tiny DEMs with each zero's sign drawn at random: the scan's running
+    minimum may keep either zero where +0.0 and -0.0 meet, but only strict
+    comparisons read it, so the parents are the per-pixel scan's, and flipping
+    the sign of every zero changes neither the parents nor the layout."""
+    for elev in _tiny_dems(rng, 60, oracle.MAX_NODES):
+        zero = elev == 0.0
+        elev[zero] = np.where(rng.random(zero.sum()) < 0.5, -0.0, 0.0)
+        flipped = np.where(zero, -elev, elev)
+        assert np.array_equal(np.signbit(flipped), np.signbit(elev) ^ zero)
+        for nb in (4, 8):
+            tree, other = build_flow_tree(elev, neighborhood=nb), build_flow_tree(flipped, neighborhood=nb)
+            np.testing.assert_array_equal(tree.parent, _reference_parents(elev, nb))
+            np.testing.assert_array_equal(other.parent, tree.parent)
+            np.testing.assert_array_equal(other.order, tree.order)
+            np.testing.assert_array_equal(other.starts, tree.starts)
 
 
 def _reference_depth(parent):
@@ -1030,6 +1051,46 @@ def test_an_em_map_allocates_no_per_node_array(method):
     assert peak < 8 * scene.n_pixels, peak
 
 
+def test_the_edgeless_forest_holds_no_per_node_array():
+    """Its parents are a broadcast -1 and its layout node order, so building
+    one for 65,536 nodes allocates under 64 KB (two int64 arrays are 1 MB)."""
+    FlowTree.edgeless(65536)
+    tracemalloc.start()
+    try:
+        tree = FlowTree.edgeless(65536)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 * 1024, peak
+    assert tree.n_nodes == 65536 and not tree.has_edges and tree.up is None
+    assert np.all(tree.parent == -1) and np.array_equal(tree.order, np.arange(65536))
+
+
+@pytest.mark.parametrize("decode", [False, True])
+def test_the_passes_run_in_predicts_scratch(decode):
+    """With `predict`'s (3, N) scratch, `e_step` and `map_decode` allocate no
+    per-node or per-level row of their own on the deep forest of a smooth
+    128² scene: after a warm-up, each peaks below N·8 bytes beyond its output."""
+    scene, labels = generate_scene(SceneSpec(width=128, height=128, obstacle_fraction=0.3,
+                                             noise_sigma=0.0, seed=7))
+    model = HmtModel(rho=0.9, pi1=0.5, components=init_from_labels(scene, labels, False).components)
+    tree = model.forest(scene)
+    n = tree.n_nodes
+    u = _log_emissions(model, tree, scene.feature_matrix(False))[:, tree.order]
+    work = np.empty((3, n))
+    passes = map_decode if decode else e_step
+    first = passes(model, tree, u.copy(), work)
+    again = u.copy()
+    tracemalloc.start()
+    try:
+        out = passes(model, tree, again, work)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    np.testing.assert_array_equal(out, first)
+    assert peak - out.nbytes < 8 * n, (peak, out.nbytes)
+
+
 # --- map_decode ---
 
 
@@ -1225,6 +1286,26 @@ def test_model_file_round_trip_and_key_list(tmp_path_factory, dim, tree, seed, f
     path.write_text("\n".join(lines[:at] + [f"{foreign}=1"] + lines[at:]) + "\n")
     with pytest.raises(FormatError, match=re.escape(f"{path}:{at + 1}: unknown key '{foreign}'")):
         load_model(str(path))
+
+
+def test_load_model_builds_the_key_list_once(tmp_path, monkeypatch):
+    """The (family, dimension) of a file is worked out once, from key counts,
+    and its key list is built once for the reader and the model alike."""
+    import floodem.hmt as hmt_module
+
+    model = HmtModel(rho=0.5, pi1=0.5, components=(GaussianParams(np.zeros(3), np.eye(3)),) * 2)
+    path = tmp_path / "m.txt"
+    save_model(model, str(path))
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return model_keys(*args)
+
+    monkeypatch.setattr(hmt_module, "model_keys", counted)
+    loaded = load_model(str(path))
+    assert calls == [(HmtModel, 3)]
+    assert np.array_equal(model_values(loaded), model_values(model))
 
 
 def test_load_model_requires_rho(tmp_path):
