@@ -45,15 +45,19 @@ from .grid import NEIGHBOR_OFFSETS, LabelSet, RasterScene, neighbor_slices, read
 
 @dataclass(eq=False)
 class FlowTree:
-    """Forest over pixels: parent links plus a depth schedule.
+    """Forest over pixels: parent links plus a depth schedule, and the one
+    layout every pass reads and writes.
 
     ``order`` lists the nodes deepest level first, and ``starts`` holds the
     offset of each level in ``order``; the last level is the roots. The
-    passes keep per-node values in this layout, where every level is a
-    contiguous slice. A depth-d node's parent has depth d - 1, so all of a
-    level's parents lie in the slice of the next level. The edgeless forest
-    holds no per-node array: its ``parent`` is a read-only broadcast -1, and
-    its layout is node order, so ``order`` is built only where it is read.
+    upward and downward passes, the MAP backtrack and `m_step` all take
+    their per-node values in this layout, where every level is a contiguous
+    slice. A depth-d node's parent has depth d - 1, so all of a level's
+    parents lie in the slice of the next level, and ``schedule`` names each
+    one by its offset there: the only form of a parent link the passes
+    read. The edgeless forest holds no per-node array: its ``parent`` is a
+    read-only broadcast -1, its layout is node order, so ``order`` is built
+    only where it is read, and its schedule is empty.
     """
 
     parent: np.ndarray  # (N,) int64, -1 marks a root
@@ -133,24 +137,16 @@ class FlowTree:
         return position
 
     @cached_property
-    def up(self) -> np.ndarray | None:
-        """The layout position of the parent of the node at each layout position;
-        -1 at roots, and None on a forest without edges."""
-        if not self.has_edges:
-            return None
-        up = self.position[self.parent[self.order]]
-        up[self.starts[-1]:] = -1  # the roots, the last level, whose -1 read the last position
-        return up
-
-    @cached_property
     def schedule(self) -> list[tuple[int, int, int, np.ndarray]]:
         """Per non-root level, deepest first: its layout slice ``s:e``, the
         end ``pe`` of the next level ``e:pe``, which holds all its parents,
         and each node's parent as an offset into that next level."""
         if not self.has_edges:
             return []
-        ends = np.cumsum([nodes.size for nodes in self.level_groups()])
-        return [(s, e, pe, self.up[s:e] - e) for s, e, pe in zip(self.starts, ends, ends[1:])]
+        groups = self.level_groups()  # not slices of ``order``: perfbench's level_groups span must fire
+        ends = np.cumsum([nodes.size for nodes in groups])
+        return [(s, e, pe, self.position[self.parent[nodes]] - e)
+                for s, e, pe, nodes in zip(self.starts, ends, ends[1:], groups)]
 
 
 @dataclass(kw_only=True)
@@ -308,14 +304,14 @@ def _log_emissions(model: GmmModel, tree: FlowTree, features: np.ndarray | Lifte
     return u
 
 
-def _logaddexp(a: np.ndarray, b: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+def _logaddexp(a: np.ndarray, b: np.ndarray, out: np.ndarray) -> np.ndarray:
     """ln(e^a + e^b) as max + log1p(exp(-|a - b|)), in whole-array passes
     (numpy's logaddexp is a scalar loop); -inf where both are -inf, with no
-    numpy warning. Given a (2, n) ``out``, the result is ``out[0]``, and
+    numpy warning. In the (2, n) ``out``: the result is ``out[0]``, and
     ``out[1]`` is its scratch."""
-    hi, d = (None, None) if out is None else out
-    hi = np.maximum(a, b, out=hi)
-    d = np.minimum(a, b, out=d)
+    hi, d = out
+    np.maximum(a, b, out=hi)
+    np.minimum(a, b, out=d)
     # Where hi is -inf so is d, and d - hi would be nan: leave d at -inf there.
     np.subtract(d, hi, out=d, where=hi > -np.inf)
     np.exp(d, out=d)
@@ -324,16 +320,15 @@ def _logaddexp(a: np.ndarray, b: np.ndarray, out: np.ndarray | None = None) -> n
     return hi
 
 
-def _max(a: np.ndarray, b: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+def _max(a: np.ndarray, b: np.ndarray, out: np.ndarray) -> np.ndarray:
     """Max-sum's combine of a child's two states, under `_logaddexp`'s ``out``:
     the result is ``out[0]``."""
-    return np.maximum(a, b, out=None if out is None else out[0])
+    return np.maximum(a, b, out=out[0])
 
 
 def _upward(model: GmmModel, tree: FlowTree, u: np.ndarray, combine=_logaddexp,
             work: np.ndarray | None = None) -> float:
-    """Leaf-to-root pass of sum-product, or of max-sum when ``combine`` is `_max`
-    (or np.maximum, given no ``work``).
+    """Leaf-to-root pass of sum-product, or of max-sum when ``combine`` is `_max`.
 
     ``u`` holds the (2, N) log emissions in ``tree``'s layout. In place, each
     non-root node's column becomes log P(y_n | flooded parent, X): its
@@ -344,14 +339,15 @@ def _upward(model: GmmModel, tree: FlowTree, u: np.ndarray, combine=_logaddexp,
     (the MAP log joint under max-sum), all per-node shifts telescoped back in:
     they land in one buffer, summed and checked once after the loop.
 
-    ``work``, a (3, N) scratch, takes the shifts in row 2, and ``combine``'s
-    ``out`` in the first columns of rows 0 and 1 for each level in turn;
-    without it they are fresh arrays.
+    ``work``, a (3, N) scratch allocated here where none is given, takes the
+    shifts in row 2, and ``combine``'s ``out`` in the first columns of rows 0
+    and 1 for each level in turn.
     """
+    work = np.empty((3, tree.n_nodes)) if work is None else work
     total = 0.0
     r = tree.starts[-1]
     if tree.has_edges:
-        shifts = np.empty(r) if work is None else work[2, :r]
+        shifts = work[2, :r]
         stay = model.log_transition()[:, 1:]  # log P(y_n | wet parent)
         # A column is nan where its parent cannot be wet, or where the check below fails.
         with np.errstate(invalid="ignore"):
@@ -362,7 +358,7 @@ def _upward(model: GmmModel, tree: FlowTree, u: np.ndarray, combine=_logaddexp,
                 # the structural zero a node's message to a dry parent is its own u0.
                 u[0, e:pe] += np.bincount(rel, level[0], pe - e)
                 level += stay
-                to_wet = combine(level[0], level[1], out=None if work is None else work[:2, : e - s])
+                to_wet = combine(level[0], level[1], work[:2, : e - s])
                 u[1, e:pe] += np.bincount(rel, to_wet, pe - e)
                 level -= to_wet
         total = float(shifts.sum())
@@ -370,7 +366,7 @@ def _upward(model: GmmModel, tree: FlowTree, u: np.ndarray, combine=_logaddexp,
             raise DataError("contradictory clamped evidence: a node has zero likelihood in both classes")
     roots = u[:, r:]
     roots += [[_safe_log(model.pi0)], [_safe_log(model.pi1)]]
-    z = combine(roots[0], roots[1], out=None if work is None else work[:2, : roots.shape[1]])
+    z = combine(roots[0], roots[1], work[:2, : roots.shape[1]])
     total += float(z.sum())
     if not np.isfinite(total):
         raise DataError("contradictory clamped evidence: a root has zero probability in both classes")
@@ -378,11 +374,20 @@ def _upward(model: GmmModel, tree: FlowTree, u: np.ndarray, combine=_logaddexp,
     return total
 
 
+def _backtrack(tree: FlowTree, x: np.ndarray) -> np.ndarray:
+    """Root-to-leaf over the layout, in place: a level at a time, each node's
+    entry is multiplied by its parent's, so it ends as the product along its
+    path to its root (on bool, the logical and). Returns ``x``."""
+    for s, e, pe, rel in reversed(tree.schedule):
+        x[s:e] *= x[e:pe][rel]
+    return x
+
+
 def _downward(tree: FlowTree, u: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """Root-to-leaf pass over `_upward`'s ``u``: the marginals in layout order,
     written into ``out`` where one is given, ``u[1]`` among them.
     m_n = m_p * P(y_n=1 | y_p=1, X) is all the structural zero leaves to compute:
-    a level is one gather and one multiply by the factors exp(min(u1, 0)), taken
+    `_backtrack` of the root posteriors and the factors exp(min(u1, 0)), taken
     in one pass and 0 where nan (the parent cannot be wet, so m_p = 0)."""
     marginal = np.empty(tree.n_nodes) if out is None else out
     r = tree.starts[-1]
@@ -390,9 +395,7 @@ def _downward(tree: FlowTree, u: np.ndarray, out: np.ndarray | None = None) -> n
     if r:
         factor = np.exp(np.minimum(u[1, :r], 0.0, out=marginal[:r]), out=marginal[:r])
         factor[np.isnan(factor)] = 0.0
-    for s, e, _, _ in reversed(tree.schedule):
-        marginal[s:e] *= marginal[tree.up[s:e]]
-    return marginal
+    return _backtrack(tree, marginal)
 
 
 def e_step(model: GmmModel, tree: FlowTree, u: np.ndarray, work: np.ndarray | None = None) -> np.ndarray:
@@ -403,65 +406,65 @@ def e_step(model: GmmModel, tree: FlowTree, u: np.ndarray, work: np.ndarray | No
     return _downward(tree, u, out=u[1])
 
 
-def m_step(marginal: np.ndarray, parent: np.ndarray | None, lift: Lifted, model: GmmModel,
+def m_step(marginal: np.ndarray, tree: FlowTree, lift: Lifted, model: GmmModel,
            work: np.ndarray | None = None):
     """Closed-form update of ``model`` from the marginals P(y_n=1 | X).
 
-    ``marginal``, ``parent`` (each node's parent index, -1 at roots, or None
-    where the forest has no edges) and ``lift`` list the nodes in one order,
-    whichever it is. Class 1 is fitted with weights m and class 0 with 1 - m.
+    ``marginal`` and ``lift`` list the nodes in ``tree``'s layout, as every
+    pass does. Class 1 is fitted with weights m and class 0 with 1 - m.
     The two weightings sum to one, so one product of the lift gives both
     fits: the lighter class's statistic sums Phi @ w are computed, and the
     heavier class's are the lift's column sums minus them. The heavier class
     carries at least half the weight, so the difference cannot cancel badly,
     and a class with no weight is the lighter one and fails its own fit.
 
-    pi1 is the mean root marginal. On a forest with edges rho is the
-    expected-count MLE sum E[y_parent * y_n] / sum E[y_parent], which the
-    structural zero turns into sum m_n / sum m_parent(n); with no posterior
-    mass on flooded parents it is undefined and kept, with a warning. A
-    forest without edges leaves rho, or a mixture's lack of one, alone.
+    pi1 is the mean root marginal, over the last level's slice. Below it rho
+    is the expected-count MLE sum E[y_parent * y_n] / sum E[y_parent], which
+    the structural zero turns into sum m_n / sum m_parent(n); with no
+    posterior mass on flooded parents it is undefined and kept, with a
+    warning. A forest without edges has no slice below its roots, and leaves
+    rho, or a mixture's lack of one, alone.
 
-    ``work``, an (n,) scratch, takes the weights 1 - m and the gathered
-    parent marginals; without it they are fresh arrays.
+    ``work``, an (N,) scratch allocated here where none is given, takes the
+    weights 1 - m and then, level by level, the parent marginals.
     """
     n = lift.shape[0]
     marginal = np.asarray(marginal, dtype=float)
-    parent = None if parent is None else np.asarray(parent)
-    if marginal.shape != (n,) or parent is not None and parent.shape != (n,):
-        raise DimError(f"{marginal.shape} marginals and {np.shape(parent)} parents for {n} nodes")
+    if marginal.shape != (n,) or tree.n_nodes != n:
+        raise DimError(f"{marginal.shape} marginals and {tree.n_nodes} tree nodes for {n} lifted rows")
     if not (marginal.min() >= 0.0 and marginal.max() <= 1.0):  # NaN fails every comparison
         raise DataError("marginals must lie in [0, 1]")
+    work = np.empty(n) if work is None else work
     mass = float(marginal.sum())
     flooded_lighter = mass <= 0.5 * n
     sums = lift.phi @ (marginal if flooded_lighter else np.subtract(1.0, marginal, out=work))
     light = _fit_sums(lift, sums)
     heavy = _fit_sums(lift, lift.sums - sums)
-    components = (heavy, light) if flooded_lighter else (light, heavy)
-    if parent is None or parent.max() < 0:  # every node a root
-        return replace(model, pi1=_rate(mass, n, marginal, True), components=components)
-    root = parent < 0
-    child = ~root
-    update = {"pi1": _rate(float(np.sum(marginal, where=root)), np.count_nonzero(root), marginal, root),
-              "components": components}
-    # "wrap" reads a root's -1 as indexing does; take's default mode copies through a buffer
-    wet_parent = np.take(marginal, parent, out=work, mode="wrap")
-    den = float(np.sum(wet_parent, where=child))
-    if den == 0.0:
-        warnings.warn("no posterior mass on flooded parents; keeping previous rho", stacklevel=2)
-    else:
-        # the floor keeps the (0, 1] contract when flood mass vanishes
-        rho = _rate(float(np.sum(marginal, where=child)), den, marginal, child, wet_parent)
-        update["rho"] = max(rho, 1e-12)
+    r = tree.starts[-1]
+    roots, below = marginal[r:], marginal[:r]
+    # without edges the roots are every node, whose mass is summed already
+    update = {"pi1": _rate(float(roots.sum()) if r else mass, roots.size, roots),
+              "components": (heavy, light) if flooded_lighter else (light, heavy)}
+    if r:
+        wet_parent = work[:r]
+        for s, e, pe, rel in tree.schedule:
+            # every offset is in range; take's default mode copies through a buffer
+            np.take(marginal[e:pe], rel, out=wet_parent[s:e], mode="clip")
+        den = float(wet_parent.sum())
+        if den == 0.0:
+            warnings.warn("no posterior mass on flooded parents; keeping previous rho", stacklevel=2)
+        else:
+            # the floor keeps the (0, 1] contract when flood mass vanishes
+            update["rho"] = max(_rate(float(below.sum()), den, below, wet_parent), 1e-12)
     return replace(model, **update)
 
 
-def _rate(part: float, whole: float, values: np.ndarray, where, full=1.0) -> float:
-    """``part / whole``, the sum of ``values`` over that of ``full`` at ``where``;
-    the largest double below 1 where that rounds to 1 while some value falls
+def _rate(part: float, whole: float, values: np.ndarray, full=1.0) -> float:
+    """``part / whole``, the sum of ``values`` over that of ``full``; the
+    largest double below 1 where that rounds to 1 while some value falls
     short, as a rate of 1 gives the shortfall zero probability."""
     rate = part / whole
-    if rate >= 1.0 and not np.all(values == full, where=where):
+    if rate >= 1.0 and not np.all(values == full):
         return float(np.nextafter(1.0, 0.0))
     return rate
 
@@ -505,7 +508,7 @@ class _EmMap:
         """The downward pass of the E-step held, then `m_step`; a collapse names map ``it``."""
         try:
             marginal = _downward(self.tree, self.u, out=self.work[1])
-            return m_step(marginal, self.tree.up, self.features, model, work=self.work[0])
+            return m_step(marginal, self.tree, self.features, model, work=self.work[0])
         except DegenerateError as exc:
             raise DegenerateError(f"{exc} (iteration {it})") from exc
 
@@ -625,15 +628,12 @@ def em_fit(
 
 def map_decode(model: GmmModel, tree: FlowTree, u: np.ndarray, work: np.ndarray | None = None) -> np.ndarray:
     """Exact MAP labeling in the layout, from ``u`` and ``work`` as `e_step` takes
-    them: max-sum upward, then a backtrack that ands each node's best class under
-    a flooded parent (u1 > u0, over the whole layout at once; ties go dry) with
-    its parent's."""
+    them: max-sum upward, then `_backtrack` of each node's best class under a
+    flooded parent (u1 > u0, over the whole layout at once; ties go dry), which
+    ands it with its parent's."""
     _upward(model, tree, u, _max, work)
-    classes = u[1] > u[0]
-    for s, e, _, _ in reversed(tree.schedule):
-        # Under a dry parent the structural zero leaves only dry.
-        np.logical_and(classes[s:e], classes[tree.up[s:e]], out=classes[s:e])
-    return classes.view(np.uint8)
+    # Under a dry parent the structural zero leaves only dry.
+    return _backtrack(tree, u[1] > u[0]).view(np.uint8)
 
 
 def predict(model: GmmModel, tree: FlowTree, features: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

