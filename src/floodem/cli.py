@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import os
+import re
 import sys
 from dataclasses import dataclass, fields
 
@@ -36,6 +37,13 @@ from .grid import (
 
 METHODS = ("gmm", "gmm-elev", "hmt")
 VERBS = ("synth", "train", "predict", "eval", "compare", "sweep-labels", "verify")
+
+
+def name(val: str) -> str:
+    """The cast of eval's method name, a CSV field and part of a file name: ASCII letters, digits, '._-'."""
+    if not re.fullmatch(r"[A-Za-z0-9._-]+", val):
+        raise ValueError(f"{val!r} is not a method name")
+    return val
 
 
 def fraction(val: str) -> float:
@@ -97,11 +105,8 @@ def parse_scene_spec(path: str) -> SceneSpec:
 
 
 def _save_grid(values: np.ndarray, path: str) -> None:
-    values = np.asarray(values, dtype=float)
-    scene = RasterScene(
-        width=values.shape[1], height=values.shape[0], channels=1, data=values[None]
-    )
-    save_scene(scene, path)
+    values = np.asarray(values, dtype=float)[None]
+    save_scene(RasterScene(width=values.shape[2], height=values.shape[1], channels=1, data=values), path)
 
 
 def _load_grid(path: str) -> np.ndarray:
@@ -111,9 +116,7 @@ def _load_grid(path: str) -> np.ndarray:
     return scene.data[0]
 
 
-def _load_run_scene(
-    path: str | None, parser: argparse.ArgumentParser, *, truth: bool = False
-) -> RasterScene:
+def _load_run_scene(path: str | None, parser: argparse.ArgumentParser, *, truth: bool = False) -> RasterScene:
     """The scene at ``path``, which the verb requires; ``truth`` demands its truth grid."""
     if path is None:
         parser.error("--scene is required")
@@ -157,25 +160,13 @@ def _predict(model, scene: RasterScene) -> tuple[np.ndarray, np.ndarray]:
     return tuple(g.reshape(scene.height, scene.width) for g in grids)
 
 
-def _evaluate(
-    pred: np.ndarray,
-    scores: np.ndarray,
-    truth: np.ndarray,
-    mask: np.ndarray | None,
-    neighborhood: int,
-):
+def _evaluate(pred: np.ndarray, scores: np.ndarray, truth: np.ndarray, mask: np.ndarray | None,
+              neighborhood: int):
     report = metrics.class_report(pred, truth, mask)
     curve = metrics.roc_auc(scores, truth, mask)
     # Salt-and-pepper is counted over the full prediction grid, not the mask.
     noise = metrics.salt_pepper_count(pred, neighborhood)
     return report, curve, noise
-
-
-def _write_report_csv(path: str, class_rows, auc_rows, noise_rows) -> None:
-    lines = ["method,class,precision,recall,f1"] + [",".join(row) for row in class_rows]
-    lines += ["method,auc"] + [f"{method},{auc:.6f}" for method, auc in auc_rows]
-    lines += ["method,salt_pepper_count"] + [f"{method},{count}" for method, count in noise_rows]
-    write_lines(path, "report", lines)
 
 
 def _out_path(cfg_out: str, name: str) -> str:
@@ -184,6 +175,45 @@ def _out_path(cfg_out: str, name: str) -> str:
     except OSError as exc:
         raise IoError(f"cannot create output directory {cfg_out}: {exc}") from exc
     return os.path.join(cfg_out, name)
+
+
+# --- stages: each is the only writer of its files, and makes their paths before it starts ---
+
+
+def _fit(method: str, scene: RasterScene, labels: LabelSet, cfg: RunConfig, tag: str = ""):
+    """`_train`, writing model{tag}.txt and trace{tag}.csv; (model, trace, their paths)."""
+    paths = _out_path(cfg.out, f"model{tag}.txt"), _out_path(cfg.out, f"trace{tag}.csv")
+    model, trace = _train(method, scene, labels, cfg)
+    hmt.save_model(model, paths[0])
+    trace.to_csv(paths[1])
+    return model, trace, paths
+
+
+def _grids(model, scene: RasterScene, out: str, tag: str = ""):
+    """`_predict`, writing pred{tag}.sgrid and score{tag}.sgrid; (classes, scores, their paths)."""
+    paths = _out_path(out, f"pred{tag}.sgrid"), _out_path(out, f"score{tag}.sgrid")
+    classes, scores = _predict(model, scene)
+    _save_grid(classes, paths[0])
+    _save_grid(scores, paths[1])
+    return classes, scores, paths
+
+
+def _score(name: str, pred, scores, truth, mask, cfg: RunConfig) -> tuple[str, str, str]:
+    """`_evaluate`, writing roc_{name}.csv and printing the summary line; ``name``'s
+    rows of the report's three blocks: the dry and flood lines, AUC, salt-and-pepper."""
+    roc_path = _out_path(cfg.out, f"roc_{name}.csv")
+    report, curve, noise = _evaluate(pred, scores, truth, mask, cfg.neighborhood)
+    metrics.write_roc_csv(curve, roc_path)
+    print(f"{name}: avg F {report.avg_f:.4f}, AUC {curve.auc:.4f}, salt-and-pepper {noise}")
+    class_rows = "\n".join(f"{name},{cls},{s.precision:.6f},{s.recall:.6f},{s.f1:.6f}"
+                           for cls, s in zip(("dry", "flood"), report.classes))
+    return class_rows, f"{name},{curve.auc:.6f}", f"{name},{noise}"
+
+
+def _write_report(path: str, rows: list[tuple[str, str, str]]) -> None:
+    """The report of eval and compare: each block's header, then every method's `_score` rows."""
+    headers = ("method,class,precision,recall,f1", "method,auc", "method,salt_pepper_count")
+    write_lines(path, "report", [line for block in zip(headers, *rows) for line in block])
 
 
 # --- verbs ---
@@ -209,11 +239,7 @@ def cmd_train(args, parser) -> int:
     cfg = _resolve_config(args)
     scene = _load_run_scene(cfg.scene, parser)
     labels = _resolve_labels(scene, cfg, parser)
-    model_path = _out_path(cfg.out, "model.txt")
-    trace_path = _out_path(cfg.out, "trace.csv")
-    model, trace = _train(cfg.method, scene, labels, cfg)
-    hmt.save_model(model, model_path)
-    trace.to_csv(trace_path)
+    _, trace, (model_path, trace_path) = _fit(cfg.method, scene, labels, cfg)
     print(f"{cfg.method}: {len(trace.models) - 1} EM iterations, final loglik {trace.logliks[-1]:.4f}")
     print(f"model -> {model_path}")
     print(f"trace -> {trace_path}")
@@ -224,11 +250,7 @@ def cmd_predict(args, parser) -> int:
     cfg = _resolve_config(args)
     scene = _load_run_scene(cfg.scene, parser)
     model = hmt.load_model(args.model)
-    pred_path = _out_path(cfg.out, "pred.sgrid")
-    score_path = _out_path(cfg.out, "score.sgrid")
-    classes, scores = _predict(model, scene)
-    _save_grid(classes.astype(float), pred_path)
-    _save_grid(scores, score_path)
+    classes, _, (pred_path, score_path) = _grids(model, scene, cfg.out)
     print(f"predicted flood fraction: {float(classes.mean()):.4f}")
     print(f"classes -> {pred_path}")
     print(f"scores -> {score_path}")
@@ -237,21 +259,12 @@ def cmd_predict(args, parser) -> int:
 
 def cmd_eval(args, parser) -> int:
     cfg = _resolve_config(args)
+    report_path = _out_path(cfg.out, "report.csv")
     pred = (_load_grid(args.pred) >= 0.5).astype(np.uint8)
     scores = _load_grid(args.score)
-    truth_scene = _load_run_scene(args.truth, parser, truth=True)
-    mask = None
-    if args.mask:
-        mask = _load_grid(args.mask) != 0
-    report, curve, noise = _evaluate(pred, scores, truth_scene.truth, mask, cfg.neighborhood)
-    _write_report_csv(
-        _out_path(cfg.out, "report.csv"),
-        metrics.report_rows(args.name, report),
-        [(args.name, curve.auc)],
-        [(args.name, noise)],
-    )
-    metrics.write_roc_csv(curve, _out_path(cfg.out, f"roc_{args.name}.csv"))
-    print(f"{args.name}: avg F {report.avg_f:.4f}, AUC {curve.auc:.4f}, salt-and-pepper {noise}")
+    truth = _load_run_scene(args.truth, parser, truth=True).truth
+    mask = _load_grid(args.mask) != 0 if args.mask else None
+    _write_report(report_path, [_score(args.name, pred, scores, truth, mask, cfg)])
     return 0
 
 
@@ -260,31 +273,17 @@ def cmd_compare(args, parser) -> int:
     scene = _load_run_scene(cfg.scene, parser, truth=True)
     labels = _resolve_labels(scene, cfg, parser)
     report_path = _out_path(cfg.out, "compare.csv")
-    class_rows, auc_rows, noise_rows = [], [], []
-    failures = []
+    rows = []
     for method in METHODS:
         try:
-            model, trace = _train(method, scene, labels, cfg)
-            hmt.save_model(model, _out_path(cfg.out, f"model_{method}.txt"))
-            trace.to_csv(_out_path(cfg.out, f"trace_{method}.csv"))
-            classes, scores = _predict(model, scene)
-            _save_grid(classes.astype(float), _out_path(cfg.out, f"pred_{method}.sgrid"))
-            _save_grid(scores, _out_path(cfg.out, f"score_{method}.sgrid"))
-            report, curve, noise = _evaluate(
-                classes, scores, scene.truth, None, cfg.neighborhood
-            )
-            class_rows += metrics.report_rows(method, report)
-            auc_rows.append((method, curve.auc))
-            noise_rows.append((method, noise))
-            metrics.write_roc_csv(curve, _out_path(cfg.out, f"roc_{method}.csv"))
-            print(f"{method}: avg F {report.avg_f:.4f}, AUC {curve.auc:.4f}, "
-                  f"salt-and-pepper {noise}")
+            model, _, _ = _fit(method, scene, labels, cfg, f"_{method}")
+            classes, scores, _ = _grids(model, scene, cfg.out, f"_{method}")
+            rows.append(_score(method, classes, scores, scene.truth, None, cfg))
         except FloodemError as exc:
-            failures.append(method)
             print(f"{method}: FAILED ({exc})", file=sys.stderr)
-    _write_report_csv(report_path, class_rows, auc_rows, noise_rows)
+    _write_report(report_path, rows)
     print(f"report -> {report_path}")
-    return 1 if failures else 0
+    return 0 if len(rows) == len(METHODS) else 1
 
 
 def cmd_sweep_labels(args, parser) -> int:
@@ -366,7 +365,8 @@ def build_parser(verb: str | None = None) -> argparse.ArgumentParser:
         p.add_argument("--score", required=True, help="score grid file")
         p.add_argument("--truth", required=True, help="scene file carrying the truth grid")
         p.add_argument("--mask", default=None, help="single-channel grid; nonzero = evaluate")
-        p.add_argument("--name", default="pred", help="method name for report rows")
+        p.add_argument("--name", default="pred", type=name,
+                       help="method name for report rows and roc_<name>.csv: letters, digits, '.', '_', '-'")
         _add_run_flags(p, ("neighborhood", "out"))
 
     if p := sub("compare", "train and evaluate all three methods side by side", cmd_compare):

@@ -128,12 +128,6 @@ def salt_pepper_count(pred: np.ndarray, neighborhood: int = 8) -> int:
     return int(np.sum(sign * total < 0))
 
 
-def report_rows(method: str, report: ClassReport) -> list[tuple[str, str, str, str, str]]:
-    """CSV rows (method, class, precision, recall, f1)."""
-    return [(method, name, f"{s.precision:.6f}", f"{s.recall:.6f}", f"{s.f1:.6f}")
-            for name, s in zip(("dry", "flood"), report.classes)]
-
-
 def write_roc_csv(curve: RocCurve, path: str) -> None:
     """Two-column fpr,tpr CSV of the curve's vertices, as %.17g, for external plotting.
     Rows are %-formatted ROC_BLOCK at a time: no per-row Python step, fixed extra memory."""

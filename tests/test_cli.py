@@ -356,6 +356,8 @@ def test_eval_checkerboard_salt_pepper(tmp_path):
 
 
 def test_compare_matches_individual_runs(workdir, tmp_path):
+    """compare writes, per method, the files train, predict and eval write, and its
+    report holds their report rows block by block, in method order."""
     cmp_dir = tmp_path / "cmp"
     rc = cli.main(
         [
@@ -366,8 +368,7 @@ def test_compare_matches_individual_runs(workdir, tmp_path):
         ]
     )
     assert rc == 0
-    combined = (cmp_dir / "compare.csv").read_text().splitlines()
-
+    blocks = {}
     for method in cli.METHODS:
         solo = tmp_path / f"solo_{method}"
         cli.main(
@@ -386,8 +387,6 @@ def test_compare_matches_individual_runs(workdir, tmp_path):
                 "--out", str(solo),
             ]
         )
-        assert (solo / "model.txt").read_bytes() == (cmp_dir / f"model_{method}.txt").read_bytes()
-        assert (solo / "pred.sgrid").read_bytes() == (cmp_dir / f"pred_{method}.sgrid").read_bytes()
         cli.main(
             [
                 "eval",
@@ -398,10 +397,18 @@ def test_compare_matches_individual_runs(workdir, tmp_path):
                 "--out", str(solo),
             ]
         )
-        solo_rows = (solo / "report.csv").read_text().splitlines()
-        for row in solo_rows:
-            if row.startswith(method):
-                assert row in combined
+        for name in ("model.txt", "trace.csv", "pred.sgrid", "score.sgrid"):
+            stem, ext = name.split(".")
+            assert (solo / name).read_bytes() == (cmp_dir / f"{stem}_{method}.{ext}").read_bytes(), name
+        assert (solo / f"roc_{method}.csv").read_bytes() == (cmp_dir / f"roc_{method}.csv").read_bytes()
+        for line in (solo / "report.csv").read_text().splitlines():
+            if line.startswith("method,"):
+                header = blocks.setdefault(line, [line])
+            else:
+                header.append(line)
+    assert len(blocks) == 3
+    expected = [line for block in blocks.values() for line in block]
+    assert (cmp_dir / "compare.csv").read_text().splitlines() == expected
 
 
 def test_compare_easy_scene_all_methods_near_perfect(tmp_path):
@@ -961,16 +968,51 @@ def test_predict_rejects_a_mixture_on_a_scene_of_other_channels(workdir, tmp_pat
     assert not list(run.glob("*.sgrid"))
 
 
-def test_train_into_an_unusable_out_fails_before_em(workdir, tmp_path, capsys):
+def test_train_into_an_unusable_out_fails_before_em(workdir, tmp_path, capsys, monkeypatch):
+    """Every verb that writes a stage's files makes its output paths before the
+    stage starts working; eval makes them before it reads a grid."""
+    scene, labels = str(workdir / "scene.sgrid"), str(workdir / "labels.txt")
+    run = tmp_path / "run"
+    assert _train_and_predict(workdir, run, "gmm") == 0
     blocker = tmp_path / "afile"
     blocker.write_text("not a directory\n")
+
+    def work(*args, **kwargs):
+        raise AssertionError("the verb started working before it made its output paths")
+
+    for step in ("_train", "_predict", "_evaluate", "_load_grid"):
+        monkeypatch.setattr(cli, step, work)
     capsys.readouterr()
-    rc = cli.main(["train", "--method", "gmm", "--scene", str(workdir / "scene.sgrid"),
-                   "--labels", str(workdir / "labels.txt"), "--out", str(blocker / "sub")])
-    assert rc == 3
-    out, err = capsys.readouterr()
-    assert "error: cannot create output directory" in err
-    assert "EM iterations" not in out  # the output path failed before any training
+    for verb, argv in [
+        ("train", ["--method", "gmm", "--scene", scene, "--labels", labels]),
+        ("predict", ["--model", str(run / "model.txt"), "--scene", scene]),
+        ("eval", ["--pred", str(run / "pred.sgrid"), "--score", str(run / "score.sgrid"), "--truth", scene]),
+        ("compare", ["--scene", scene, "--labels", labels]),
+    ]:
+        assert cli.main([verb, *argv, "--out", str(blocker / "sub")]) == 3, verb
+        out, err = capsys.readouterr()
+        assert "error: cannot create output directory" in err, verb
+        assert out == "", verb
+
+
+@pytest.mark.parametrize("bad", ["a,b", "", "a/b", "a b", "a\nb"])
+def test_eval_rejects_a_name_that_is_no_csv_field_or_file_name(tmp_path, capsys, bad):
+    """Before --name took only letters, digits and '._-', "a,b" wrote six-field rows
+    into the five-column class block and a roc_a,b.csv, "" wrote roc_.csv, and
+    "a/b" failed only after report.csv was written."""
+    out = tmp_path / "out"
+    missing = str(tmp_path / "missing.sgrid")  # read before the name was checked, a data error
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["eval", "--pred", missing, "--score", missing, "--truth", missing,
+                  "--name", bad, "--out", str(out)])
+    assert exc.value.code == 2
+    assert "--name" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_every_method_is_an_eval_name():
+    for method in (*cli.METHODS, "pred", "hmt.v2_run-3"):
+        assert cli.name(method) == method
 
 
 def test_compare_warns_once_per_method_at_the_cap(workdir, tmp_path, capsys):

@@ -207,17 +207,31 @@ def test_mid_size_dem_parents_and_layout_match_the_references(rng, shape):
             _assert_stable_depth_layout(tree)
 
 
-@pytest.mark.parametrize("n", [2**16, 70_000])
+@pytest.mark.parametrize("n", [2**16, 2**16 + 2, 70_000])
 def test_a_chain_deeper_than_a_16_bit_depth_key(n):
     """A 1 x n ramp is one chain of n levels: the depth key fits 16 bits at
-    n = 2^16 and does not at 70,000; either way the layout is the chain
-    from its deepest pixel to its root, one node per level."""
+    n = 2^16 and does not at 2^16 + 2 or 70,000; either way the layout is the
+    chain from its deepest pixel to its root, one node per level."""
     tree = build_flow_tree(np.arange(float(n))[None], neighborhood=8)
     np.testing.assert_array_equal(tree.parent, np.arange(-1, n - 1))
     np.testing.assert_array_equal(tree.order, np.arange(n)[::-1])
     np.testing.assert_array_equal(tree.starts, np.arange(n))
     assert len(tree.level_groups()) == n
     np.testing.assert_array_equal(tree.roots, [0])
+    _assert_stable_depth_layout(tree)
+
+
+@pytest.mark.parametrize("top", [2**16 - 1, 2**16])
+def test_branched_forests_on_either_side_of_the_16_bit_depth_key(top):
+    """The deepest node lies ``top`` links below its root, and 2^16 - 1 is the
+    deepest depth a 16-bit sort key holds. Each forest is a chain of top + 1
+    nodes, 5,000 leaves hung on random chain nodes above its deepest one, and
+    three lone roots, all under a random relabelling."""
+    rng = np.random.default_rng(top)
+    parent = np.r_[np.arange(-1, top), rng.integers(0, top, size=5000), [-1, -1, -1]]
+    tree = FlowTree.from_parents(_relabel(parent, rng))
+    assert tree.starts.size == top + 1
+    _assert_stable_depth_layout(tree)
 
 
 def _relabel(parent, rng):
