@@ -2,7 +2,8 @@
 
 Densities are taken in log space, since raw densities of the target rasters'
 feature values underflow. `GaussianParams` refuses a covariance that fails
-Cholesky and never repairs one.
+Cholesky and never repairs one. EM fits and factors its class pair as one
+stack (`_fit_sums`, `GaussianParams.stack`), each class with its own bits.
 
 Every covariance fit follows one rule, a fixed ridge psi per lift (a
 conjugate covariance prior; Fraley & Raftery, J. Classification 2007): the fit
@@ -57,7 +58,10 @@ class Lifted:
         n, m = pts.shape
         self.shape = (n, m)
         self.pairs = np.triu_indices(m)
+        self.quad = np.where(self.pairs[0] == self.pairs[1], -0.5, -1.0)  # theta's P weights: z_i z_j, i < j, is z_j z_i too
         self.phi = np.empty((1 + m + self.pairs[0].size, n))
+        self.square = np.empty((m, m), dtype=np.intp)  # the row of phi behind each covariance entry
+        self.square[self.pairs] = self.square.T[self.pairs] = np.arange(1 + m, self.phi.shape[0])
         self.phi[0] = 1.0
         z = self.phi[1 : 1 + m]
         # The centre from each channel's running sum, the order a point-major
@@ -77,33 +81,45 @@ class Lifted:
 class GaussianParams:
     """Mean vector and positive-definite covariance of one class's feature distribution.
 
-    The covariance is symmetrized on construction, evening out a computed
-    fit's rounding (a model file's must already be symmetric); one that then
-    fails Cholesky is a DataError, never repaired. The inverse factor is
-    cached so per-pixel density evaluation is a single triangular multiply.
+    `stack`'s stack of one. The covariance is symmetrized, evening out a
+    computed fit's rounding (a model file's must already be symmetric); one
+    that then fails Cholesky is a DataError, never repaired. L^-1 is cached,
+    so a density is one triangular multiply, and so is tr(cov^-1) = |L^-1|_F^2.
     """
 
     mean: np.ndarray
     cov: np.ndarray
     _chol_inv: np.ndarray = field(init=False, repr=False, compare=False)
     _log_norm: float = field(init=False, repr=False, compare=False)
+    _trace_prec: float = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        self.mean = np.asarray(self.mean, dtype=float).reshape(-1)
-        cov = np.asarray(self.cov, dtype=float)
-        m = self.mean.size
-        if cov.shape != (m, m):
-            raise DimError(f"covariance shape {cov.shape} does not match mean dimension {m}")
-        if not (np.all(np.isfinite(self.mean)) and np.all(np.isfinite(cov))):
+        mean = np.asarray(self.mean, dtype=float).reshape(1, -1)
+        vars(self).update(vars(GaussianParams.stack(mean, np.asarray(self.cov, dtype=float)[None])[0]))
+
+    @classmethod
+    def stack(cls, means: np.ndarray, covs: np.ndarray) -> tuple[GaussianParams, ...]:
+        """(r, m) means and (r, m, m) covariances as r Gaussians, checked and factored by one batched
+        Cholesky and one batched inverse; where they fail, the error is the first failing class's own."""
+        r, m = means.shape
+        if covs.shape[1:] != (m, m):
+            raise DimError(f"covariance shape {covs.shape[1:]} does not match mean dimension {m}")
+        if not (np.isfinite(means).all() and np.isfinite(covs).all()):
+            for c in range(r if r > 1 else 0):  # a class before the non-finite one may fail Cholesky first
+                cls.stack(means[c : c + 1], covs[c : c + 1])
             raise DataError("Gaussian parameters contain non-finite entries")
-        cov = cov / 2.0 + cov.T / 2.0  # halved first, so a finite entry cannot overflow
+        half = covs / 2.0  # halved first, so a finite entry cannot overflow
+        sym = half + half.swapaxes(1, 2)
         try:
-            chol = np.linalg.cholesky(cov)
-        except np.linalg.LinAlgError:
+            chol = np.linalg.cholesky(sym)
+        except np.linalg.LinAlgError:  # every class is finite, so the first to fail says what any would
             raise DataError("covariance is not positive definite") from None
-        self.cov = cov
-        self._chol_inv = np.linalg.inv(chol)
-        self._log_norm = -0.5 * m * _LOG_2PI - float(np.sum(np.log(np.diag(chol))))
+        inv = np.linalg.inv(chol)
+        log_norm = -0.5 * m * _LOG_2PI - np.log(chol.diagonal(0, 1, 2)).sum(axis=1)
+        gs = tuple(object.__new__(cls) for _ in range(r))
+        for g, *fields in zip(gs, means, sym, inv, log_norm.tolist(), np.square(inv).sum(axis=(1, 2)).tolist()):
+            g.mean, g.cov, g._chol_inv, g._log_norm, g._trace_prec = fields
+        return gs
 
     @property
     def dim(self) -> int:
@@ -111,14 +127,11 @@ class GaussianParams:
 
 
 def _theta(g: GaussianParams, lifted: Lifted) -> np.ndarray:
-    """Coefficients of ln N(x; mean, cov) on the lifted coordinates, so the
-    log density is ``theta @ lifted.phi``."""
+    """Coefficients theta of ln N(x; mean, cov) on the lift: the log density is ``theta @ lifted.phi``."""
     d = g.mean - lifted.center
     prec = g._chol_inv.T @ g._chol_inv
     prec_d = prec @ d
-    # z_i z_j appears once for i < j, so its coefficient carries both P_ij and P_ji.
-    quad = -0.5 * (2.0 - np.eye(g.dim)) * prec
-    return np.concatenate([[g._log_norm - 0.5 * float(d @ prec_d)], prec_d, quad[lifted.pairs]])
+    return np.concatenate([[g._log_norm - 0.5 * float(d @ prec_d)], prec_d, lifted.quad * prec[lifted.pairs]])
 
 
 def log_pdf(g: GaussianParams, x: np.ndarray | Lifted, out: np.ndarray | None = None) -> np.ndarray:
@@ -164,24 +177,23 @@ def weighted_mle(points: np.ndarray | Lifted, weights: np.ndarray) -> GaussianPa
         raise DimError(f"{lift.shape[0]} points but {w.shape[0]} weights")
     if np.any(w < 0):
         raise DataError("negative weight")
-    return _fit_sums(lift, lift.phi @ w)
+    return _fit_sums(lift, (lift.phi @ w)[None])[0]
 
 
-def _fit_sums(lift: Lifted, sums: np.ndarray) -> GaussianParams:
-    """`weighted_mle`'s fit from the statistic sums ``sums`` = phi @ w of some
-    weights w >= 0; ``sums[0]``, from phi's row of ones, is their total W.
-    The covariance (S_w + psi I) / W, psi the lift's ``ridge``, exactly
-    maximizes sum_n w_n ln N(x_n; mean, Sigma) - psi/2 tr(Sigma^-1), the
-    objective whose sum over the classes EM never lets drop."""
-    total = float(sums[0])
-    if not total > 0.0:
+def _fit_sums(lift: Lifted, sums: np.ndarray) -> tuple[GaussianParams, ...]:
+    """`weighted_mle`'s fits, as one `GaussianParams.stack`, from an (r, K) stack of
+    sums phi @ w of weights w >= 0, each row's first entry their total W. The
+    covariance (S_w + psi I) / W, psi the lift's ``ridge``, exactly maximizes
+    sum_n w_n ln N(x_n; mean, Sigma) - psi/2 tr(Sigma^-1), the objective EM never
+    lets drop. Where a row fails, the first that fails raises its own error."""
+    totals = sums[:, :1]
+    if not totals.min(initial=np.inf) > 0.0:  # a NaN total is the minimum, and fails every comparison
+        _fit_sums(lift, sums[: np.argmin(totals[:, 0] > 0.0)])
         raise DegenerateError("total weight is zero")
-    m = lift.shape[1]
-    moments = sums / total
-    offset = moments[1 : 1 + m]
-    cov = np.empty((m, m))
-    cov[lift.pairs] = moments[1 + m :]
-    cov.T[lift.pairs] = moments[1 + m :]
-    cov -= np.outer(offset, offset)
-    cov.flat[:: m + 1] += lift.ridge / total
-    return GaussianParams(lift.center + offset, cov)
+    r, m = sums.shape[0], lift.shape[1]
+    moments = sums / totals
+    offset = moments[:, 1 : 1 + m]
+    cov = moments[:, lift.square]
+    cov -= offset[:, :, None] * offset[:, None, :]
+    cov.reshape(r, m * m)[:, :: m + 1] += lift.ridge / totals
+    return GaussianParams.stack(lift.center + offset, cov)

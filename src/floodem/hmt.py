@@ -280,7 +280,9 @@ def build_flow_tree(elevation: np.ndarray, neighborhood: int = 8) -> FlowTree:
     # parent = (flat + step[code] + 1) * (lowest < elev) - 1, in the pages of ``lowest``
     np.less(lowest, elev, out=lower)
     step = np.array([dr * w + dc + 1 for dr, dc in NEIGHBOR_OFFSETS[neighborhood]])
-    parent = np.take(step, code, out=lowest.view(np.int64), mode="clip")
+    parent, rows = lowest.view(np.int64), max(1, 8192 // w)  # take makes intp indices first: ~8,192 codes a block
+    for a in range(0, h, rows):
+        np.take(step, code[a : a + rows], out=parent[a : a + rows], mode="clip")
     parent += np.arange(0, h * w, w)[:, None]
     parent += np.arange(w)
     parent *= lower
@@ -362,13 +364,13 @@ def _upward(model: GmmModel, tree: FlowTree, u: np.ndarray, combine=_logaddexp,
                 u[1, e:pe] += np.bincount(rel, to_wet, pe - e)
                 level -= to_wet
         total = float(shifts.sum())
-        if not np.isfinite(total):
+        if not math.isfinite(total):
             raise DataError("contradictory clamped evidence: a node has zero likelihood in both classes")
     roots = u[:, r:]
     roots += [[_safe_log(model.pi0)], [_safe_log(model.pi1)]]
     z = combine(roots[0], roots[1], work[:2, : roots.shape[1]])
     total += float(z.sum())
-    if not np.isfinite(total):
+    if not math.isfinite(total):
         raise DataError("contradictory clamped evidence: a root has zero probability in both classes")
     roots -= z
     return total
@@ -416,7 +418,8 @@ def m_step(marginal: np.ndarray, tree: FlowTree, lift: Lifted, model: GmmModel,
     fits: the lighter class's statistic sums Phi @ w are computed, and the
     heavier class's are the lift's column sums minus them. The heavier class
     carries at least half the weight, so the difference cannot cancel badly,
-    and a class with no weight is the lighter one and fails its own fit.
+    and a class with no weight is the lighter one and fails its own fit. The
+    pair's sums are fitted and factored as one stack, the lighter class first.
 
     pi1 is the mean root marginal, over the last level's slice. Below it rho
     is the expected-count MLE sum E[y_parent * y_n] / sum E[y_parent], which
@@ -438,8 +441,7 @@ def m_step(marginal: np.ndarray, tree: FlowTree, lift: Lifted, model: GmmModel,
     mass = float(marginal.sum())
     flooded_lighter = mass <= 0.5 * n
     sums = lift.phi @ (marginal if flooded_lighter else np.subtract(1.0, marginal, out=work))
-    light = _fit_sums(lift, sums)
-    heavy = _fit_sums(lift, lift.sums - sums)
+    light, heavy = _fit_sums(lift, np.array([sums, lift.sums - sums]))
     r = tree.starts[-1]
     roots, below = marginal[r:], marginal[:r]
     # without edges the roots are every node, whose mass is summed already
@@ -471,7 +473,7 @@ def _rate(part: float, whole: float, values: np.ndarray, full=1.0) -> float:
 
 def _max_rel_change(old: np.ndarray, new: np.ndarray) -> float:
     """Largest relative change of any entry from the `model_values` vector ``old`` to ``new``."""
-    return float(np.max(np.abs(new - old) / (np.abs(old) + 1e-12)))
+    return float((np.abs(new - old) / (np.abs(old) + 1e-12)).max())
 
 
 class _EmMap:
@@ -489,8 +491,8 @@ class _EmMap:
         self.tree = tree
         feats = scene.feature_matrix(use_elevation)
         self.features = Lifted(np.take(feats.T, tree.order, axis=1).T if tree.has_edges else feats)
-        flat, self.cls = clamped.flat_indices(scene.width, scene.height)
-        self.at = tree.position[flat] if tree.has_edges else flat
+        flat, cls = clamped.flat_indices(scene.width, scene.height)
+        self.clamp = 1 - cls, tree.position[flat] if tree.has_edges else flat  # each clamped pixel's other class
         self.u = np.empty((2, tree.n_nodes))
         self.work = np.empty((3, tree.n_nodes))
 
@@ -499,10 +501,9 @@ class _EmMap:
         gets zero likelihood. Returns the log evidence plus the log prior
         -psi/2 sum_c tr(Sigma_c^-1), where tr(Sigma^-1) = |L^-1|_F^2."""
         _log_emissions(model, self.tree, self.features, out=self.u)
-        self.u[1 - self.cls, self.at] = -np.inf
+        self.u[self.clamp] = -np.inf
         loglik = _upward(model, self.tree, self.u, work=self.work)
-        trace_prec = sum(float(np.sum(g._chol_inv**2)) for g in model.components)
-        return loglik - 0.5 * self.features.ridge * trace_prec
+        return loglik - 0.5 * self.features.ridge * sum(g._trace_prec for g in model.components)
 
     def maximize(self, model: GmmModel, it: int) -> GmmModel:
         """The downward pass of the E-step held, then `m_step`; a collapse names map ``it``."""
@@ -525,7 +526,7 @@ def _squarem_jump(like: GmmModel, x0: np.ndarray, x1: np.ndarray, x2: np.ndarray
     with np.errstate(over="ignore", invalid="ignore"):
         r = x1 - x0
         v = (x2 - x1) - r  # exactly -r when theta2 = theta1, so a fixed point gives alpha = -1
-        norm_r, norm_v = float(np.linalg.norm(r)), float(np.linalg.norm(v))
+        norm_r, norm_v = math.sqrt(r @ r), math.sqrt(v @ v)  # np.linalg.norm's sums, without its wrapper
         if not 0.0 < norm_v < norm_r:  # False where a norm is nan
             return None
         alpha = -norm_r / norm_v
@@ -676,17 +677,19 @@ def model_from_values(values, family: type[GmmModel], dim: int) -> GmmModel:
     """The ``family`` model of dimension ``dim`` whose `model_values` are
     ``values``. An invalid model is a DataError and is never repaired: a
     covariance must be symmetric and pass Cholesky as it stands, and every
-    head field and pi1 must pass the family's constructor."""
+    head field and pi1 must pass the family's constructor. Once both
+    covariances are found symmetric, the class pair is built as one stack."""
     values = np.asarray(values, dtype=float)
-    head, blocks = np.split(values, [values.size - 2 * dim * (dim + 1)])
-    components = []
-    for c, b in enumerate(blocks.reshape(2, -1)):
-        cov = b[dim:].reshape(dim, dim)
+    blocks = values[values.size - 2 * dim * (dim + 1) :].reshape(2, dim + 1, dim)  # per class, a mean, then cov rows
+    head = values[: values.size - blocks.size]
+    means, covs = blocks[:, 0], blocks[:, 1:]
+    for c, cov in enumerate(() if (covs == covs.swapaxes(1, 2)).all() else covs):  # a NaN or an asymmetry: by class
         if not np.array_equal(cov, cov.T, equal_nan=True):  # a NaN gets GaussianParams' message
+            GaussianParams.stack(means[:c], covs[:c])  # an earlier class's own error comes first
             raise DataError(f"class {c}'s covariance is not symmetric")
-        components.append(GaussianParams(b[:dim], cov))
+    components = GaussianParams.stack(means, covs)
     fields = dict(zip([*family.HEAD, "pi1"], head.tolist(), strict=True))
-    return family(**fields, components=tuple(components))
+    return family(**fields, components=components)
 
 
 def save_model(model: GmmModel, path: str) -> None:

@@ -2,9 +2,11 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from floodem.errors import DataError, DegenerateError, DimError
-from floodem.gaussian import BLOCK, GaussianParams, Lifted, log_pdf, weighted_mle
+from floodem.errors import DataError, DegenerateError, DimError, FloodemError
+from floodem.gaussian import BLOCK, GaussianParams, Lifted, _fit_sums, log_pdf, weighted_mle
 from floodem.oracle import log_density, raw_weighted_mle
 
 
@@ -273,3 +275,115 @@ def test_lifted_path_keeps_every_input_check():
         log_pdf(GaussianParams(np.zeros(2), np.eye(2)), lift)
     with pytest.raises(DimError):
         Lifted(np.zeros((0, 2)))
+
+
+def _factored_alone(mean, cov):
+    """One class factored by itself, from its (m,) mean and (m, m)
+    covariance: (mean, symmetrized covariance, L^-1, log normaliser,
+    |L^-1|_F^2), each from single-matrix calls."""
+    sym = cov / 2.0 + cov.T / 2.0
+    chol = np.linalg.cholesky(sym)
+    inv = np.linalg.inv(chol)
+    log_norm = -0.5 * mean.size * float(np.log(2.0 * np.pi)) - float(np.sum(np.log(np.diag(chol))))
+    return mean, sym, inv, log_norm, float(np.sum(inv**2))
+
+
+def _fitted_alone(lift, sums):
+    """One class's fit from its (K,) statistic sums, by the covariance rule
+    with scalar arithmetic and an (m, m) scatter, then `_factored_alone`."""
+    total, m = float(sums[0]), lift.shape[1]
+    moments = sums / total
+    offset = moments[1 : 1 + m]
+    cov = np.empty((m, m))
+    cov[lift.pairs] = moments[1 + m :]
+    cov.T[lift.pairs] = moments[1 + m :]
+    cov -= np.outer(offset, offset)
+    cov.flat[:: m + 1] += lift.ridge / total
+    return _factored_alone(lift.center + offset, cov)
+
+
+def _assert_bits(g, ref):
+    for got, want in zip((g.mean, g.cov, g._chol_inv, g._log_norm, g._trace_prec), ref):
+        assert np.array_equal(got, want) and np.shape(got) == np.shape(want)
+
+
+def _first_error(calls):
+    """(type, message) of the first call that raises a FloodemError, or None."""
+    for call in calls:
+        try:
+            call()
+        except FloodemError as exc:
+            return type(exc), str(exc)
+    return None
+
+
+def _raised(call):
+    try:
+        call()
+    except FloodemError as exc:
+        return type(exc), str(exc)
+    return None
+
+
+_ROW_KINDS = ["ok", "ok", "zero weight", "not positive definite", "nan"]
+
+
+@settings(max_examples=80, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), m=st.integers(1, 4), kinds=st.tuples(*[st.sampled_from(_ROW_KINDS)] * 2))
+def test_a_stacked_fit_is_each_rows_fit_bit_for_bit(seed, m, kinds):
+    """`_fit_sums` of a (2, K) stack gives each row's fit bit for bit: the
+    fit of that row alone and the scalar covariance rule factored by
+    single-matrix calls. Where a row has zero weight, a covariance that is
+    not positive definite or a NaN statistic, the stack raises the error
+    its first failing row raises alone."""
+    rng = np.random.default_rng(seed)
+    lift = Lifted(rng.normal(size=(40, m)) * rng.uniform(0.5, 20.0, size=m) + rng.normal(size=m) * 30.0)
+    sums = np.array([lift.phi @ rng.uniform(0.0, 1.0, size=40) ** 4 for _ in kinds])
+    for row, kind in zip(sums, kinds):
+        if kind == "zero weight":
+            row[:] = 0.0
+        elif kind == "not positive definite":  # unit offsets, no scatter: variances psi / W - 1 < 0
+            row[1:] = np.r_[np.full(m, row[0]), np.zeros(row.size - 1 - m)]
+        elif kind == "nan":
+            row[1 + rng.integers(row.size - 1)] = np.nan
+    want = _first_error(lambda c=c: _fit_sums(lift, sums[c : c + 1]) for c in range(2))
+    assert (want is None) == (set(kinds) == {"ok"})
+    assert _raised(lambda: _fit_sums(lift, sums)) == want
+    if want is None:
+        for c, g in enumerate(_fit_sums(lift, sums)):
+            _assert_bits(g, _fitted_alone(lift, sums[c]))
+            _assert_bits(_fit_sums(lift, sums[c : c + 1])[0], _fitted_alone(lift, sums[c]))
+
+
+_COV_KINDS = ["ok", "ok", "not positive definite", "nan", "inf", "-inf in the mean", "inf against -inf"]
+
+
+@settings(max_examples=80, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), m=st.integers(1, 4), kinds=st.tuples(*[st.sampled_from(_COV_KINDS)] * 2))
+def test_a_stack_of_gaussians_is_each_constructor_bit_for_bit(seed, m, kinds):
+    """`GaussianParams.stack` of two classes gives each class's constructor,
+    and the single-matrix factorization, bit for bit. Where a class is not
+    positive definite or has a non-finite entry, among them +inf and -inf
+    at mirrored entries, the stack raises the first failing class's own
+    error, with no numpy warning."""
+    rng = np.random.default_rng(seed)
+    means, covs = rng.normal(size=(2, m)) * 10.0, np.empty((2, m, m))
+    for c, kind in enumerate(kinds):
+        a = rng.normal(size=(m, m))
+        covs[c] = a @ a.T + rng.uniform(0.1, 1.0) * np.eye(m) + rng.normal(size=(m, m)) * 1e-12
+        i, j = rng.integers(m, size=2)
+        if kind == "not positive definite":
+            covs[c, i, i] = -rng.uniform(0.0, 1.0)
+        elif kind in ("nan", "inf"):
+            covs[c, i, j] = np.nan if kind == "nan" else np.inf
+        elif kind == "-inf in the mean":
+            means[c, i] = -np.inf
+        elif kind == "inf against -inf":
+            covs[c, 0, -1], covs[c, -1, 0] = np.inf, -np.inf
+    want = _first_error(lambda c=c: GaussianParams(means[c], covs[c]) for c in range(2))
+    assert (want is None) == (set(kinds) == {"ok"})
+    assert _raised(lambda: GaussianParams.stack(means, covs)) == want
+    if want is None:
+        for c, g in enumerate(GaussianParams.stack(means, covs)):
+            _assert_bits(g, _factored_alone(means[c], covs[c]))
+            _assert_bits(GaussianParams(means[c], covs[c]), _factored_alone(means[c], covs[c]))

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from floodem import gmm, oracle
+from floodem import gmm, hmt, oracle
 from floodem.errors import DataError, DegenerateError, DimError, FloodemError, FormatError, InitError, SpecError
 from floodem.gaussian import GaussianParams, Lifted, weighted_mle
 from floodem.gmm import GmmModel
@@ -1382,3 +1382,103 @@ def test_a_covariance_entry_near_the_largest_double_loads_as_written(tmp_path):
     assert model.components[0].cov[0, 0] == 1.5e308
     assert again.read_bytes() == path.read_bytes()
 
+
+
+@pytest.mark.parametrize("nb", [4, 8])
+def test_the_parent_codes_are_taken_a_block_of_rows_at_a_time(rng, monkeypatch, nb):
+    """`build_flow_tree` turns its uint8 offset codes into parents a block of
+    rows at a time, about 8,192 codes a block, and the width 301 does not
+    divide the block: the parents are the per-pixel scan's, every code is
+    taken once, and no take allocates more than one block's intp indices
+    (the whole 70 x 301 grid's would be 168,560 bytes)."""
+    elev = rng.integers(0, 6, size=(70, 301)).astype(float)
+    take, taken = np.take, []
+
+    def traced(a, indices, *args, **kwargs):
+        if np.asarray(indices).dtype != np.uint8:
+            return take(a, indices, *args, **kwargs)
+        tracemalloc.reset_peak()
+        base = tracemalloc.get_traced_memory()[0]
+        out = take(a, indices, *args, **kwargs)
+        taken.append((np.size(indices), tracemalloc.get_traced_memory()[1] - base))
+        return out
+
+    monkeypatch.setattr(np, "take", traced)
+    tracemalloc.start()
+    try:
+        tree = build_flow_tree(elev, neighborhood=nb)
+    finally:
+        tracemalloc.stop()
+    monkeypatch.undo()
+    np.testing.assert_array_equal(tree.parent, _reference_parents(elev, nb))
+    assert sum(size for size, _ in taken) == elev.size and len(taken) > 1
+    assert max(peak for _, peak in taken) <= 8 * 8192 + 4096, taken
+
+
+def test_model_from_values_names_the_first_class_that_fails():
+    """Both classes are built as one stack after the symmetry checks, yet the
+    error is the one a class-by-class build meets first: an asymmetric
+    class-1 covariance is named as class 1's, unless class 0 fails first."""
+    g = GaussianParams(np.zeros(2), np.eye(2))
+    values = model_values(GmmModel(pi1=0.5, components=(g, g)))
+    keys = model_keys(GmmModel, 2)
+
+    def rejected(**changes):
+        bad = values.copy()
+        for key, value in changes.items():
+            bad[keys.index(key.replace("_", "."))] = value
+        with pytest.raises(DataError) as info:
+            model_from_values(bad, GmmModel, 2)
+        return str(info.value)
+
+    assert rejected(cov_1_0_1=0.5) == "class 1's covariance is not symmetric"
+    assert rejected(cov_0_0_1=0.5) == "class 0's covariance is not symmetric"
+    assert rejected(cov_0_0_1=0.5, cov_1_0_0=-1.0) == "class 0's covariance is not symmetric"
+    assert rejected(cov_0_0_0=-1.0, cov_1_0_1=0.5) == "covariance is not positive definite"
+    assert rejected(mean_0_1=np.nan, cov_1_0_1=0.5) == "Gaussian parameters contain non-finite entries"
+    assert rejected(cov_1_1_1=-1.0) == "covariance is not positive definite"
+    assert rejected(cov_0_0_0=np.inf, cov_1_1_1=-1.0) == "Gaussian parameters contain non-finite entries"
+
+
+@pytest.mark.parametrize("method", ["gmm", "hmt"])
+def test_each_model_pair_is_factored_as_one_stack(small_scene, monkeypatch, method):
+    """A structural guard, with no timing: during a fit, every model pair that
+    `m_step` fits or `model_from_values` builds takes one batched Cholesky
+    of both classes and, where that passes, one batched inverse, and only
+    `init_from_labels`'s two labeled fits factor a class alone. A finite pair
+    that fails Cholesky takes no second factorization to name its error."""
+    scene, labels = small_scene
+    linalg = {name: getattr(np.linalg, name) for name in ("cholesky", "inv")}
+    stacks = {name: [] for name in linalg}  # the stack size of each call, 0 for a bare matrix
+    builds = []
+
+    def counting(name):
+        def call(a):
+            stacks[name].append(np.shape(a)[0] if np.ndim(a) == 3 else 0)
+            return linalg[name](a)
+        return call
+
+    def tallied(fn):
+        def call(*args, **kwargs):
+            before = {name: len(calls) for name, calls in stacks.items()}
+            try:
+                return fn(*args, **kwargs)
+            finally:
+                builds.append({name: calls[before[name]:] for name, calls in stacks.items()})
+        return call
+
+    for name in linalg:
+        monkeypatch.setattr(np.linalg, name, counting(name))
+    for name in ("m_step", "model_from_values"):
+        monkeypatch.setattr(hmt, name, tallied(getattr(hmt, name)))
+    model, _ = _fit(method, scene, labels, max_iter=30)
+    values = model_values(model)
+    values[model_keys(type(model), model.dim).index("cov.1.0.0")] *= -1.0
+    with pytest.raises(DataError, match="positive definite"):
+        hmt.model_from_values(values, type(model), model.dim)
+    monkeypatch.undo()
+    assert len(builds) >= 10 and builds[-1] == {"cholesky": [2], "inv": []}
+    for build in builds[:-1]:
+        assert build["cholesky"] == [2] and build["inv"] in ([], [2]), build
+    for name, calls in stacks.items():
+        assert len(calls) == sum(len(build[name]) for build in builds) + 2, name
